@@ -1,0 +1,6 @@
+import sys
+from pathlib import Path
+
+BENCH_DIR = Path(__file__).resolve().parents[1]
+# The benchmark's modules, and the package under test for the tracer tests.
+sys.path[:0] = [str(BENCH_DIR), str(BENCH_DIR.parent / "src")]
