@@ -50,7 +50,13 @@ from .graphs import (
     parse_graph6,
     read_graph6_file,
 )
-from .verify import TheoremReport, all_theorem_ids, sweep_chains, verify_theorem
+from .verify import (
+    TheoremReport,
+    all_theorem_ids,
+    sweep_chains,
+    verify_claims,
+    verify_theorem,
+)
 
 __all__ = [
     "BACKEND_NAME",
@@ -97,5 +103,6 @@ __all__ = [
     "singleton_partition",
     "sp_check",
     "sweep_chains",
+    "verify_claims",
     "verify_theorem",
 ]

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .canon import are_isomorphic, canonical_form
-from .coalition_graph import sc_graph
+from .canon import canonical_form
+from .coalition_graph import NotSingletonPartitionGraph, sc_graph
 from .domination import sp_check
 from .families import recognize_h1, recognize_h2
 from .graphs import (
@@ -82,12 +82,12 @@ def sc_chain(g: Graph, max_steps: int = CHAIN_STEPS_DEFAULT) -> ChainResult:
     codes = [canonical_form(g)]
     seen = {codes[0]: 0}
     while True:
-        cur = seq[-1]
-        if not sp_check(cur).is_sp:
+        try:
+            nxt = sc_graph(seq[-1])
+        except NotSingletonPartitionGraph:
             return ChainResult(tuple(seq), tuple(codes), TerminatedNonSp(len(seq) - 1))
         if len(seq) - 1 == max_steps:
             return ChainResult(tuple(seq), tuple(codes), StepCap(max_steps))
-        nxt = sc_graph(cur)
         code = canonical_form(nxt)
         seq.append(nxt)
         codes.append(code)
@@ -245,7 +245,13 @@ def classify_chain(g: Graph, chain: ChainResult | None = None) -> ChainTemplate:
     seq = chain.sequence
 
     def iso(i: int, h: Graph) -> bool:
-        return i < len(seq) and seq[i].n == h.n and are_isomorphic(seq[i], h)
+        # the chain already holds the canonical code of every member
+        return (
+            i < len(seq)
+            and seq[i].n == h.n
+            and sorted(seq[i].degrees()) == sorted(h.degrees())
+            and chain.codes[i] == canonical_form(h)
+        )
 
     label = _classify(g, chain, stats, n, seq, iso)
     if label is None:
@@ -313,7 +319,7 @@ def _classify(g, chain, stats, n, seq, iso):
         return None
 
     if isinstance(chain.outcome, CycleOutcome):
-        if _cyc(chain, 0, 1) and n == 5 and are_isomorphic(g, cycle(5)):
+        if _cyc(chain, 0, 1) and iso(0, cycle(5)):
             return "LemH23(d)", ["constant chain; length zero by convention"]
         if _cyc(chain, 1, 1) and iso(1, cycle(5)):
             return "LemH23(d)", []

@@ -49,7 +49,7 @@ from .verify import (
     all_theorem_ids,
     chain_record,
     sweep_chains,
-    verify_theorem,
+    verify_claims,
 )
 
 
@@ -281,14 +281,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     ids = all_theorem_ids() if args.all or not args.theorem else [args.theorem]
     graphs = list(read_graph6_file(args.file)) if args.file else None
     failed = False
-    for theorem_id in ids:
-        report = verify_theorem(theorem_id, n_max=args.max_order, jobs=args.jobs, graphs=graphs)
+    for report in verify_claims(ids, n_max=args.max_order, jobs=args.jobs, graphs=graphs):
         if args.json:
             _print_json(report.to_json())
         else:
             status = "PASS" if report.passed else "FAIL"
             print(
-                f"{theorem_id}: {status} ({report.graphs_checked} graphs, "
+                f"{report.theorem_id}: {status} ({report.graphs_checked} graphs, "
                 f"{report.elapsed:.2f}s)"
             )
             for cex in report.counterexamples:

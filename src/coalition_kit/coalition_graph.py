@@ -10,14 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .domination import Partition, forms_coalition, is_dominating, sp_check, singleton_partition
+from .domination import Partition, forms_coalition, is_dominating
 from .graphs import Graph
 
 
 @dataclass(frozen=True)
 class CoalitionGraphResult:
-    graph: Graph
-    part_of_vertex: tuple[int, ...]  # vertex i of the result <-> part i
+    graph: Graph  # vertex i of the graph <-> part i of the partition
 
 
 def coalition_graph(g: Graph, p: Partition) -> CoalitionGraphResult:
@@ -33,7 +32,7 @@ def coalition_graph(g: Graph, p: Partition) -> CoalitionGraphResult:
                 continue
             if forms_coalition(g, p.parts[i], p.parts[j]):
                 edges.append((i, j))
-    return CoalitionGraphResult(Graph.from_edges(k, edges), tuple(range(k)))
+    return CoalitionGraphResult(Graph.from_edges(k, edges))
 
 
 class NotSingletonPartitionGraph(ValueError):
@@ -49,9 +48,22 @@ class NotSingletonPartitionGraph(ValueError):
 
 def sc_graph(g: Graph) -> Graph:
     """Singleton-coalition graph: the coalition graph of the all-singletons
-    partition, defined only for singleton-partition graphs."""
-    verdict = sp_check(g)
-    if not verdict.is_sp:
-        assert verdict.blocking_vertex is not None
-        raise NotSingletonPartitionGraph(verdict.blocking_vertex)
-    return coalition_graph(g, singleton_partition(g)).graph
+    partition, defined only for singleton-partition graphs.
+
+    Singletons {u} and {v} form a coalition exactly when neither vertex is
+    full and N[u] | N[v] == V, so the image comes out of the same
+    closed-neighbourhood pass as ``sp_check``: the first non-full vertex
+    left without a partner is the blocking vertex ``sp_check`` reports.
+    """
+    vmask = g.vertex_mask
+    closed = [row | (1 << v) for v, row in enumerate(g.rows)]
+    nonfull = [v for v in range(g.n) if closed[v] != vmask]
+    rows = [0] * g.n
+    for v in nonfull:
+        cv = closed[v]
+        for u in nonfull:
+            if u != v and closed[u] | cv == vmask:
+                rows[v] |= 1 << u
+        if not rows[v]:
+            raise NotSingletonPartitionGraph(v)
+    return Graph(g.n, tuple(rows))

@@ -15,13 +15,16 @@ reproduces it.
 from __future__ import annotations
 
 import time
+from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from functools import partial
+from typing import Callable, Iterable, Iterator
 
 from .canon import are_isomorphic, enumerate_graphs
 from .chains import (
     ChainClassificationError,
+    ChainResult,
     CycleOutcome,
     LsccValue,
     StepCap,
@@ -98,66 +101,132 @@ def _cex(g: Graph, detail: str) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Hypothesis-class filters
+# Facts, computed once per graph and run
+# ---------------------------------------------------------------------------
+#
+# Every claim splits the graphs on the same three facts, packed into one
+# small int per graph: the minimum degree (bits 0-5), the full-vertex count
+# (bits 6-11) and the singleton-partition verdict (bit 12). The verdict is
+# computed only for minimum degree <= 2, the range every claim covers;
+# above it the bit is 0.
+
+_FULL_SHIFT = 6
+_FIELD = (1 << _FULL_SHIFT) - 1
+_SP = 1 << 12
+
+
+def _facts_row(g: Graph) -> int:
+    stats = degree_stats(g)
+    row = stats.min_degree | stats.full_count << _FULL_SHIFT
+    if stats.min_degree <= 2 and sp_check(g).is_sp:
+        row |= _SP
+    return row
+
+
+def _min_degree(row: int) -> int:
+    return row & _FIELD
+
+
+def _full_count(row: int) -> int:
+    return row >> _FULL_SHIFT & _FIELD
+
+
+class _Pool:
+    """The graphs of one run and their facts rows, index-aligned.
+
+    Rows are computed when the pool is built, through this module's
+    ``sp_check``. The singleton-coalition image and the chain are memoized
+    by pool index for the graphs that reach them. A pool lives for one
+    ``verify_claims`` run, so nothing outlives the run.
+    """
+
+    def __init__(self, graphs: list[Graph], rows: Iterable[int] | None = None):
+        self.graphs = graphs
+        self.rows = array("H", map(_facts_row, graphs) if rows is None else rows)
+        self.images: dict[int, tuple[Graph, bool]] = {}
+        self.chains: dict[int, ChainResult] = {}
+
+
+class _Facts:
+    """One pool graph's facts, as the claim checks read them."""
+
+    __slots__ = ("g", "row", "_pool", "_i")
+
+    def __init__(self, pool: _Pool, i: int):
+        self.g = pool.graphs[i]
+        self.row = pool.rows[i]
+        self._pool = pool
+        self._i = i
+
+    @staticmethod
+    def of(g: Graph) -> "_Facts":
+        """Facts of a lone graph, outside any run's pool."""
+        return _Facts(_Pool([g]), 0)
+
+    @property
+    def is_sp(self) -> bool:
+        return bool(self.row & _SP)
+
+    def image(self) -> tuple[Graph, bool]:
+        """The singleton-coalition image and whether it is itself SP."""
+        memo = self._pool.images
+        if self._i not in memo:
+            image = sc_graph(self.g)
+            memo[self._i] = (image, sp_check(image).is_sp)
+        return memo[self._i]
+
+    def chain(self) -> ChainResult:
+        memo = self._pool.chains
+        if self._i not in memo:
+            memo[self._i] = sc_chain(self.g)
+        return memo[self._i]
+
+    def label(self) -> str:
+        return classify_chain(self.g, self.chain()).label
+
+
+# ---------------------------------------------------------------------------
+# Hypothesis-class filters, on a graph and its facts row
 # ---------------------------------------------------------------------------
 
 
-def _is_min_degree(g: Graph, d: int) -> bool:
-    return degree_stats(g).min_degree == d
+def _where(
+    min_degree: int, full: bool | None = None, sp: bool = False
+) -> Callable[[Graph, int], bool]:
+    """Rows with this minimum degree, with (True) or without (False) a full
+    vertex or either (None), and SP rows only when ``sp`` is set."""
+
+    def flt(g: Graph, row: int) -> bool:
+        return (
+            _min_degree(row) == min_degree
+            and (full is None or (_full_count(row) > 0) == full)
+            and (not sp or bool(row & _SP))
+        )
+
+    return flt
 
 
-def _filter_thm1(g: Graph) -> bool:
-    return _is_min_degree(g, 0)
+def _filter_thm2(g: Graph, row: int) -> bool:
+    return g.n >= 3 and _min_degree(row) == 1 and _full_count(row) == 1
 
 
-def _filter_thm2(g: Graph) -> bool:
-    s = degree_stats(g)
-    return g.n >= 3 and s.min_degree == 1 and s.full_count == 1
-
-
-def _filter_delta1_nofull(g: Graph) -> bool:
-    s = degree_stats(g)
-    return s.min_degree == 1 and s.full_count == 0
-
-
-def _filter_delta2_nofull(g: Graph) -> bool:
-    s = degree_stats(g)
-    return s.min_degree == 2 and s.full_count == 0
-
-
-def _filter_delta2_full(g: Graph) -> bool:
-    s = degree_stats(g)
-    return s.min_degree == 2 and s.full_count >= 1
-
-
-def _filter_delta1_full(g: Graph) -> bool:
-    s = degree_stats(g)
-    return s.min_degree == 1 and s.full_count >= 1
-
-
-def _filter_f1_member(g: Graph) -> bool:
-    return recognize_f1(g) is not None
-
-
-def _filter_delta2_nofull_sp(g: Graph) -> bool:
-    return _filter_delta2_nofull(g) and sp_check(g).is_sp
-
-
-def _filter_sp_min_degree(g: Graph, d: int) -> bool:
-    return _is_min_degree(g, d) and sp_check(g).is_sp
+def _filter_f1_member(g: Graph, row: int) -> bool:
+    # a member has a degree-1 vertex and, through w's row, no isolated
+    # vertex, so members have minimum degree exactly 1
+    return _min_degree(row) == 1 and recognize_f1(g) is not None
 
 
 # ---------------------------------------------------------------------------
-# Per-graph checks
+# Per-graph checks: the graph and its facts (computed afresh when omitted)
 # ---------------------------------------------------------------------------
 
 
-def _check_thm1(g: Graph) -> str | None:
+def _check_thm1(g: Graph, f: _Facts | None = None) -> str | None:
+    f = f or _Facts.of(g)
     expected = complete(1) if g.n == 1 else union(complete(1), complete(g.n - 1))
-    sp = sp_check(g).is_sp
     extremal = are_isomorphic(g, expected)
-    if sp != extremal:
-        return f"sp={sp} but isomorphic-to-extremal={extremal}"
+    if f.is_sp != extremal:
+        return f"sp={f.is_sp} but isomorphic-to-extremal={extremal}"
     return None
 
 
@@ -166,19 +235,17 @@ def _near_one_full(n: int) -> Graph:
     return union(complete(1), complete(n - 1)).with_edge(0, 1)
 
 
-def _check_thm2(g: Graph) -> str | None:
-    sp = sp_check(g).is_sp
+def _check_thm2(g: Graph, f: _Facts) -> str | None:
     extremal = are_isomorphic(g, _near_one_full(g.n))
-    if sp != extremal:
-        return f"sp={sp} but isomorphic-to-extremal={extremal}"
+    if f.is_sp != extremal:
+        return f"sp={f.is_sp} but isomorphic-to-extremal={extremal}"
     return None
 
 
-def _check_thm4(g: Graph) -> str | None:
+def _check_thm4(g: Graph, f: _Facts) -> str | None:
     wit = recognize_f1(g)
-    sp = sp_check(g).is_sp
-    if (wit is not None) != sp:
-        return f"recognizer={'hit' if wit else 'miss'} but sp={sp}"
+    if (wit is not None) != f.is_sp:
+        return f"recognizer={'hit' if wit else 'miss'} but sp={f.is_sp}"
     if wit is not None:
         bad = f1_violations(g, wit)
         if bad:
@@ -186,10 +253,11 @@ def _check_thm4(g: Graph) -> str | None:
     return None
 
 
-def _check_thm6(g: Graph) -> str | None:
-    if not sp_check(g).is_sp:
+def _check_thm6(g: Graph, f: _Facts | None = None) -> str | None:
+    f = f or _Facts.of(g)
+    if not f.is_sp:
         return "family member is not a singleton-partition graph"
-    image = sc_graph(g)
+    image, _ = f.image()
     wit = recognize_h1(image)
     if wit is None:
         return "singleton-coalition image not in the bipartite image family"
@@ -210,11 +278,10 @@ def _check_obs7_cycle(n: int) -> str | None:
     return None
 
 
-def _check_thm8(g: Graph) -> str | None:
+def _check_thm8(g: Graph, f: _Facts) -> str | None:
     wit = recognize_f2(g)
-    sp = sp_check(g).is_sp
-    if (wit is not None) != sp:
-        return f"recognizer={'hit' if wit else 'miss'} but sp={sp}"
+    if (wit is not None) != f.is_sp:
+        return f"recognizer={'hit' if wit else 'miss'} but sp={f.is_sp}"
     if wit is not None:
         bad = f2_violations(g, wit)
         if bad:
@@ -222,29 +289,29 @@ def _check_thm8(g: Graph) -> str | None:
     return None
 
 
-def _check_thm9(g: Graph) -> str | None:
-    s = degree_stats(g)
-    sp = sp_check(g).is_sp
-    if s.full_count == 1:
-        f = s.full_vertices.bit_length() - 1
-        rest_in_family = recognize_f1(g.delete_vertex(f)) is not None
-        if sp != rest_in_family:
-            return f"sp={sp} but remainder-in-family={rest_in_family}"
-    elif s.full_count == 2:
+def _check_thm9(g: Graph, f: _Facts) -> str | None:
+    full_count = _full_count(f.row)
+    if full_count == 1:
+        full = next(v for v in range(g.n) if g.is_full(v))
+        rest_in_family = recognize_f1(g.delete_vertex(full)) is not None
+        if f.is_sp != rest_in_family:
+            return f"sp={f.is_sp} but remainder-in-family={rest_in_family}"
+    elif full_count == 2:
         expected = join(union(complete(1), complete(g.n - 3)), complete(2))
         extremal = are_isomorphic(g, expected)
-        if sp != extremal:
-            return f"sp={sp} but isomorphic-to-extremal={extremal}"
+        if f.is_sp != extremal:
+            return f"sp={f.is_sp} but isomorphic-to-extremal={extremal}"
     else:
         if not are_isomorphic(g, complete(3)):
             return "three or more full vertices on a non-triangle"
     return None
 
 
-def _check_thm13(g: Graph) -> str | None:
-    if not sp_check(g).is_sp:
+def _check_thm13(g: Graph, f: _Facts | None = None) -> str | None:
+    f = f or _Facts.of(g)
+    if not f.is_sp:
         return None  # hypothesis is the SP side; thm8 covers the equivalence
-    image = sc_graph(g)
+    image, _ = f.image()
     wit = recognize_h2(image)
     if wit is None:
         return "singleton-coalition image not in the degree-2 image family"
@@ -264,8 +331,8 @@ def _expected_label_thm14(n: int) -> str:
     return "Thm14(c)"
 
 
-def _check_thm14(g: Graph) -> str | None:
-    label = classify_chain(g).label
+def _check_thm14(g: Graph, f: _Facts) -> str | None:
+    label = f.label()
     want = _expected_label_thm14(g.n)
     return None if label == want else f"classified {label}, expected {want}"
 
@@ -278,21 +345,21 @@ def _expected_label_thm15(n: int) -> str:
     return "Thm15(b)"
 
 
-def _check_thm15(g: Graph) -> str | None:
-    label = classify_chain(g).label
+def _check_thm15(g: Graph, f: _Facts) -> str | None:
+    label = f.label()
     want = _expected_label_thm15(g.n)
     return None if label == want else f"classified {label}, expected {want}"
 
 
-def _check_thm16(g: Graph) -> str | None:
-    label = classify_chain(g).label
+def _check_thm16(g: Graph, f: _Facts) -> str | None:
+    label = f.label()
     if label not in {"Thm16(a)", "Thm16(b)", "Thm16(c)"}:
         return f"classified {label}"
     return None
 
 
-def _check_thm17(g: Graph) -> str | None:
-    lv = l_scc_of(sc_chain(g))
+def _check_thm17(g: Graph, f: _Facts) -> str | None:
+    lv = l_scc_of(f.chain())
     if lv.kind == "finite" and lv.value == 1:
         return None
     return f"chain length {lv.kind}:{lv.value}"
@@ -306,8 +373,8 @@ def _lscc_key(lv: LsccValue) -> str:
     return f"unknown@{lv.cap}"
 
 
-def _check_thm20(g: Graph) -> tuple[str | None, str]:
-    lv = l_scc_of(sc_chain(g))
+def _check_thm20(g: Graph, f: _Facts) -> tuple[str | None, str]:
+    lv = l_scc_of(f.chain())
     key = _lscc_key(lv)
     if lv.kind == "infinite" or (lv.kind == "finite" and lv.value is not None and lv.value <= 5):
         return None, key
@@ -323,17 +390,12 @@ _LEMH23_LABELS = {f"LemH23({c})" for c in "abcdehijklmnopqrstuv"} | {
 }
 
 
-def _image_if_sp(g: Graph) -> Graph | None:
-    image = sc_graph(g)
-    return image if sp_check(image).is_sp else None
-
-
-def _check_lemma_bucket(g: Graph, subfamily: int) -> str | None:
-    image = _image_if_sp(g)
-    if image is None or recognize_h2(image, subfamily) is None:
+def _check_lemma_bucket(f: _Facts, subfamily: int) -> str | None:
+    image, image_sp = f.image()
+    if not image_sp or recognize_h2(image, subfamily) is None:
         return None  # outside this lemma's hypothesis
     try:
-        label = classify_chain(g).label
+        label = f.label()
     except ChainClassificationError as exc:
         return f"unclassified chain: {exc}"
     if subfamily == 1:
@@ -353,16 +415,16 @@ def _check_lemma_bucket(g: Graph, subfamily: int) -> str | None:
     return None if ok else f"classified {label}, outside the lemma's chain list"
 
 
-def _check_lem18(g: Graph) -> str | None:
-    return _check_lemma_bucket(g, 1)
+def _check_lem18(g: Graph, f: _Facts) -> str | None:
+    return _check_lemma_bucket(f, 1)
 
 
-def _check_lem19(g: Graph) -> str | None:
-    return _check_lemma_bucket(g, 2)
+def _check_lem19(g: Graph, f: _Facts) -> str | None:
+    return _check_lemma_bucket(f, 2)
 
 
-def _check_lem_h23(g: Graph) -> str | None:
-    return _check_lemma_bucket(g, 3)
+def _check_lem_h23(g: Graph, f: _Facts) -> str | None:
+    return _check_lemma_bucket(f, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -448,8 +510,8 @@ def _check_f2_generation(spec: FamilySpec) -> tuple[Graph, str] | None:
 class _TheoremDef:
     description: str
     min_order: int
-    filter: Callable[[Graph], bool] | None
-    check: Callable[[Graph], str | None] | None
+    filter: Callable[[Graph, int], bool] | None
+    check: Callable[[Graph, _Facts], object] | None
     notes: tuple[str, ...] = ()
 
 
@@ -458,7 +520,7 @@ THEOREMS: dict[str, _TheoremDef] = {
         "graphs with an isolated vertex reach the maximum partition count "
         "exactly for a complete graph plus one isolated vertex",
         1,
-        _filter_thm1,
+        _where(0),
         _check_thm1,
     ),
     "thm2": _TheoremDef(
@@ -472,7 +534,7 @@ THEOREMS: dict[str, _TheoremDef] = {
         "minimum degree 1, no full vertex: singleton-partition graphs are "
         "exactly the degree-1 family (both directions)",
         2,
-        _filter_delta1_nofull,
+        _where(1, full=False),
         _check_thm4,
     ),
     "thm6": _TheoremDef(
@@ -493,33 +555,33 @@ THEOREMS: dict[str, _TheoremDef] = {
         "minimum degree 2, no full vertex: singleton-partition graphs are "
         "exactly the degree-2 family (both directions)",
         4,
-        _filter_delta2_nofull,
+        _where(2, full=False),
         _check_thm8,
     ),
     "thm9": _TheoremDef(
         "minimum degree 2 with full vertices: one full vertex reduces to the "
         "degree-1 family, two force the extremal join, three force the triangle",
         3,
-        _filter_delta2_full,
+        _where(2, full=True),
         _check_thm9,
     ),
     "thm13": _TheoremDef(
         "singleton-coalition images of degree-2 family members lie in the "
         "degree-2 image family (enumerated plus seeded generations)",
         4,
-        _filter_delta2_nofull_sp,
+        _where(2, full=False, sp=True),
         _check_thm13,
     ),
     "thm14": _TheoremDef(
         "chain catalog for singleton-partition graphs with an isolated vertex",
         1,
-        lambda g: _filter_sp_min_degree(g, 0),
+        _where(0, sp=True),
         _check_thm14,
     ),
     "thm15": _TheoremDef(
         "chain catalog for minimum degree 1 with a full vertex",
         2,
-        lambda g: _filter_delta1_full(g) and sp_check(g).is_sp,
+        _where(1, full=True, sp=True),
         _check_thm15,
         notes=(
             "case (b) is phrased with the length-1 conclusion in its hypothesis; "
@@ -530,38 +592,38 @@ THEOREMS: dict[str, _TheoremDef] = {
     "thm16": _TheoremDef(
         "chain catalog for minimum degree 1 without full vertices",
         4,
-        lambda g: _filter_delta1_nofull(g) and sp_check(g).is_sp,
+        _where(1, full=False, sp=True),
         _check_thm16,
     ),
     "thm17": _TheoremDef(
         "minimum degree 2 with a full vertex: every chain stops after one arrow",
         3,
-        lambda g: _filter_delta2_full(g) and sp_check(g).is_sp,
+        _where(2, full=True, sp=True),
         _check_thm17,
     ),
     "thm20": _TheoremDef(
         "minimum degree 2 without full vertices: chain length is infinite or "
         "at most five",
         4,
-        _filter_delta2_nofull_sp,
-        None,
+        _where(2, full=False, sp=True),
+        _check_thm20,
     ),
     "lem18": _TheoremDef(
         "chains whose first image is in the triangle-hub image family",
         4,
-        _filter_delta2_nofull_sp,
+        _where(2, full=False, sp=True),
         _check_lem18,
     ),
     "lem19": _TheoremDef(
         "chains whose first image is in the path-hub image family",
         4,
-        _filter_delta2_nofull_sp,
+        _where(2, full=False, sp=True),
         _check_lem19,
     ),
     "lem-h23": _TheoremDef(
         "chains whose first image is in the independent-hub image family",
         4,
-        _filter_delta2_nofull_sp,
+        _where(2, full=False, sp=True),
         _check_lem_h23,
         notes=(
             "two catalog entries are corrected to the computed images "
@@ -575,13 +637,114 @@ def all_theorem_ids() -> list[str]:
     return list(THEOREMS)
 
 
-def _enumerate_hypothesis(
-    n_max: int, flt: Callable[[Graph], bool] | None, min_order: int
-) -> list[Graph]:
-    out: list[Graph] = []
-    for n in range(min_order, n_max + 1):
-        out.extend(enumerate_graphs(n, flt))
-    return out
+def _check_detached(check: Callable, item: tuple[Graph, int]):
+    """Worker side of a parallel check: one graph with its facts row."""
+    g, row = item
+    return check(g, _Facts(_Pool([g], (row,)), 0))
+
+
+_GENERATIONS = {
+    "thm6": (_check_f1_generation, _f1_specs),
+    "thm13": (_check_f2_generation, _f2_specs),
+}
+
+
+def _run_claim(
+    theorem_id: str, pool: _Pool | None, n_max: int, jobs: int, enumerated: bool, start: float
+) -> TheoremReport:
+    spec = THEOREMS[theorem_id]
+    extras: dict = {}
+    if theorem_id == "obs7":  # checks cycles of its own, not the pool
+        top = max(n_max, 10)
+        order_range = (3, top)
+        checked = top - 2
+        details = [(cycle(n), _check_obs7_cycle(n)) for n in range(3, top + 1)]
+    else:
+        assert pool is not None and spec.filter is not None and spec.check is not None
+        low = spec.min_order if enumerated else 0
+        selected = [
+            i
+            for i, (g, row) in enumerate(zip(pool.graphs, pool.rows))
+            if g.n >= low and spec.filter(g, row)
+        ]
+        if enumerated:
+            order_range = (spec.min_order, n_max)
+        elif selected:
+            orders = [pool.graphs[i].n for i in selected]
+            order_range = (min(orders), max(orders))
+        else:
+            order_range = (0, 0)
+        checked = len(selected)
+        if jobs <= 1:  # serial checks share the pool's memos across claims
+            results = [spec.check(pool.graphs[i], _Facts(pool, i)) for i in selected]
+        else:
+            items = [(pool.graphs[i], pool.rows[i]) for i in selected]
+            results = _pmap(partial(_check_detached, spec.check), items, jobs)
+        if theorem_id == "thm20":
+            histogram: dict[str, int] = {}
+            for _, key in results:
+                histogram[key] = histogram.get(key, 0) + 1
+            extras["lscc_histogram"] = dict(sorted(histogram.items()))
+            results = [detail for detail, _ in results]
+        details = [(pool.graphs[i], detail) for i, detail in zip(selected, results)]
+    counterexamples = [_cex(g, detail) for g, detail in details if detail]
+
+    if enumerated and theorem_id in _GENERATIONS:
+        check, specs = _GENERATIONS[theorem_id]
+        failures = _pmap(check, specs(500), jobs)
+        checked += 500
+        extras["seeded_generations"] = 500
+        for item in failures:
+            if item is not None:
+                counterexamples.append(_cex(item[0], item[1]))
+
+    return TheoremReport(
+        theorem_id=theorem_id,
+        order_range=order_range,
+        graphs_checked=checked,
+        passed=not counterexamples,
+        counterexamples=counterexamples,
+        elapsed=time.perf_counter() - start,
+        notes=spec.notes,
+        extras=extras,
+    )
+
+
+def verify_claims(
+    theorem_ids: Iterable[str],
+    n_max: int = 6,
+    jobs: int = 1,
+    graphs: Iterable[Graph] | None = None,
+) -> Iterator[TheoremReport]:
+    """Run claims in turn over one shared pool, yielding one report each.
+
+    The pool is the supplied graphs, or every class of orders 1..``n_max``
+    enumerated once; each claim takes the graphs of its hypothesis class,
+    enumerated ones from its least order up. Each graph's facts are
+    computed once per run and serve every claim; the claim that builds the
+    pool is charged for it. An unknown id or an unsupported order raises
+    when its claim's turn comes, after the reports of the claims before it.
+    """
+    supplied = None if graphs is None else list(graphs)
+    pool: _Pool | None = None
+    for theorem_id in theorem_ids:
+        if theorem_id not in THEOREMS:
+            raise KeyError(f"unknown theorem id {theorem_id!r}; known: {all_theorem_ids()}")
+        min_order = THEOREMS[theorem_id].min_order
+        if supplied is None and n_max < min_order:
+            raise ValueError(f"{theorem_id} needs order at least {min_order}, got n_max={n_max}")
+        if supplied is None and n_max > ENUM_MAX:
+            raise ValueError(
+                f"built-in enumeration stops at order {ENUM_MAX}; pass graphs from a file instead"
+            )
+        start = time.perf_counter()
+        if pool is None and theorem_id != "obs7":
+            pool = _Pool(
+                supplied
+                if supplied is not None
+                else [g for n in range(1, n_max + 1) for g in enumerate_graphs(n)]
+            )
+        yield _run_claim(theorem_id, pool, n_max, jobs, supplied is None, start)
 
 
 def verify_theorem(
@@ -592,93 +755,7 @@ def verify_theorem(
 ) -> TheoremReport:
     """Run one claim over its hypothesis class up to ``n_max`` (or over the
     supplied graphs) and report pass/fail with counterexample certificates."""
-    if theorem_id not in THEOREMS:
-        raise KeyError(f"unknown theorem id {theorem_id!r}; known: {all_theorem_ids()}")
-    spec = THEOREMS[theorem_id]
-    if graphs is None and n_max < spec.min_order:
-        raise ValueError(
-            f"{theorem_id} needs order at least {spec.min_order}, got n_max={n_max}"
-        )
-    if graphs is None and n_max > ENUM_MAX:
-        raise ValueError(
-            f"built-in enumeration stops at order {ENUM_MAX}; pass graphs from a file instead"
-        )
-    start = time.perf_counter()
-    notes = list(spec.notes)
-    extras: dict = {}
-    counterexamples: list[dict] = []
-
-    def pool_range(pool: list[Graph]) -> tuple[int, int]:
-        if graphs is None:
-            return (spec.min_order, n_max)
-        if not pool:
-            return (0, 0)
-        orders = [g.n for g in pool]
-        return (min(orders), max(orders))
-
-    if theorem_id == "obs7":
-        top = max(n_max, 10)
-        order_range = (3, top)
-        details = [_check_obs7_cycle(n) for n in range(3, top + 1)]
-        checked = top - 2
-        for n, detail in zip(range(3, top + 1), details):
-            if detail:
-                counterexamples.append(_cex(cycle(n), detail))
-    elif theorem_id == "thm20":
-        pool = (
-            [g for g in graphs if _filter_delta2_nofull_sp(g)]
-            if graphs is not None
-            else _enumerate_hypothesis(n_max, _filter_delta2_nofull_sp, spec.min_order)
-        )
-        order_range = pool_range(pool)
-        results = _pmap(_check_thm20, pool, jobs)
-        histogram: dict[str, int] = {}
-        for g, (detail, key) in zip(pool, results):
-            histogram[key] = histogram.get(key, 0) + 1
-            if detail:
-                counterexamples.append(_cex(g, detail))
-        extras["lscc_histogram"] = dict(sorted(histogram.items()))
-        checked = len(pool)
-    else:
-        assert spec.filter is not None and spec.check is not None
-        pool = (
-            [g for g in graphs if spec.filter(g)]
-            if graphs is not None
-            else _enumerate_hypothesis(n_max, spec.filter, spec.min_order)
-        )
-        order_range = pool_range(pool)
-        details = _pmap(spec.check, pool, jobs)
-        for g, detail in zip(pool, details):
-            if detail:
-                counterexamples.append(_cex(g, detail))
-        checked = len(pool)
-
-    if theorem_id == "thm6" and graphs is None:
-        failures = _pmap(_check_f1_generation, _f1_specs(500), jobs)
-        checked += 500
-        extras["seeded_generations"] = 500
-        for item in failures:
-            if item is not None:
-                counterexamples.append(_cex(item[0], item[1]))
-    if theorem_id == "thm13" and graphs is None:
-        failures = _pmap(_check_f2_generation, _f2_specs(500), jobs)
-        checked += 500
-        extras["seeded_generations"] = 500
-        for item in failures:
-            if item is not None:
-                counterexamples.append(_cex(item[0], item[1]))
-
-    elapsed = time.perf_counter() - start
-    return TheoremReport(
-        theorem_id=theorem_id,
-        order_range=order_range,
-        graphs_checked=checked,
-        passed=not counterexamples,
-        counterexamples=counterexamples,
-        elapsed=elapsed,
-        notes=tuple(notes),
-        extras=extras,
-    )
+    return next(verify_claims([theorem_id], n_max, jobs, graphs))
 
 
 # ---------------------------------------------------------------------------

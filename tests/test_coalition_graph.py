@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 
 from conftest import graph_with_permutation, graphs
-from coalition_kit import are_isomorphic
+from coalition_kit import are_isomorphic, enumerate_graphs
 from coalition_kit.coalition_graph import (
     NotSingletonPartitionGraph,
     coalition_graph,
@@ -44,7 +46,8 @@ def test_part_indexing_follows_the_partition():
     g = cycle(4)
     result = coalition_graph(g, Partition(4, (0b0011, 0b0100, 0b1000)))
     assert result.graph.n == 3
-    assert result.part_of_vertex == (0, 1, 2)
+    # the part {0,1} dominates; only the parts {2} and {3} form a coalition
+    assert set(result.graph.edges()) == {(1, 2)}
 
 
 def test_rejects_non_sp_input():
@@ -85,3 +88,20 @@ def test_full_vertices_are_isolated_in_the_image(g):
     for v in range(g.n):
         if (full >> v) & 1:
             assert image.degree(v) == 0
+
+
+def test_direct_image_matches_the_partition_construction():
+    # every class of orders 1-7, as enumerated and relabeled at random
+    rng = random.Random(7)
+    for n in range(1, 8):
+        for cls in enumerate_graphs(n):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            for g in (cls, cls.relabel(perm)):
+                verdict = sp_check(g)
+                if verdict.is_sp:
+                    assert sc_graph(g) == coalition_graph(g, singleton_partition(g)).graph
+                else:
+                    with pytest.raises(NotSingletonPartitionGraph) as err:
+                        sc_graph(g)
+                    assert err.value.blocking_vertex == verdict.blocking_vertex

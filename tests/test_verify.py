@@ -2,10 +2,18 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 import coalition_kit.verify as verify_mod
-from coalition_kit import all_theorem_ids, parse_graph6, sweep_chains, verify_theorem
+from coalition_kit import (
+    all_theorem_ids,
+    parse_graph6,
+    sweep_chains,
+    verify_claims,
+    verify_theorem,
+)
 from coalition_kit.canon import enumerate_graphs
 from coalition_kit.graphs import complete, cycle, union
 from coalition_kit.verify import chain_record
@@ -121,3 +129,54 @@ def test_parallel_jobs_match_serial():
     serial.pop("elapsed")
     parallel.pop("elapsed")
     assert serial == parallel
+
+
+def _without_elapsed(report) -> dict:
+    payload = report.to_json()
+    payload.pop("elapsed")
+    return payload
+
+
+def _relabeled_order_six() -> list:
+    rng = random.Random(6)
+    out = []
+    for g in enumerate_graphs(6):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        out.append(g.relabel(perm))
+    return out
+
+
+@pytest.mark.parametrize(
+    "jobs, supplied",
+    [(1, False), (1, True), (2, False)],
+    ids=["enumerated", "supplied-relabeled", "enumerated-jobs2"],
+)
+def test_shared_pool_matches_per_claim_runs(jobs, supplied):
+    # one pool for the whole catalog against a fresh serial run per claim
+    ids = all_theorem_ids()
+    graphs = _relabeled_order_six() if supplied else None
+    shared = [_without_elapsed(r) for r in verify_claims(ids, 6, jobs, graphs)]
+    single = [_without_elapsed(verify_theorem(t, 6, 1, graphs)) for t in ids]
+    assert [r["theorem_id"] for r in shared] == ids
+    assert shared == single
+
+
+def test_shared_pool_reports_before_an_invalid_claim():
+    reports = verify_claims(["thm1", "thm8"], n_max=3)
+    assert next(reports).passed
+    with pytest.raises(ValueError):
+        next(reports)
+
+
+def test_facts_do_not_outlive_a_run(monkeypatch):
+    real = verify_mod.sp_check
+
+    class Flipped:
+        def __init__(self, inner):
+            self.is_sp = not inner.is_sp
+
+    monkeypatch.setattr(verify_mod, "sp_check", lambda g: Flipped(real(g)))
+    assert not verify_theorem("thm1", n_max=4).passed
+    monkeypatch.undo()
+    assert verify_theorem("thm1", n_max=4).passed
