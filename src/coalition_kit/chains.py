@@ -17,11 +17,10 @@ surface it as a counterexample record.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .canon import canonical_form
 from .coalition_graph import NotSingletonPartitionGraph, sc_graph
-from .domination import sp_check
 from .families import recognize_h1, recognize_h2
 from .graphs import (
     Graph,
@@ -64,39 +63,64 @@ ChainOutcome = TerminatedNonSp | CycleOutcome | StepCap
 
 @dataclass(frozen=True)
 class ChainResult:
+    """The members of a chain and how it ended.
+
+    Canonical codes are computed on first read and cached: ``code(i)`` for
+    one member, ``codes`` for all of them.
+    """
+
     sequence: tuple[Graph, ...]
-    codes: tuple[bytes, ...]
     outcome: ChainOutcome
+    _code_cache: dict[int, bytes] = field(default_factory=dict, compare=False, repr=False)
+
+    def code(self, i: int) -> bytes:
+        """Canonical code of member ``i``."""
+        cache = self._code_cache
+        if i not in cache:
+            cache[i] = canonical_form(self.sequence[i])
+        return cache[i]
+
+    @property
+    def codes(self) -> tuple[bytes, ...]:
+        return tuple(self.code(i) for i in range(len(self.sequence)))
 
 
 def sc_chain(g: Graph, max_steps: int = CHAIN_STEPS_DEFAULT) -> ChainResult:
     """Iterate the singleton-coalition construction from ``g``.
 
     Stops at the first non-singleton-partition graph (which is included in
-    the sequence), at the first canonical-code repeat, or after
+    the sequence), at the first repeated isomorphism class, or after
     ``max_steps`` arrows.
+
+    Only an SP member can repeat an earlier one: every earlier member is
+    SP, and SP-ness is an isomorphism invariant. So each new member's image
+    is built first, which is its SP test, and the member is canonicalized
+    only when that succeeds; the start is canonicalized at the first such
+    comparison. Other codes are left to ``ChainResult.codes``.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be at least 1")
     seq = [g]
-    codes = [canonical_form(g)]
-    seen = {codes[0]: 0}
-    while True:
+    codes: dict[int, bytes] = {}
+    try:
+        image = sc_graph(g)
+    except NotSingletonPartitionGraph:
+        return ChainResult(tuple(seq), TerminatedNonSp(0), codes)
+    while len(seq) - 1 < max_steps:
+        seq.append(image)
+        last = len(seq) - 1
         try:
-            nxt = sc_graph(seq[-1])
+            image = sc_graph(image)
         except NotSingletonPartitionGraph:
-            return ChainResult(tuple(seq), tuple(codes), TerminatedNonSp(len(seq) - 1))
-        if len(seq) - 1 == max_steps:
-            return ChainResult(tuple(seq), tuple(codes), StepCap(max_steps))
-        code = canonical_form(nxt)
-        seq.append(nxt)
-        codes.append(code)
-        if code in seen:
-            entry = seen[code]
-            return ChainResult(
-                tuple(seq), tuple(codes), CycleOutcome(entry, len(seq) - 1 - entry)
-            )
-        seen[code] = len(seq) - 1
+            return ChainResult(tuple(seq), TerminatedNonSp(last), codes)
+        if not codes:
+            codes[0] = canonical_form(g)
+        code = canonical_form(seq[last])
+        entry = next((i for i, c in codes.items() if c == code), None)
+        codes[last] = code
+        if entry is not None:
+            return ChainResult(tuple(seq), CycleOutcome(entry, last - entry), codes)
+    return ChainResult(tuple(seq), StepCap(max_steps), codes)
 
 
 @dataclass(frozen=True)
@@ -237,20 +261,20 @@ def classify_chain(g: Graph, chain: ChainResult | None = None) -> ChainTemplate:
         raise OutOfCharacterizedRange(
             f"minimum degree {stats.min_degree} is outside the characterized range"
         )
-    if not sp_check(g).is_sp:
-        raise ValueError("classify_chain needs a singleton-partition graph")
     if chain is None:
         chain = sc_chain(g)
+    if chain.outcome == TerminatedNonSp(0):
+        raise ValueError("classify_chain needs a singleton-partition graph")
     n = g.n
     seq = chain.sequence
 
     def iso(i: int, h: Graph) -> bool:
-        # the chain already holds the canonical code of every member
+        # member codes are cached on the chain; the guards spare most of them
         return (
             i < len(seq)
             and seq[i].n == h.n
             and sorted(seq[i].degrees()) == sorted(h.degrees())
-            and chain.codes[i] == canonical_form(h)
+            and chain.code(i) == canonical_form(h)
         )
 
     label = _classify(g, chain, stats, n, seq, iso)

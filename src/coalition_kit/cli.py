@@ -43,7 +43,7 @@ from .graphs import (
     parse_graph6,
     read_graph6_file,
 )
-from .limits import CHAIN_STEPS_DEFAULT, ENUM_MAX
+from .limits import ENUM_MAX
 from .verify import (
     SCHEMA_VERSION,
     all_theorem_ids,
@@ -348,7 +348,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_chain = sub.add_parser("chain", help="singleton-coalition chain and its length")
     _add_input_flags(p_chain)
-    p_chain.add_argument("--max-steps", type=int, default=CHAIN_STEPS_DEFAULT)
     p_chain.add_argument("--json", action="store_true")
     p_chain.set_defaults(fn=_cmd_chain)
 

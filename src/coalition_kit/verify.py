@@ -779,9 +779,10 @@ def _lscc_json(lv: LsccValue) -> dict:
 def chain_record(g: Graph) -> dict:
     """One sweep record: chain, length, and template label (or a status)."""
     stats = degree_stats(g)
+    g6 = emit_graph6(g)
     rec: dict = {
         "schema_version": SCHEMA_VERSION,
-        "graph6": emit_graph6(g),
+        "graph6": g6,
         "order": g.n,
         "min_degree": stats.min_degree,
         "full_vertices": stats.full_count,
@@ -792,7 +793,7 @@ def chain_record(g: Graph) -> dict:
         return rec
     chain = sc_chain(g)
     lv = l_scc_of(chain)
-    rec["chain"] = [emit_graph6(h) for h in chain.sequence]
+    rec["chain"] = [g6] + [emit_graph6(h) for h in chain.sequence[1:]]
     out = chain.outcome
     if isinstance(out, TerminatedNonSp):
         rec["outcome"] = {"type": "terminated", "last_index": out.last_index}

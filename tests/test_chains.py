@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import pickle
+import random
+
 import pytest
 from hypothesis import given, settings
 
 from conftest import graph_with_permutation
-from coalition_kit import are_isomorphic, emit_graph6
+from coalition_kit import are_isomorphic, chains, emit_graph6
 from coalition_kit.chains import (
     ChainClassificationError,
     CycleOutcome,
@@ -17,7 +20,8 @@ from coalition_kit.chains import (
     l_scc,
     sc_chain,
 )
-from coalition_kit.canon import enumerate_graphs
+from coalition_kit.canon import canonical_form, enumerate_graphs
+from coalition_kit.coalition_graph import NotSingletonPartitionGraph, sc_graph
 from coalition_kit.domination import sp_check
 from coalition_kit.graphs import (
     complete,
@@ -75,6 +79,85 @@ def test_step_cap():
     assert l_scc(cycle(4), max_steps=1).kind == "unknown"
     with pytest.raises(ValueError):
         sc_chain(cycle(4), max_steps=0)
+
+
+def _eager_chain(g, max_steps):
+    """Reference chain that canonicalizes every member as it is reached."""
+    seq = [g]
+    codes = [canonical_form(g)]
+    seen = {codes[0]: 0}
+    while True:
+        try:
+            nxt = sc_graph(seq[-1])
+        except NotSingletonPartitionGraph:
+            return tuple(seq), TerminatedNonSp(len(seq) - 1), tuple(codes)
+        if len(seq) - 1 == max_steps:
+            return tuple(seq), StepCap(max_steps), tuple(codes)
+        code = canonical_form(nxt)
+        seq.append(nxt)
+        codes.append(code)
+        if code in seen:
+            entry = seen[code]
+            return tuple(seq), CycleOutcome(entry, len(seq) - 1 - entry), tuple(codes)
+        seen[code] = len(seq) - 1
+
+
+def test_lazy_codes_match_an_eager_chain():
+    # every class of orders 1-7, as enumerated and relabeled at random
+    rng = random.Random(11)
+    for n in range(1, 8):
+        for cls in enumerate_graphs(n):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            for g in (cls, cls.relabel(perm)):
+                for max_steps in (1, 2, 64):
+                    chain = sc_chain(g, max_steps)
+                    expected = _eager_chain(g, max_steps)
+                    assert (chain.sequence, chain.outcome, chain.codes) == expected, (
+                        emit_graph6(g),
+                        max_steps,
+                    )
+
+
+@pytest.fixture
+def canon_calls(monkeypatch):
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return canonical_form(g)
+
+    monkeypatch.setattr(chains, "canonical_form", counted)
+    return calls
+
+
+def test_chains_that_reach_a_non_sp_graph_compute_no_code(canon_calls):
+    assert sc_chain(cycle(7)).outcome == TerminatedNonSp(0)
+    assert sc_chain(union(complete(1), complete(5))).outcome == TerminatedNonSp(1)
+    assert canon_calls == []
+
+
+def test_cycle_is_found_with_lazy_codes(canon_calls):
+    chain = sc_chain(path(3))
+    assert chain.outcome == CycleOutcome(0, 2)
+    computed = len(canon_calls)
+    assert chain.codes[0] == chain.codes[2]
+    assert len(canon_calls) == computed  # a cycling chain holds every code
+
+
+def test_chain_result_equality_and_pickling_ignore_the_code_cache():
+    fresh = sc_chain(cycle(4))
+    read = sc_chain(cycle(4))
+    assert len(read.codes) == 3
+    assert fresh == read and hash(fresh) == hash(read)
+    restored = pickle.loads(pickle.dumps(read))
+    assert restored == fresh
+    assert restored.codes == fresh.codes
+
+
+def test_classify_chain_reads_the_start_verdict_from_a_given_chain():
+    with pytest.raises(ValueError):
+        classify_chain(cycle(7), sc_chain(cycle(7)))
 
 
 def test_classification_examples():

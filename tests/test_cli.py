@@ -126,6 +126,12 @@ def test_sweep_command(tmp_path):
     assert rec["status"] == "out-of-characterized-range"
 
 
+def test_sweep_golden_output():
+    result = run_cli("sweep", "--max-order", "5", "--json", "--jobs", "1")
+    assert result.returncode == 0
+    assert result.stdout == (GOLDEN / "sweep_order5.jsonl").read_text()
+
+
 def test_file_input_processes_every_line(tmp_path):
     f = tmp_path / "two.g6"
     f.write_text("Cl\nBg\n")
