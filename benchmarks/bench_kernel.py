@@ -2,8 +2,8 @@
 """Benchmark the compiled kernel against the pure-Python fallback.
 
 Times canonical codes over a fixed random workload at several orders, and
-the exhaustive enumeration of one order by each backend's strategy (mask
-sweep when compiled, vertex extension in pure Python).
+the exhaustive enumeration of orders 1..N by ``canon._extend_codes`` (the
+minimum-degree vertex extension) driven by each backend's kernel.
 
 Usage: python benchmarks/bench_kernel.py [--orders 8,12,16] [--batch 2000]
 """
@@ -15,32 +15,12 @@ import random
 import time
 
 from coalition_kit import kernel as pure
+from coalition_kit.canon import _extend_codes
 
 try:
     from coalition_kit import _fastkernel as fast
 except ImportError:
     fast = None
-
-
-def extend_codes_with(canonical_code, n: int) -> list[bytes]:
-    """Vertex-extension enumeration driven by the given canonical kernel."""
-    from coalition_kit.canon import graph_from_code
-
-    codes = [canonical_code(1, (0,))]
-    for k in range(2, n + 1):
-        seen = set()
-        for code in codes:
-            parent = graph_from_code(code)
-            rows = list(parent.rows) + [0]
-            for mask in range(1 << (k - 1)):
-                cand = list(rows)
-                cand[k - 1] = mask
-                for v in range(k - 1):
-                    if (mask >> v) & 1:
-                        cand[v] |= 1 << (k - 1)
-                seen.add(canonical_code(k, cand))
-        codes = sorted(seen)
-    return codes
 
 
 def random_rows(rng: random.Random, n: int) -> tuple[int, ...]:
@@ -73,28 +53,25 @@ def bench_canonical(batch: int, orders: list[int]) -> None:
         print(f"{n:>6} {pure_ms:>14.4f} {fast_ms:>18.4f} {pure_ms / fast_ms:>7.1f}x")
 
 
+def enumerate_codes(canonical_code, n: int) -> list[bytes]:
+    """All order-n canonical codes, extended order by order with one kernel."""
+    codes = [canonical_code(1, (0,))]
+    for k in range(2, n + 1):
+        codes = _extend_codes(codes, k, canonical_code)
+    return codes
+
+
 def bench_enumeration(n: int) -> None:
-    print(f"\nenumeration of all order-{n} classes")
+    print(f"\nenumeration of all order-{n} classes (orders 1..{n})")
     t0 = time.perf_counter()
-    codes = extend_codes_with(pure.canonical_code, n)
+    codes = enumerate_codes(pure.canonical_code, n)
     t1 = time.perf_counter()
-    print(f"  pure vertex-extension:     {len(codes)} classes in {t1 - t0:.2f}s")
+    print(f"  pure:     {len(codes)} classes in {t1 - t0:.2f}s")
     if fast is not None:
+        fast_codes = enumerate_codes(fast.canonical_code, n)
         t2 = time.perf_counter()
-        fast_ext = extend_codes_with(fast.canonical_code, n)
-        t3 = time.perf_counter()
-        swept = fast.sweep_codes(n)
-        t4 = time.perf_counter()
-        assert swept == codes == fast_ext, "backend mismatch"
-        print(f"  compiled vertex-extension: {len(fast_ext)} classes in {t3 - t2:.2f}s")
-        print(f"  compiled mask sweep:       {len(swept)} classes in {t4 - t3:.2f}s")
-    t5 = time.perf_counter()
-    swept_pure = pure.sweep_codes(min(n, 5))
-    t6 = time.perf_counter()
-    print(
-        f"  pure mask sweep (order {min(n, 5)} for scale): "
-        f"{len(swept_pure)} classes in {t6 - t5:.2f}s"
-    )
+        assert fast_codes == codes, "backend mismatch"
+        print(f"  compiled: {len(fast_codes)} classes in {t2 - t1:.2f}s")
 
 
 def main() -> None:

@@ -18,6 +18,5 @@ else:
         from . import kernel as impl  # type: ignore[no-redef]
 
 canonical_code = impl.canonical_code
-sweep_codes = impl.sweep_codes
 IS_COMPILED: bool = bool(impl.IS_COMPILED)
 BACKEND_NAME: str = "compiled" if IS_COMPILED else "pure"

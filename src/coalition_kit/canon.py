@@ -8,9 +8,10 @@ equal codes iff they are isomorphic.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, Iterator
+from itertools import combinations
+from typing import Callable, Iterator, Sequence
 
-from ._backend import IS_COMPILED, canonical_code, sweep_codes
+from ._backend import canonical_code
 from .graphs import Graph
 from .limits import CANON_MAX, ENUM_MAX
 
@@ -47,20 +48,37 @@ def graph_from_code(code: bytes) -> Graph:
     return Graph(n, tuple(rows))
 
 
-def _extend_codes(parent_codes: tuple[bytes, ...], n: int) -> list[bytes]:
-    # Every order-n class contains a vertex whose deletion is an order-(n-1)
-    # class, so extending each parent by every neighborhood mask is complete.
+def _extend_codes(
+    parent_codes: Sequence[bytes],
+    n: int,
+    kernel: Callable[[int, Sequence[int]], bytes] | None = None,
+) -> list[bytes]:
+    """Sorted canonical codes of every order-n class, from all order-(n-1) codes.
+
+    Every order-n graph has a minimum-degree vertex whose deletion leaves an
+    order-(n-1) class, so it suffices to extend each parent P by the
+    neighbourhoods that make the new vertex a minimum-degree vertex of the
+    child: k neighbours for k <= min degree of P + 1, with every parent
+    vertex of degree k - 1 among them. ``kernel`` is the canonical-code
+    function (default: the active backend's, looked up at call time).
+    """
+    code_of = canonical_code if kernel is None else kernel
+    new_bit = 1 << (n - 1)
     seen: set[bytes] = set()
     for code in parent_codes:
-        parent = graph_from_code(code)
-        rows = list(parent.rows) + [0]
-        for mask in range(1 << (n - 1)):
-            cand = list(rows)
-            cand[n - 1] = mask
-            for v in range(n - 1):
-                if (mask >> v) & 1:
-                    cand[v] |= 1 << (n - 1)
-            seen.add(canonical_code(n, cand))
+        rows = graph_from_code(code).rows
+        degrees = [r.bit_count() for r in rows]
+        for k in range(min(degrees) + 2):
+            forced = [v for v, d in enumerate(degrees) if d == k - 1]
+            free = [v for v, d in enumerate(degrees) if d != k - 1]
+            if len(forced) > k:
+                continue
+            for extra in combinations(free, k - len(forced)):
+                nbrs = (*forced, *extra)
+                cand = [*rows, sum(1 << v for v in nbrs)]
+                for v in nbrs:
+                    cand[v] |= new_bit
+                seen.add(code_of(n, cand))
     return sorted(seen)
 
 
@@ -68,15 +86,13 @@ def _extend_codes(parent_codes: tuple[bytes, ...], n: int) -> list[bytes]:
 def _codes(n: int) -> tuple[bytes, ...]:
     if n == 1:
         return (canonical_code(1, (0,)),)
-    if IS_COMPILED:
-        return tuple(sweep_codes(n))
     return tuple(_extend_codes(_codes(n - 1), n))
 
 
 def enumerate_graphs(
     n: int, predicate: Callable[[Graph], bool] | None = None
 ) -> Iterator[Graph]:
-    """One representative per isomorphism class of order n (n <= 7 built in).
+    """One representative per isomorphism class of order n (n <= ENUM_MAX).
 
     The optional predicate filters the stream; representatives come out in
     canonical-code order, so runs are deterministic.
@@ -93,7 +109,7 @@ def enumerate_graphs(
 
 
 def class_count(n: int) -> int:
-    """Number of isomorphism classes of order n (n <= 7)."""
+    """Number of isomorphism classes of order n (n <= ENUM_MAX)."""
     if not 1 <= n <= ENUM_MAX:
         raise ValueError(f"built-in enumeration supports order 1..{ENUM_MAX}")
     return len(_codes(n))

@@ -23,6 +23,7 @@ from .canon import canonical_form
 from .coalition_graph import NotSingletonPartitionGraph, sc_graph
 from .families import recognize_h1, recognize_h2
 from .graphs import (
+    DegreeStats,
     Graph,
     complete,
     complete_bipartite,
@@ -66,12 +67,14 @@ class ChainResult:
     """The members of a chain and how it ended.
 
     Canonical codes are computed on first read and cached: ``code(i)`` for
-    one member, ``codes`` for all of them.
+    one member, ``codes`` for all of them. A chain that ends at a non-SP
+    member carries that member's blocking vertex, as ``sp_check`` reports it.
     """
 
     sequence: tuple[Graph, ...]
     outcome: ChainOutcome
     _code_cache: dict[int, bytes] = field(default_factory=dict, compare=False, repr=False)
+    blocking_vertex: int | None = field(default=None, compare=False, repr=False)
 
     def code(self, i: int) -> bytes:
         """Canonical code of member ``i``."""
@@ -104,15 +107,15 @@ def sc_chain(g: Graph, max_steps: int = CHAIN_STEPS_DEFAULT) -> ChainResult:
     codes: dict[int, bytes] = {}
     try:
         image = sc_graph(g)
-    except NotSingletonPartitionGraph:
-        return ChainResult(tuple(seq), TerminatedNonSp(0), codes)
+    except NotSingletonPartitionGraph as exc:
+        return ChainResult(tuple(seq), TerminatedNonSp(0), codes, exc.blocking_vertex)
     while len(seq) - 1 < max_steps:
         seq.append(image)
         last = len(seq) - 1
         try:
             image = sc_graph(image)
-        except NotSingletonPartitionGraph:
-            return ChainResult(tuple(seq), TerminatedNonSp(last), codes)
+        except NotSingletonPartitionGraph as exc:
+            return ChainResult(tuple(seq), TerminatedNonSp(last), codes, exc.blocking_vertex)
         if not codes:
             codes[0] = canonical_form(g)
         code = canonical_form(seq[last])
@@ -253,10 +256,16 @@ def _cyc(chain: ChainResult, entry: int, period: int) -> bool:
     )
 
 
-def classify_chain(g: Graph, chain: ChainResult | None = None) -> ChainTemplate:
+def classify_chain(
+    g: Graph, chain: ChainResult | None = None, stats: DegreeStats | None = None
+) -> ChainTemplate:
     """Match the computed chain of an SP-graph with minimum degree <= 2
-    against the template catalog, isomorphism-checking every named graph."""
-    stats = degree_stats(g)
+    against the template catalog, isomorphism-checking every named graph.
+
+    ``chain`` and ``stats`` are ``sc_chain(g)`` and ``degree_stats(g)``,
+    computed here when not passed."""
+    if stats is None:
+        stats = degree_stats(g)
     if stats.min_degree >= 3:
         raise OutOfCharacterizedRange(
             f"minimum degree {stats.min_degree} is outside the characterized range"

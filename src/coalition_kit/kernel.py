@@ -1,8 +1,8 @@
-"""Canonical labeling and enumeration kernel, pure-Python backend.
+"""Canonical labeling kernel, pure-Python backend.
 
-The compiled extension ``_fastkernel`` implements the same two entry points
+The compiled extension ``_fastkernel`` implements the same ``canonical_code``
 with byte-identical output; one of the two is selected at import time by
-``_backend``.
+``_backend``. Enumeration (``canon``) drives whichever is selected.
 
 Canonical codes: iterated neighborhood refinement to an ordered partition,
 then branching over the first non-singleton cell (individualize, re-refine),
@@ -109,29 +109,3 @@ def canonical_code(n: int, rows: Sequence[int]) -> bytes:
     search(_refine(rows, [list(range(n))]))
     assert best is not None
     return bytes([n]) + best
-
-
-def sweep_codes(n: int) -> list[bytes]:
-    """All canonical codes of order n via the 2^C(n,2) adjacency-mask sweep.
-
-    Exponential in edges; the compiled backend runs the same loop in C.
-    """
-    if n < 1:
-        raise ValueError("order must be positive")
-    if n == 1:
-        return [bytes([1])]
-    pairs = [(i, j) for j in range(1, n) for i in range(j)]
-    seen: set[bytes] = set()
-    for mask in range(1 << len(pairs)):
-        rows = [0] * n
-        m = mask
-        idx = 0
-        while m:
-            if m & 1:
-                i, j = pairs[idx]
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-            m >>= 1
-            idx += 1
-        seen.add(canonical_code(n, rows))
-    return sorted(seen)

@@ -805,14 +805,13 @@ def chain_record(g: Graph) -> dict:
     if lv.start_not_sp:
         rec["status"] = "not-sp"
         rec["template"] = None
-        blocking = sp_check(g).blocking_vertex
-        rec["blocking_vertex"] = blocking
+        rec["blocking_vertex"] = chain.blocking_vertex
     elif stats.min_degree >= 3:
         rec["status"] = "out-of-characterized-range"
         rec["template"] = None
     else:
         try:
-            template = classify_chain(g, chain)
+            template = classify_chain(g, chain, stats)
             rec["status"] = "classified"
             rec["template"] = template.label
             if template.notes:

@@ -155,6 +155,30 @@ def test_chain_result_equality_and_pickling_ignore_the_code_cache():
     assert restored.codes == fresh.codes
 
 
+def test_terminated_chains_carry_the_blocking_vertex():
+    # the last member's blocking vertex, as sp_check reports it, or None
+    rng = random.Random(13)
+    for n in range(1, 7):
+        for cls in enumerate_graphs(n):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            for g in (cls, cls.relabel(perm)):
+                chain = sc_chain(g)
+                expected = None
+                if isinstance(chain.outcome, TerminatedNonSp):
+                    expected = sp_check(chain.sequence[-1]).blocking_vertex
+                    assert expected is not None
+                assert chain.blocking_vertex == expected, emit_graph6(g)
+    assert sc_chain(cycle(7)) == chains.ChainResult((cycle(7),), TerminatedNonSp(0))
+
+
+def test_classify_chain_uses_given_stats(monkeypatch):
+    g = cycle(5)
+    stats, chain = degree_stats(g), sc_chain(g)
+    monkeypatch.setattr(chains, "degree_stats", lambda g: pytest.fail("recomputed"))
+    assert classify_chain(g, chain, stats).label == "LemH23(d)"
+
+
 def test_classify_chain_reads_the_start_verdict_from_a_given_chain():
     with pytest.raises(ValueError):
         classify_chain(cycle(7), sc_chain(cycle(7)))

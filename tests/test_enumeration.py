@@ -5,11 +5,24 @@ from __future__ import annotations
 import pytest
 
 from conftest import graph_from_mask, oracle_min_perm_code
-from coalition_kit import class_count, enumerate_graphs
-from coalition_kit.canon import are_isomorphic
+from coalition_kit import canon, class_count, enumerate_graphs
+from coalition_kit.canon import are_isomorphic, graph_from_code
 from coalition_kit.graphs import degree_stats
+from coalition_kit.kernel import canonical_code
+from coalition_kit.limits import ENUM_MAX
 
-KNOWN_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
+KNOWN_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
+
+
+def full_extension(parent_codes, n: int) -> list[bytes]:
+    """Extend every parent by every neighbourhood of the new vertex."""
+    seen = set()
+    for code in parent_codes:
+        rows = graph_from_code(code).rows
+        for mask in range(1 << (n - 1)):
+            cand = [r | (1 << (n - 1)) if (mask >> v) & 1 else r for v, r in enumerate(rows)]
+            seen.add(canonical_code(n, cand + [mask]))
+    return sorted(seen)
 
 
 def oracle_class_count(n: int) -> int:
@@ -27,6 +40,12 @@ def test_census(n):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_census_against_brute_force_dedup(n):
     assert class_count(n) == oracle_class_count(n)
+
+
+def test_min_degree_extension_matches_full_extension():
+    for n in range(2, 8):
+        parents = canon._codes(n - 1)
+        assert canon._codes(n) == tuple(full_extension(parents, n))
 
 
 def test_representatives_are_pairwise_nonisomorphic():
@@ -56,6 +75,6 @@ def test_predicate_filter():
 
 def test_enumeration_cap():
     with pytest.raises(ValueError):
-        list(enumerate_graphs(8))
+        list(enumerate_graphs(ENUM_MAX + 1))
     with pytest.raises(ValueError):
         class_count(0)

@@ -16,6 +16,7 @@ from coalition_kit import (
 )
 from coalition_kit.canon import enumerate_graphs
 from coalition_kit.graphs import complete, cycle, union
+from coalition_kit.limits import ENUM_MAX
 from coalition_kit.verify import chain_record
 
 
@@ -34,7 +35,7 @@ def test_order_too_small():
     with pytest.raises(ValueError):
         verify_theorem("thm8", n_max=3)
     with pytest.raises(ValueError):
-        verify_theorem("thm1", n_max=8)
+        verify_theorem("thm1", n_max=ENUM_MAX + 1)
 
 
 @pytest.mark.parametrize("theorem_id", sorted(verify_mod.THEOREMS))
@@ -119,6 +120,13 @@ def test_sweep_marks_non_sp():
     assert rec["status"] == "not-sp"
     assert rec["blocking_vertex"] == 0
     assert rec["lscc"]["start_not_sp"] is True
+
+
+def test_chain_record_reads_the_blocking_vertex_from_the_chain(monkeypatch):
+    monkeypatch.setattr(verify_mod, "sp_check", lambda g: pytest.fail("sp_check called"))
+    rec = chain_record(parse_graph6("CB"))
+    assert rec["status"] == "not-sp"
+    assert rec["blocking_vertex"] == 1
 
 
 def test_parallel_jobs_match_serial():
