@@ -57,16 +57,6 @@ class CliInputError(Exception):
     pass
 
 
-def _default_jobs() -> int:
-    env = os.environ.get("COALITION_KIT_JOBS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise CliInputError(f"COALITION_KIT_JOBS must be an integer, got {env!r}") from exc
-    return os.cpu_count() or 1
-
-
 def _add_input_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--named", help="stock-graph expression, e.g. 'join(Kbar(2),K(3))'")
     p.add_argument("--g6", help="literal graph6 record")
@@ -164,18 +154,18 @@ def _cmd_cg(args: argparse.Namespace) -> int:
         partition = (
             _parse_partition(args.partition, g.n) if args.partition else singleton_partition(g)
         )
-        result = coalition_graph(g, partition)
+        image = coalition_graph(g, partition)
         if args.json:
             _print_json(
                 {
                     "schema_version": SCHEMA_VERSION,
                     "graph6": emit_graph6(g),
                     "partition": [_mask_list(p) for p in partition.parts],
-                    "coalition_graph6": emit_graph6(result.graph),
+                    "coalition_graph6": emit_graph6(image),
                 }
             )
         else:
-            print(emit_graph6(result.graph))
+            print(emit_graph6(image))
     return 0
 
 
@@ -370,7 +360,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--all", action="store_true", help="run the whole catalog")
     p_verify.add_argument("--max-order", type=int, default=6)
     p_verify.add_argument("--file", help="check the claims over graphs from a graph6 file")
-    p_verify.add_argument("--jobs", type=int, default=None)
+    p_verify.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     p_verify.add_argument("--json", action="store_true", help="one JSON object per claim")
     p_verify.set_defaults(fn=_cmd_verify)
 
@@ -378,7 +368,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--max-order", type=int)
     p_sweep.add_argument("--min-order", type=int, default=1)
     p_sweep.add_argument("--file", help="graph6 file")
-    p_sweep.add_argument("--jobs", type=int, default=None)
+    p_sweep.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     p_sweep.add_argument("--json", action="store_true", help="one JSON object per graph")
     p_sweep.set_defaults(fn=_cmd_sweep)
 
@@ -388,12 +378,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "jobs", None) is None and args.command in {"verify", "sweep"}:
-        try:
-            args.jobs = _default_jobs()
-        except CliInputError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
     try:
         return args.fn(args)
     except (CliInputError, Graph6Error, NamedGraphError, KeyError, ValueError) as exc:

@@ -8,19 +8,12 @@ the underlying graph, so iterating the construction is well defined.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .domination import Partition, forms_coalition, is_dominating
 from .graphs import Graph
 
 
-@dataclass(frozen=True)
-class CoalitionGraphResult:
-    graph: Graph  # vertex i of the graph <-> part i of the partition
-
-
-def coalition_graph(g: Graph, p: Partition) -> CoalitionGraphResult:
-    """Coalition graph of a partition, parts in their stored order."""
+def coalition_graph(g: Graph, p: Partition) -> Graph:
+    """Coalition graph of a partition: vertex i is part i in stored order."""
     if p.n != g.n:
         raise ValueError("partition order does not match the graph")
     k = p.k
@@ -32,7 +25,7 @@ def coalition_graph(g: Graph, p: Partition) -> CoalitionGraphResult:
                 continue
             if forms_coalition(g, p.parts[i], p.parts[j]):
                 edges.append((i, j))
-    return CoalitionGraphResult(Graph.from_edges(k, edges))
+    return Graph.from_edges(k, edges)
 
 
 class NotSingletonPartitionGraph(ValueError):

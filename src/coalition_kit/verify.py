@@ -15,7 +15,6 @@ reproduces it.
 from __future__ import annotations
 
 import time
-from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
@@ -36,6 +35,7 @@ from .chains import (
 from .coalition_graph import sc_graph
 from .domination import sp_check
 from .families import (
+    F1Witness,
     FamilySpec,
     f1_violations,
     f2_violations,
@@ -89,11 +89,13 @@ class TheoremReport:
         return out
 
 
-def _pmap(fn: Callable, items: list, jobs: int) -> list:
+def _pmap(fn: Callable, items: list, jobs: int) -> Iterator:
+    """``fn`` over ``items``, yielded in input order as the results come."""
     if jobs <= 1 or len(items) < 2:
-        return [fn(it) for it in items]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items, chunksize=32))
+        yield from map(fn, items)
+    else:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            yield from pool.map(fn, items, chunksize=32)
 
 
 def _cex(g: Graph, detail: str) -> dict:
@@ -101,119 +103,82 @@ def _cex(g: Graph, detail: str) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Facts, computed once per graph and run
+# Facts, computed once per graph
 # ---------------------------------------------------------------------------
-#
-# Every claim splits the graphs on the same three facts, packed into one
-# small int per graph: the minimum degree (bits 0-5), the full-vertex count
-# (bits 6-11) and the singleton-partition verdict (bit 12). The verdict is
-# computed only for minimum degree <= 2, the range every claim covers;
-# above it the bit is 0.
-
-_FULL_SHIFT = 6
-_FIELD = (1 << _FULL_SHIFT) - 1
-_SP = 1 << 12
-
-
-def _facts_row(g: Graph) -> int:
-    stats = degree_stats(g)
-    row = stats.min_degree | stats.full_count << _FULL_SHIFT
-    if stats.min_degree <= 2 and sp_check(g).is_sp:
-        row |= _SP
-    return row
-
-
-def _min_degree(row: int) -> int:
-    return row & _FIELD
-
-
-def _full_count(row: int) -> int:
-    return row >> _FULL_SHIFT & _FIELD
-
-
-class _Pool:
-    """The graphs of one run and their facts rows, index-aligned.
-
-    Rows are computed when the pool is built, through this module's
-    ``sp_check``. The singleton-coalition image and the chain are memoized
-    by pool index for the graphs that reach them. A pool lives for one
-    ``verify_claims`` run, so nothing outlives the run.
-    """
-
-    def __init__(self, graphs: list[Graph], rows: Iterable[int] | None = None):
-        self.graphs = graphs
-        self.rows = array("H", map(_facts_row, graphs) if rows is None else rows)
-        self.images: dict[int, tuple[Graph, bool]] = {}
-        self.chains: dict[int, ChainResult] = {}
 
 
 class _Facts:
-    """One pool graph's facts, as the claim checks read them."""
+    """One graph's facts, as the filters and checks read them.
 
-    __slots__ = ("g", "row", "_pool", "_i")
+    Every claim splits the graphs on the degree statistics and the
+    singleton-partition verdict. The verdict is computed only for minimum
+    degree <= 2, the range every claim covers, and is False above it. The
+    degree-1 family witness, the singleton-coalition image and the chain are
+    computed on first read. A ``_Facts`` lives while its graph is checked,
+    so nothing outlives a run.
+    """
 
-    def __init__(self, pool: _Pool, i: int):
-        self.g = pool.graphs[i]
-        self.row = pool.rows[i]
-        self._pool = pool
-        self._i = i
+    __slots__ = ("g", "stats", "is_sp", "_f1", "_image", "_chain")
 
-    @staticmethod
-    def of(g: Graph) -> "_Facts":
-        """Facts of a lone graph, outside any run's pool."""
-        return _Facts(_Pool([g]), 0)
+    def __init__(self, g: Graph):
+        self.g = g
+        self.stats = degree_stats(g)
+        self.is_sp = self.stats.min_degree <= 2 and sp_check(g).is_sp
+        self._f1: F1Witness | None | bool = False  # False until first read
+        self._image: tuple[Graph, bool] | None = None
+        self._chain: ChainResult | None = None
 
-    @property
-    def is_sp(self) -> bool:
-        return bool(self.row & _SP)
+    def f1(self) -> F1Witness | None:
+        """The degree-1 family witness, or None for a non-member."""
+        if self._f1 is False:
+            self._f1 = recognize_f1(self.g)
+        return self._f1
 
     def image(self) -> tuple[Graph, bool]:
         """The singleton-coalition image and whether it is itself SP."""
-        memo = self._pool.images
-        if self._i not in memo:
+        if self._image is None:
             image = sc_graph(self.g)
-            memo[self._i] = (image, sp_check(image).is_sp)
-        return memo[self._i]
+            self._image = (image, sp_check(image).is_sp)
+        return self._image
 
     def chain(self) -> ChainResult:
-        memo = self._pool.chains
-        if self._i not in memo:
-            memo[self._i] = sc_chain(self.g)
-        return memo[self._i]
+        if self._chain is None:
+            self._chain = sc_chain(self.g)
+        return self._chain
 
     def label(self) -> str:
-        return classify_chain(self.g, self.chain()).label
+        return classify_chain(self.g, self.chain(), self.stats).label
 
 
 # ---------------------------------------------------------------------------
-# Hypothesis-class filters, on a graph and its facts row
+# Hypothesis-class filters, on a graph's facts
 # ---------------------------------------------------------------------------
 
 
 def _where(
     min_degree: int, full: bool | None = None, sp: bool = False
-) -> Callable[[Graph, int], bool]:
-    """Rows with this minimum degree, with (True) or without (False) a full
-    vertex or either (None), and SP rows only when ``sp`` is set."""
+) -> Callable[[_Facts], bool]:
+    """Graphs with this minimum degree, with (True) or without (False) a
+    full vertex or either (None), and SP graphs only when ``sp`` is set."""
 
-    def flt(g: Graph, row: int) -> bool:
+    def flt(f: _Facts) -> bool:
         return (
-            _min_degree(row) == min_degree
-            and (full is None or (_full_count(row) > 0) == full)
-            and (not sp or bool(row & _SP))
+            f.stats.min_degree == min_degree
+            and (full is None or (f.stats.full_count > 0) == full)
+            and (not sp or f.is_sp)
         )
 
     return flt
 
 
-def _filter_thm2(g: Graph, row: int) -> bool:
-    return g.n >= 3 and _min_degree(row) == 1 and _full_count(row) == 1
+def _filter_thm2(f: _Facts) -> bool:
+    return f.g.n >= 3 and f.stats.min_degree == 1 and f.stats.full_count == 1
 
 
-def _filter_f1_member(g: Graph, row: int) -> bool:
+def _filter_f1_member(f: _Facts) -> bool:
     # a member has a degree-1 vertex and, through w's row, no isolated
     # vertex, so members have minimum degree exactly 1
-    return _min_degree(row) == 1 and recognize_f1(g) is not None
+    return f.stats.min_degree == 1 and f.f1() is not None
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +187,7 @@ def _filter_f1_member(g: Graph, row: int) -> bool:
 
 
 def _check_thm1(g: Graph, f: _Facts | None = None) -> str | None:
-    f = f or _Facts.of(g)
+    f = f or _Facts(g)
     expected = complete(1) if g.n == 1 else union(complete(1), complete(g.n - 1))
     extremal = are_isomorphic(g, expected)
     if f.is_sp != extremal:
@@ -243,7 +208,7 @@ def _check_thm2(g: Graph, f: _Facts) -> str | None:
 
 
 def _check_thm4(g: Graph, f: _Facts) -> str | None:
-    wit = recognize_f1(g)
+    wit = f.f1()
     if (wit is not None) != f.is_sp:
         return f"recognizer={'hit' if wit else 'miss'} but sp={f.is_sp}"
     if wit is not None:
@@ -254,7 +219,7 @@ def _check_thm4(g: Graph, f: _Facts) -> str | None:
 
 
 def _check_thm6(g: Graph, f: _Facts | None = None) -> str | None:
-    f = f or _Facts.of(g)
+    f = f or _Facts(g)
     if not f.is_sp:
         return "family member is not a singleton-partition graph"
     image, _ = f.image()
@@ -267,14 +232,14 @@ def _check_thm6(g: Graph, f: _Facts | None = None) -> str | None:
     return None
 
 
-def _check_obs7_cycle(n: int) -> str | None:
+def _check_obs7_cycle(n: int) -> tuple[Graph, str] | None:
     g = cycle(n)
     sp = sp_check(g).is_sp
     if sp != (n <= 6):
-        return f"C_{n}: sp={sp}"
+        return g, f"C_{n}: sp={sp}"
     f2 = recognize_f2(g) is not None
     if f2 != (4 <= n <= 6):
-        return f"C_{n}: family-recognizer={f2}"
+        return g, f"C_{n}: family-recognizer={f2}"
     return None
 
 
@@ -290,7 +255,7 @@ def _check_thm8(g: Graph, f: _Facts) -> str | None:
 
 
 def _check_thm9(g: Graph, f: _Facts) -> str | None:
-    full_count = _full_count(f.row)
+    full_count = f.stats.full_count
     if full_count == 1:
         full = next(v for v in range(g.n) if g.is_full(v))
         rest_in_family = recognize_f1(g.delete_vertex(full)) is not None
@@ -308,7 +273,7 @@ def _check_thm9(g: Graph, f: _Facts) -> str | None:
 
 
 def _check_thm13(g: Graph, f: _Facts | None = None) -> str | None:
-    f = f or _Facts.of(g)
+    f = f or _Facts(g)
     if not f.is_sp:
         return None  # hypothesis is the SP side; thm8 covers the equivalence
     image, _ = f.image()
@@ -510,7 +475,7 @@ def _check_f2_generation(spec: FamilySpec) -> tuple[Graph, str] | None:
 class _TheoremDef:
     description: str
     min_order: int
-    filter: Callable[[Graph, int], bool] | None
+    filter: Callable[[_Facts], bool] | None
     check: Callable[[Graph, _Facts], object] | None
     notes: tuple[str, ...] = ()
 
@@ -637,77 +602,62 @@ def all_theorem_ids() -> list[str]:
     return list(THEOREMS)
 
 
-def _check_detached(check: Callable, item: tuple[Graph, int]):
-    """Worker side of a parallel check: one graph with its facts row."""
-    g, row = item
-    return check(g, _Facts(_Pool([g], (row,)), 0))
-
-
 _GENERATIONS = {
     "thm6": (_check_f1_generation, _f1_specs),
     "thm13": (_check_f2_generation, _f2_specs),
 }
 
 
-def _run_claim(
-    theorem_id: str, pool: _Pool | None, n_max: int, jobs: int, enumerated: bool, start: float
-) -> TheoremReport:
-    spec = THEOREMS[theorem_id]
-    extras: dict = {}
-    if theorem_id == "obs7":  # checks cycles of its own, not the pool
+def _id_error(theorem_id: str, n_max: int, enumerated: bool) -> Exception | None:
+    if theorem_id not in THEOREMS:
+        return KeyError(f"unknown theorem id {theorem_id!r}; known: {all_theorem_ids()}")
+    min_order = THEOREMS[theorem_id].min_order
+    if enumerated and n_max < min_order:
+        return ValueError(f"{theorem_id} needs order at least {min_order}, got n_max={n_max}")
+    if enumerated and n_max > ENUM_MAX:
+        return ValueError(
+            f"built-in enumeration stops at order {ENUM_MAX}; pass graphs from a file instead"
+        )
+    return None
+
+
+def _check_graph(
+    claims: tuple[tuple[int, int, str], ...], g: Graph
+) -> list[tuple[int, object, float]]:
+    """Run on one graph every claim whose hypothesis it meets.
+
+    ``claims`` holds (claim index, least order, id) entries; the result holds
+    one (claim index, check result, seconds) entry per claim run.
+    """
+    f = _Facts(g)
+    out = []
+    for k, low, theorem_id in claims:
+        spec = THEOREMS[theorem_id]
+        if g.n >= low and spec.filter(f):
+            start = time.perf_counter()
+            result = spec.check(g, f)
+            out.append((k, result, time.perf_counter() - start))
+    return out
+
+
+def _run_own_checks(report: TheoremReport, n_max: int, enumerated: bool) -> None:
+    """Add the checks a claim makes outside the pool: obs7's cycles, and the
+    seeded generations of thm6 and thm13 in enumerated runs."""
+    if report.theorem_id == "obs7":
         top = max(n_max, 10)
-        order_range = (3, top)
-        checked = top - 2
-        details = [(cycle(n), _check_obs7_cycle(n)) for n in range(3, top + 1)]
+        report.order_range = (3, top)
+        check, items = _check_obs7_cycle, range(3, top + 1)
+    elif enumerated and report.theorem_id in _GENERATIONS:
+        check, specs = _GENERATIONS[report.theorem_id]
+        items = specs(500)
+        report.extras["seeded_generations"] = 500
     else:
-        assert pool is not None and spec.filter is not None and spec.check is not None
-        low = spec.min_order if enumerated else 0
-        selected = [
-            i
-            for i, (g, row) in enumerate(zip(pool.graphs, pool.rows))
-            if g.n >= low and spec.filter(g, row)
-        ]
-        if enumerated:
-            order_range = (spec.min_order, n_max)
-        elif selected:
-            orders = [pool.graphs[i].n for i in selected]
-            order_range = (min(orders), max(orders))
-        else:
-            order_range = (0, 0)
-        checked = len(selected)
-        if jobs <= 1:  # serial checks share the pool's memos across claims
-            results = [spec.check(pool.graphs[i], _Facts(pool, i)) for i in selected]
-        else:
-            items = [(pool.graphs[i], pool.rows[i]) for i in selected]
-            results = _pmap(partial(_check_detached, spec.check), items, jobs)
-        if theorem_id == "thm20":
-            histogram: dict[str, int] = {}
-            for _, key in results:
-                histogram[key] = histogram.get(key, 0) + 1
-            extras["lscc_histogram"] = dict(sorted(histogram.items()))
-            results = [detail for detail, _ in results]
-        details = [(pool.graphs[i], detail) for i, detail in zip(selected, results)]
-    counterexamples = [_cex(g, detail) for g, detail in details if detail]
-
-    if enumerated and theorem_id in _GENERATIONS:
-        check, specs = _GENERATIONS[theorem_id]
-        failures = _pmap(check, specs(500), jobs)
-        checked += 500
-        extras["seeded_generations"] = 500
-        for item in failures:
-            if item is not None:
-                counterexamples.append(_cex(item[0], item[1]))
-
-    return TheoremReport(
-        theorem_id=theorem_id,
-        order_range=order_range,
-        graphs_checked=checked,
-        passed=not counterexamples,
-        counterexamples=counterexamples,
-        elapsed=time.perf_counter() - start,
-        notes=spec.notes,
-        extras=extras,
-    )
+        return
+    start = time.perf_counter()
+    failures = [check(item) for item in items]
+    report.elapsed += time.perf_counter() - start
+    report.graphs_checked += len(items)
+    report.counterexamples += [_cex(*item) for item in failures if item is not None]
 
 
 def verify_claims(
@@ -716,35 +666,75 @@ def verify_claims(
     jobs: int = 1,
     graphs: Iterable[Graph] | None = None,
 ) -> Iterator[TheoremReport]:
-    """Run claims in turn over one shared pool, yielding one report each.
+    """Run claims in one pass over one pool, yielding one report per claim.
 
     The pool is the supplied graphs, or every class of orders 1..``n_max``
     enumerated once; each claim takes the graphs of its hypothesis class,
-    enumerated ones from its least order up. Each graph's facts are
-    computed once per run and serve every claim; the claim that builds the
-    pool is charged for it. An unknown id or an unsupported order raises
-    when its claim's turn comes, after the reports of the claims before it.
+    enumerated ones from its least order up. Each graph is visited once, in
+    one worker under ``jobs`` > 1: its facts are computed and every claim
+    whose hypothesis it meets is checked against them. A report's
+    ``elapsed`` is the time of its claim's own checks; the pool and the
+    facts are charged to no claim. The ids are taken up to the first
+    unknown id or unsupported order, whose error is raised after the
+    reports of the claims before it.
     """
-    supplied = None if graphs is None else list(graphs)
-    pool: _Pool | None = None
+    enumerated = graphs is None
+    ids: list[str] = []
+    error = None
     for theorem_id in theorem_ids:
-        if theorem_id not in THEOREMS:
-            raise KeyError(f"unknown theorem id {theorem_id!r}; known: {all_theorem_ids()}")
-        min_order = THEOREMS[theorem_id].min_order
-        if supplied is None and n_max < min_order:
-            raise ValueError(f"{theorem_id} needs order at least {min_order}, got n_max={n_max}")
-        if supplied is None and n_max > ENUM_MAX:
-            raise ValueError(
-                f"built-in enumeration stops at order {ENUM_MAX}; pass graphs from a file instead"
-            )
-        start = time.perf_counter()
-        if pool is None and theorem_id != "obs7":
-            pool = _Pool(
-                supplied
-                if supplied is not None
-                else [g for n in range(1, n_max + 1) for g in enumerate_graphs(n)]
-            )
-        yield _run_claim(theorem_id, pool, n_max, jobs, supplied is None, start)
+        error = _id_error(theorem_id, n_max, enumerated)
+        if error is not None:
+            break
+        ids.append(theorem_id)
+
+    reports = [
+        TheoremReport(
+            theorem_id=t,
+            order_range=(THEOREMS[t].min_order, n_max) if enumerated else (0, 0),
+            graphs_checked=0,
+            passed=True,
+            counterexamples=[],
+            elapsed=0.0,
+            notes=THEOREMS[t].notes,
+            extras={"lscc_histogram": {}} if t == "thm20" else {},
+        )
+        for t in ids
+    ]
+    claims = tuple(
+        (k, THEOREMS[t].min_order if enumerated else 0, t)
+        for k, t in enumerate(ids)
+        if t != "obs7"  # checks cycles of its own, not the pool
+    )
+    pool: list[Graph] = []
+    if claims:
+        pool = (
+            list(graphs)
+            if graphs is not None
+            else [g for n in range(1, n_max + 1) for g in enumerate_graphs(n)]
+        )
+    for g, results in zip(pool, _pmap(partial(_check_graph, claims), pool, jobs)):
+        for k, result, seconds in results:
+            report = reports[k]
+            if not enumerated:
+                lo, hi = report.order_range if report.graphs_checked else (g.n, g.n)
+                report.order_range = (min(lo, g.n), max(hi, g.n))
+            report.graphs_checked += 1
+            report.elapsed += seconds
+            if report.theorem_id == "thm20":
+                result, key = result
+                histogram = report.extras["lscc_histogram"]
+                histogram[key] = histogram.get(key, 0) + 1
+            if result:
+                report.counterexamples.append(_cex(g, result))
+
+    for report in reports:
+        _run_own_checks(report, n_max, enumerated)
+        if "lscc_histogram" in report.extras:
+            report.extras["lscc_histogram"] = dict(sorted(report.extras["lscc_histogram"].items()))
+        report.passed = not report.counterexamples
+        yield report
+    if error is not None:
+        raise error
 
 
 def verify_theorem(
@@ -825,4 +815,4 @@ def chain_record(g: Graph) -> dict:
 
 def sweep_chains(graphs: Iterable[Graph], jobs: int = 1) -> list[dict]:
     """Chain records for a batch of graphs, input order preserved."""
-    return _pmap(chain_record, list(graphs), jobs)
+    return list(_pmap(chain_record, list(graphs), jobs))

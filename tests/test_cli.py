@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -16,16 +15,11 @@ from coalition_kit.graphs import path
 GOLDEN = Path(__file__).parent / "golden"
 
 
-def run_cli(*args: str, env_extra: dict | None = None):
-    env = dict(os.environ)
-    env.setdefault("COALITION_KIT_JOBS", "1")
-    if env_extra:
-        env.update(env_extra)
+def run_cli(*args: str):
     return subprocess.run(
         [sys.executable, "-m", "coalition_kit", *args],
         capture_output=True,
         text=True,
-        env=env,
     )
 
 
@@ -103,16 +97,16 @@ def test_family_commands():
 
 
 def test_verify_command():
-    result = run_cli("verify", "--theorem", "thm1", "--max-order", "5", "--json")
+    result = run_cli("verify", "--theorem", "thm1", "--max-order", "5", "--json", "--jobs", "1")
     assert result.returncode == 0
     payload = json.loads(result.stdout)
     assert payload["passed"] is True and payload["theorem_id"] == "thm1"
-    result = run_cli("verify", "--theorem", "thm1", "--max-order", "5")
+    result = run_cli("verify", "--theorem", "thm1", "--max-order", "5", "--jobs", "1")
     assert "thm1: PASS" in result.stdout
 
 
 def test_sweep_command(tmp_path):
-    result = run_cli("sweep", "--max-order", "4", "--json")
+    result = run_cli("sweep", "--max-order", "4", "--json", "--jobs", "1")
     assert result.returncode == 0
     records = [json.loads(line) for line in result.stdout.splitlines()]
     assert len(records) == 1 + 2 + 4 + 11
@@ -120,7 +114,7 @@ def test_sweep_command(tmp_path):
 
     f = tmp_path / "one.g6"
     f.write_text("C~\n")
-    result = run_cli("sweep", "--file", str(f), "--json")
+    result = run_cli("sweep", "--file", str(f), "--json", "--jobs", "1")
     rec = json.loads(result.stdout)
     assert rec["lscc"] == {"kind": "Finite", "value": 1}
     assert rec["status"] == "out-of-characterized-range"
@@ -147,13 +141,7 @@ def test_usage_errors_exit_two():
     assert run_cli("sp", "--named", "C(4)", "--g6", "C~").returncode == 2
     assert run_cli("sp", "--g6", "notvalid~~~").returncode == 2
     assert run_cli("cnum", "--named", "C(2)").returncode == 2
-    assert run_cli("verify", "--theorem", "nope").returncode == 2
-    assert run_cli("sweep").returncode == 2
+    assert run_cli("verify", "--theorem", "nope", "--jobs", "1").returncode == 2
+    assert run_cli("sweep", "--jobs", "1").returncode == 2
     assert run_cli("nonsense").returncode == 2
 
-
-def test_jobs_env_default():
-    result = run_cli(
-        "verify", "--theorem", "thm1", "--max-order", "4", env_extra={"COALITION_KIT_JOBS": "2"}
-    )
-    assert result.returncode == 0

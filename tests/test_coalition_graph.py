@@ -44,10 +44,10 @@ def test_image_of_the_path_is_exact():
 
 def test_part_indexing_follows_the_partition():
     g = cycle(4)
-    result = coalition_graph(g, Partition(4, (0b0011, 0b0100, 0b1000)))
-    assert result.graph.n == 3
+    image = coalition_graph(g, Partition(4, (0b0011, 0b0100, 0b1000)))
+    assert image.n == 3
     # the part {0,1} dominates; only the parts {2} and {3} form a coalition
-    assert set(result.graph.edges()) == {(1, 2)}
+    assert set(image.edges()) == {(1, 2)}
 
 
 def test_rejects_non_sp_input():
@@ -66,7 +66,7 @@ def test_partition_order_mismatch():
 @given(graphs(max_n=7))
 def test_order_equals_part_count(g):
     p = singleton_partition(g)
-    assert coalition_graph(g, p).graph.n == p.k
+    assert coalition_graph(g, p).n == p.k
 
 
 @settings(max_examples=150)
@@ -100,7 +100,7 @@ def test_direct_image_matches_the_partition_construction():
             for g in (cls, cls.relabel(perm)):
                 verdict = sp_check(g)
                 if verdict.is_sp:
-                    assert sc_graph(g) == coalition_graph(g, singleton_partition(g)).graph
+                    assert sc_graph(g) == coalition_graph(g, singleton_partition(g))
                 else:
                     with pytest.raises(NotSingletonPartitionGraph) as err:
                         sc_graph(g)

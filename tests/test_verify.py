@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -157,8 +158,8 @@ def _relabeled_order_six() -> list:
 
 @pytest.mark.parametrize(
     "jobs, supplied",
-    [(1, False), (1, True), (2, False)],
-    ids=["enumerated", "supplied-relabeled", "enumerated-jobs2"],
+    [(1, False), (1, True), (2, False), (2, True)],
+    ids=["enumerated", "supplied-relabeled", "enumerated-jobs2", "supplied-relabeled-jobs2"],
 )
 def test_shared_pool_matches_per_claim_runs(jobs, supplied):
     # one pool for the whole catalog against a fresh serial run per claim
@@ -175,6 +176,34 @@ def test_shared_pool_reports_before_an_invalid_claim():
     assert next(reports).passed
     with pytest.raises(ValueError):
         next(reports)
+
+
+@pytest.mark.parametrize("jobs, pools", [(1, 0), (2, 1)])
+def test_one_worker_pool_per_run(monkeypatch, jobs, pools):
+    built = []
+
+    class Counting(verify_mod.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(verify_mod, "ProcessPoolExecutor", Counting)
+    reports = list(verify_claims(all_theorem_ids(), 6, jobs=jobs))
+    assert all(r.passed for r in reports)
+    assert len(built) == pools
+
+
+def test_elapsed_counts_only_the_claims_own_checks(monkeypatch):
+    real = verify_mod.enumerate_graphs
+
+    def slow(n):
+        time.sleep(0.3)
+        return real(n)
+
+    monkeypatch.setattr(verify_mod, "enumerate_graphs", slow)
+    reports = list(verify_claims(all_theorem_ids(), 4))
+    assert len(reports) == 16
+    assert all(r.elapsed < 0.3 for r in reports), [(r.theorem_id, r.elapsed) for r in reports]
 
 
 def test_facts_do_not_outlive_a_run(monkeypatch):
