@@ -1,11 +1,20 @@
 #!/usr/bin/env python3
-"""Benchmark the compiled kernel against the pure-Python fallback.
+"""Benchmark the compiled kernel against the pure-Python fallback, and the
+per-graph layers of a verify pass.
 
 Times canonical codes over a fixed random workload at several orders, and
 the exhaustive enumeration of orders 1..N by ``canon._extend_codes`` (the
 minimum-degree vertex extension) driven by each backend's kernel.
 
+``--layers`` instead times, in microseconds per call, the per-graph layers
+of ``verify``: graph6 decoding, ``Graph`` validation, ``degree_stats``,
+``sp_check``, ``recognize_f2`` (on the graphs with minimum degree 2 and no
+full vertex, the thm8 hypothesis) and ``recognize_h2`` (on the
+singleton-coalition images of the singleton-partition ones, as thm13 calls
+it). The graphs are every class of order 7, or the records of ``--file``.
+
 Usage: python benchmarks/bench_kernel.py [--orders 8,12,16] [--batch 2000]
+       python benchmarks/bench_kernel.py --layers [--file graphs.g6]
 """
 
 from __future__ import annotations
@@ -15,7 +24,17 @@ import random
 import time
 
 from coalition_kit import kernel as pure
-from coalition_kit.canon import _extend_codes
+from coalition_kit.canon import _extend_codes, enumerate_graphs
+from coalition_kit.coalition_graph import sc_graph
+from coalition_kit.domination import sp_check
+from coalition_kit.families import recognize_f2, recognize_h2
+from coalition_kit.graphs import (
+    Graph,
+    degree_stats,
+    emit_graph6,
+    parse_graph6,
+    read_graph6_file,
+)
 
 try:
     from coalition_kit import _fastkernel as fast
@@ -74,12 +93,53 @@ def bench_enumeration(n: int) -> None:
         print(f"  compiled: {len(fast_codes)} classes in {t2 - t1:.2f}s")
 
 
+LAYER_PASSES = 5
+
+
+def _per_call_us(fn, args: list) -> float:
+    """Best of LAYER_PASSES passes of ``fn`` over ``args``, in us per call."""
+    best = float("inf")
+    for _ in range(LAYER_PASSES):
+        t0 = time.perf_counter()
+        for arg in args:
+            fn(arg)
+        best = min(best, time.perf_counter() - t0)
+    return 1e6 * best / max(len(args), 1)
+
+
+def bench_layers(path: str | None) -> None:
+    graphs = list(read_graph6_file(path)) if path else list(enumerate_graphs(7))
+    degree2 = [
+        g for g in graphs
+        if (s := degree_stats(g)).min_degree == 2 and s.full_count == 0
+    ]
+    images = [sc_graph(g) for g in degree2 if sp_check(g).is_sp]
+    rows = [
+        ("parse_graph6", parse_graph6, [emit_graph6(g) for g in graphs]),
+        ("Graph validation", lambda g: Graph(g.n, g.rows), graphs),
+        ("degree_stats", degree_stats, graphs),
+        ("sp_check", sp_check, graphs),
+        ("recognize_f2", recognize_f2, degree2),
+        ("recognize_h2", recognize_h2, images),
+    ]
+    source = path or "every class of order 7"
+    print(f"per-graph layers over {source}, best of {LAYER_PASSES} passes")
+    print(f"{'layer':<18} {'calls':>7} {'us/call':>9}")
+    for name, fn, args in rows:
+        print(f"{name:<18} {len(args):>7} {_per_call_us(fn, args):>9.2f}")
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--orders", default="8,12,16")
     parser.add_argument("--batch", type=int, default=2000)
     parser.add_argument("--enum-order", type=int, default=7)
+    parser.add_argument("--layers", action="store_true", help="time the verify layers instead")
+    parser.add_argument("--file", help="graph6 file for --layers (default: order-7 classes)")
     args = parser.parse_args()
+    if args.layers:
+        bench_layers(args.file)
+        return
     if fast is None:
         print("compiled kernel not available; showing pure timings only\n")
     bench_canonical(args.batch, [int(x) for x in args.orders.split(",")])

@@ -45,7 +45,7 @@ def graph_from_code(code: bytes) -> Graph:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
             k += 1
-    return Graph(n, tuple(rows))
+    return Graph._trusted(n, tuple(rows))
 
 
 def _extend_codes(

@@ -59,4 +59,4 @@ def sc_graph(g: Graph) -> Graph:
                 rows[v] |= 1 << u
         if not rows[v]:
             raise NotSingletonPartitionGraph(v)
-    return Graph(g.n, tuple(rows))
+    return Graph._trusted(g.n, tuple(rows))

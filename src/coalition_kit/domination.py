@@ -146,7 +146,10 @@ class SpVerdict:
 def sp_check(g: Graph) -> SpVerdict:
     vmask = g.vertex_mask
     closed = [g.rows[v] | (1 << v) for v in range(g.n)]
-    full = mask_of(v for v in range(g.n) if closed[v] == vmask)
+    full = 0
+    for v, cv in enumerate(closed):
+        if cv == vmask:
+            full |= 1 << v
     partner: dict[int, int] = {}
     for v in range(g.n):
         if (full >> v) & 1:

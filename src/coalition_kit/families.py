@@ -21,7 +21,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .graphs import Graph, bits, degree_stats, mask_of
+from .graphs import DegreeStats, Graph, bits, degree_stats, mask_of
 
 
 class GenerationError(ValueError):
@@ -29,11 +29,25 @@ class GenerationError(ValueError):
 
 
 def _is_clique(g: Graph, mask: int) -> bool:
-    return all(g.rows[v] & mask == mask ^ (1 << v) for v in bits(mask))
+    rows = g.rows
+    m = mask
+    while m:
+        low = m & -m
+        if rows[low.bit_length() - 1] & mask != mask ^ low:
+            return False
+        m ^= low
+    return True
 
 
 def _is_independent(g: Graph, mask: int) -> bool:
-    return all(g.rows[v] & mask == 0 for v in bits(mask))
+    rows = g.rows
+    m = mask
+    while m:
+        low = m & -m
+        if rows[low.bit_length() - 1] & mask:
+            return False
+        m ^= low
+    return True
 
 
 def _covers(row: int, mask: int) -> bool:
@@ -83,7 +97,9 @@ def recognize_f1(g: Graph) -> F1Witness | None:
     return None
 
 
-def f1_violations(g: Graph, wit: F1Witness) -> list[str]:
+def f1_violations(g: Graph, wit: F1Witness, stats: DegreeStats | None = None) -> list[str]:
+    """Conditions of the degree-1 family that ``wit`` breaks in ``g``;
+    ``stats`` is the graph's ``degree_stats``, computed when omitted."""
     out = []
     roles = (1 << wit.x) | (1 << wit.y) | (1 << wit.w)
     if (1 << wit.x) & ((1 << wit.y) | (1 << wit.w)) or wit.y == wit.w:
@@ -109,7 +125,9 @@ def f1_violations(g: Graph, wit: F1Witness) -> list[str]:
             out.append("y misses part of Q")
         if any(g.rows[v] & wit.q_set == wit.q_set ^ (1 << v) for v in bits(wit.q_set)):
             out.append("induced subgraph on Q has a full vertex")
-    if degree_stats(g).full_count:
+    if stats is None:
+        stats = degree_stats(g)
+    if stats.full_count:
         out.append("graph has a full vertex")
     return out
 
@@ -237,22 +255,95 @@ def _f2_try(g: Graph, x: int, y: int, z: int, sub: int) -> F2Witness | None:
     return F2Witness(3, x, y, z, l1=l1, r1=r1, r2=r2, l2=l2, w_set=wstar)
 
 
-def recognize_f2(g: Graph) -> F2Witness | None:
+def recognize_f2(g: Graph, stats: DegreeStats | None = None) -> F2Witness | None:
     """Role search for the minimum-degree-2 family: x ascending over degree-2
-    vertices, its neighbor pair in both orders, subfamilies tried 1, 2, 3."""
-    stats = degree_stats(g)
+    vertices, its neighbor pair in both orders, subfamilies tried 1, 2, 3.
+
+    ``stats`` is the graph's ``degree_stats``, computed when omitted. The
+    search gives the witness of trying ``_f2_try`` in that order, with less
+    work: subfamilies 1 and 3 hold for (y, z) exactly when they hold for
+    (z, y), so after the pair's first order only subfamily 2 is tried again.
+    """
+    if stats is None:
+        stats = degree_stats(g)
     if stats.min_degree != 2 or stats.full_count:
         return None
-    for x in range(g.n):
-        if g.degree(x) != 2:
+    rows = g.rows
+    vmask = g.vertex_mask
+    for x, row in enumerate(rows):
+        if row.bit_count() != 2:
             continue
-        a, b = list(bits(g.rows[x]))
-        for y, z in ((a, b), (b, a)):
-            for sub in (1, 2, 3):
-                wit = _f2_try(g, x, y, z, sub)
-                if wit is not None:
-                    return wit
+        a = (row & -row).bit_length() - 1
+        b = row.bit_length() - 1
+        vx = vmask ^ (1 << x) ^ row
+        ra, rb = rows[a], rows[b]
+        yz = (ra >> b) & 1
+        if not yz:
+            if vx and ra & vx == vx and rb & vx == vx:
+                return F2Witness(1, x, a, b, r1=vx)
+            wit = _f2_sub2(g, x, a, b, vx)
+            if wit is not None:
+                return wit
+        wit = _f2_sub3(g, x, a, b, vx, yz)
+        if wit is not None:
+            return wit
+        if not yz:
+            wit = _f2_sub2(g, x, b, a, vx)
+            if wit is not None:
+                return wit
     return None
+
+
+def _f2_sub2(g: Graph, x: int, y: int, z: int, vx: int) -> F2Witness | None:
+    """Subfamily 2 for non-adjacent y, z: y sees all of the rest, which z
+    splits into R1 (its neighbors) and the clique L1."""
+    ry, rz = g.rows[y], g.rows[z]
+    r1 = vx & rz
+    l1 = vx ^ r1
+    if ry & vx != vx or l1 == 0 or r1 == 0 or not _is_clique(g, l1):
+        return None
+    return F2Witness(2, x, y, z, l1=l1, r1=r1)
+
+
+def _f2_sub3(g: Graph, x: int, y: int, z: int, vx: int, yz: int) -> F2Witness | None:
+    """Subfamily 3, the conditions of ``_f2_try`` on masks."""
+    rows = g.rows
+    ry, rz = rows[y], rows[z]
+    l1 = vx & ry & ~rz
+    r1 = vx & ry & rz
+    r2 = vx & rz & ~ry
+    l2 = vx & ~ry & ~rz
+    if (l1 | l2) == 0 or (r2 | l2) == 0:
+        return None
+    wstar = 0
+    m = vx
+    while m:
+        low = m & -m
+        if (rows[low.bit_length() - 1] | low) & vx == vx:
+            wstar |= low
+        m ^= low
+    if wstar == 0 or l2 & ~wstar:
+        return None
+    m = r1
+    while m:
+        low = m & -m
+        row = rows[low.bit_length() - 1]
+        if row & l1 != l1 and row & r2 != r2:
+            return None
+        m ^= low
+    if not yz:
+        if not (_is_clique(g, l1) and _is_clique(g, r2)):
+            return None
+    else:
+        for side, other in ((l1, r2), (r2, l1)):
+            m = side
+            while m:
+                low = m & -m
+                row = rows[low.bit_length() - 1]
+                if row & side != side ^ low and row & other != other:
+                    return None
+                m ^= low
+    return F2Witness(3, x, y, z, l1=l1, r1=r1, r2=r2, l2=l2, w_set=wstar)
 
 
 def f2_violations(g: Graph, wit: F2Witness) -> list[str]:
@@ -282,70 +373,84 @@ class H2Witness:
 
 
 def _h2_sub1(g: Graph) -> H2Witness | None:
+    rows = g.rows
     vmask = g.vertex_mask
-    for x in range(g.n):
-        for y in range(g.n):
-            if y == x or not g.has_edge(x, y):
-                continue
-            for z in range(y + 1, g.n):
-                if z == x or not g.has_edge(x, z) or not g.has_edge(y, z):
+    for x, rx in enumerate(rows):
+        ys = rx
+        while ys:
+            ylow = ys & -ys
+            ys ^= ylow
+            y = ylow.bit_length() - 1
+            ry = rows[y]
+            # z above y, adjacent to both x and y
+            zs = rx & ry & ~((ylow << 1) - 1)
+            while zs:
+                zlow = zs & -zs
+                zs ^= zlow
+                r1 = vmask ^ (1 << x) ^ ylow ^ zlow
+                if r1 == 0 or r1 & ~(ry & rows[zlow.bit_length() - 1]):
                     continue
-                r1 = vmask ^ (1 << x) ^ (1 << y) ^ (1 << z)
-                if r1 == 0 or not _is_independent(g, r1):
-                    continue
-                if all(_covers(g.rows[v], (1 << y) | (1 << z)) for v in bits(r1)):
-                    return H2Witness(1, x, y, z, r1=r1)
+                if _is_independent(g, r1):
+                    return H2Witness(1, x, y, zlow.bit_length() - 1, r1=r1)
     return None
 
 
 def _h2_sub2(g: Graph) -> H2Witness | None:
+    rows = g.rows
     vmask = g.vertex_mask
-    for y in range(g.n):
-        for x in bits(g.rows[y]):
-            for z in bits(g.rows[y]):
-                if z == x or g.has_edge(x, z):
+    for y, ry in enumerate(rows):
+        # L1 is every vertex outside N[y], whatever x and z are; as L1 | R1
+        # is independent, an L1 vertex has no neighbor outside {x, z}
+        l1 = vmask ^ ry ^ (1 << y)
+        if l1 == 0:
+            continue
+        xs = ry
+        while xs:
+            xlow = xs & -xs
+            xs ^= xlow
+            x = xlow.bit_length() - 1
+            zs = ry & ~rows[x] & ~xlow
+            while zs:
+                zlow = zs & -zs
+                zs ^= zlow
+                r1 = ry ^ xlow ^ zlow
+                if r1 == 0 or rows[zlow.bit_length() - 1] & l1 != l1:
                     continue
-                vx = vmask ^ (1 << x) ^ (1 << y) ^ (1 << z)
-                r1 = vx & g.rows[y]
-                l1 = vx & ~g.rows[y]
-                if r1 == 0 or l1 == 0:
-                    continue
-                if not _is_independent(g, l1 | r1):
-                    continue
-                if not _covers(g.rows[z], l1):
-                    continue
-                allowed = (1 << x) | (1 << z)
-                if any(g.rows[v] & ~allowed for v in bits(l1)):
-                    continue
-                return H2Witness(2, x, y, z, l1=l1, r1=r1)
+                if _is_independent(g, l1 | r1):
+                    return H2Witness(2, x, y, zlow.bit_length() - 1, l1=l1, r1=r1)
     return None
 
 
 def _h2_sub3(g: Graph) -> H2Witness | None:
+    rows = g.rows
     vmask = g.vertex_mask
-    for x in range(g.n):
-        w = g.rows[x]
+    for x, w in enumerate(rows):
         if w == 0:
             continue  # x' needs at least the hub neighbors
         outside = vmask ^ (1 << x) ^ w
-        for y in bits(outside):
-            for z in bits(outside):
-                if z <= y:
-                    continue
-                rest = outside ^ (1 << y) ^ (1 << z)
-                if not _is_independent(g, w | rest):
-                    continue
-                if any(g.rows[v] & ((1 << y) | (1 << z)) == 0 for v in bits(rest)):
+        ys = outside
+        while ys:
+            ylow = ys & -ys
+            ys ^= ylow
+            ry = rows[ylow.bit_length() - 1]
+            zs = ys  # z above y
+            while zs:
+                zlow = zs & -zs
+                zs ^= zlow
+                rz = rows[zlow.bit_length() - 1]
+                rest = outside ^ ylow ^ zlow
+                # every rest vertex sees y' or z'
+                if rest & ~(ry | rz) or not _is_independent(g, w | rest):
                     continue
                 return H2Witness(
                     3,
                     x,
-                    y,
-                    z,
+                    ylow.bit_length() - 1,
+                    zlow.bit_length() - 1,
                     w_set=w,
-                    l1=rest & g.rows[y] & ~g.rows[z],
-                    r1=rest & g.rows[y] & g.rows[z],
-                    r2=rest & g.rows[z] & ~g.rows[y],
+                    l1=rest & ry & ~rz,
+                    r1=rest & ry & rz,
+                    r2=rest & rz & ~ry,
                 )
     return None
 

@@ -5,11 +5,22 @@ vertex; bit v of row u is set iff uv is an edge. Vertex sets throughout the
 package are plain int bitmasks over the same indexing, so set algebra is
 word algebra (union ``|``, intersection ``&``, complement against
 ``g.vertex_mask``).
+
+``Graph(n, rows)`` validates its rows: order, row count, bits in range, no
+self-loops, symmetry. Parsed graph6 and every caller's rows go through it.
+Rows the package builds symmetric by construction go through
+``Graph._trusted``, which checks the order only: canonical-code decoding
+(each pair bit is set in both rows), singleton-coalition images (the
+coalition test is symmetric in u and v and never pairs a vertex with
+itself), induced subgraphs of a valid graph, and ``union``, ``join`` and
+``complete``, which combine valid rows on disjoint index ranges.
+``tests/test_graphs.py`` rebuilds such graphs with ``Graph(n, rows)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .limits import ORDER_MAX
@@ -31,6 +42,11 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _check_order(n: int) -> None:
+    if not 1 <= n <= ORDER_MAX:
+        raise ValueError(f"order must be in 1..{ORDER_MAX}, got {n}")
+
+
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph as a symmetric adjacency bit-matrix."""
@@ -39,20 +55,32 @@ class Graph:
     rows: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n <= ORDER_MAX:
-            raise ValueError(f"order must be in 1..{ORDER_MAX}, got {self.n}")
-        if len(self.rows) != self.n:
+        _check_order(self.n)
+        rows = self.rows
+        if len(rows) != self.n:
             raise ValueError("row count does not match order")
         full = (1 << self.n) - 1
-        for u, row in enumerate(self.rows):
+        for u, row in enumerate(rows):
             if row & ~full:
                 raise ValueError(f"row {u} has bits at or above the order")
             if (row >> u) & 1:
                 raise ValueError(f"self-loop at vertex {u}")
-        for u in range(self.n):
-            for v in bits(self.rows[u]):
-                if not (self.rows[v] >> u) & 1:
+        for u, row in enumerate(rows):
+            while row:
+                low = row & -row
+                v = low.bit_length() - 1
+                if not (rows[v] >> u) & 1:
                     raise ValueError(f"asymmetric adjacency at ({u},{v})")
+                row ^= low
+
+    @classmethod
+    def _trusted(cls, n: int, rows: tuple[int, ...]) -> "Graph":
+        """A graph from rows the package built symmetric, loop-free and in
+        range; only the order is checked."""
+        _check_order(n)
+        g = object.__new__(cls)
+        g.__dict__.update(n=n, rows=rows)
+        return g
 
     # -- construction ------------------------------------------------------
 
@@ -133,7 +161,7 @@ class Graph:
         for v in keep:
             for u in bits(self.rows[v] & mask):
                 rows[index[v]] |= 1 << index[u]
-        return Graph(len(keep), tuple(rows))
+        return Graph._trusted(len(keep), tuple(rows))
 
     def delete_vertex(self, v: int) -> "Graph":
         return self.induced(self.vertex_mask ^ (1 << v))
@@ -153,8 +181,12 @@ class DegreeStats:
 
 
 def degree_stats(g: Graph) -> DegreeStats:
-    degs = g.degrees()
-    full = mask_of(v for v in range(g.n) if degs[v] == g.n - 1)
+    degs = [row.bit_count() for row in g.rows]
+    top = g.n - 1
+    full = 0
+    for v, d in enumerate(degs):
+        if d == top:
+            full |= 1 << v
     return DegreeStats(min(degs), max(degs), full)
 
 
@@ -171,10 +203,22 @@ class Graph6Error(ValueError):
     """Raised for any malformed graph6 record."""
 
 
-def _pair_sequence(n: int) -> Iterator[tuple[int, int]]:
+@lru_cache(maxsize=None)
+def _pair_at(n: int) -> tuple[tuple[int, int] | None, ...]:
+    """Vertex pair of each bit of an order-n graph6 body read as one integer
+    (bit 0 is the last body bit); None marks the padding bits."""
+    npairs = n * (n - 1) // 2
+    nbits = 6 * ((npairs + 5) // 6)
+    table: list[tuple[int, int] | None] = [None] * nbits
+    k = nbits - 1
     for j in range(1, n):
         for i in range(j):
-            yield (i, j)
+            table[k] = (i, j)
+            k -= 1
+    return tuple(table)
+
+
+_BODY_BYTES = bytes(range(63, 127))
 
 
 def parse_graph6(text: str) -> Graph:
@@ -201,48 +245,47 @@ def parse_graph6(text: str) -> Graph:
         raise Graph6Error(f"record too short: {len(data) - 1} body bytes, expected {need}")
     if len(data) - 1 > need:
         raise Graph6Error(f"trailing garbage after {need} body bytes")
+    body = data[1:]
+    stray = body.translate(None, _BODY_BYTES)
+    if stray:
+        raise Graph6Error(f"body byte out of range: {stray[0]}")
+    x = 0
+    for b in body:
+        x = (x << 6) | (b - 63)
+    if x & ((1 << (6 * need - npairs)) - 1):
+        raise Graph6Error("nonzero padding bits")
+    pair_at = _pair_at(n)
     rows = [0] * n
-    pairs = _pair_sequence(n)
-    k = 0
-    for b in data[1:]:
-        if not 63 <= b <= 126:
-            raise Graph6Error(f"body byte out of range: {b}")
-        group = b - 63
-        for shift in range(5, -1, -1):
-            bit = (group >> shift) & 1
-            if k < npairs:
-                if bit:
-                    i, j = next(pairs)
-                    rows[i] |= 1 << j
-                    rows[j] |= 1 << i
-                else:
-                    next(pairs)
-            elif bit:
-                raise Graph6Error("nonzero padding bits")
-            k += 1
+    while x:
+        low = x & -x
+        i, j = pair_at[low.bit_length() - 1]
+        rows[i] |= 1 << j
+        rows[j] |= 1 << i
+        x ^= low
     return Graph(n, tuple(rows))
 
 
 def emit_graph6(g: Graph) -> str:
     """Encode a graph of order <= 32 as a graph6 record."""
+    pair_at = _pair_at(g.n)
+    rows = g.rows
+    x = 0
+    for p, pair in enumerate(pair_at):
+        if pair is not None and (rows[pair[0]] >> pair[1]) & 1:
+            x |= 1 << p
     out = [g.n + 63]
-    group = 0
-    filled = 0
-    for i, j in _pair_sequence(g.n):
-        group = (group << 1) | ((g.rows[i] >> j) & 1)
-        filled += 1
-        if filled == 6:
-            out.append(group + 63)
-            group = 0
-            filled = 0
-    if filled:
-        out.append((group << (6 - filled)) + 63)
+    for shift in range(len(pair_at) - 6, -1, -6):
+        out.append(((x >> shift) & 63) + 63)
     return bytes(out).decode("ascii")
 
 
 def read_graph6_file(path: str) -> Iterator[Graph]:
-    """Parse every nonblank line of a graph6 file."""
-    with open(path, "r", encoding="ascii") as fh:
+    """Parse every nonblank line of a graph6 file.
+
+    Bytes outside ASCII reach ``parse_graph6`` (as lone surrogates), so they
+    are reported as a malformed record with its path and line number.
+    """
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -262,7 +305,7 @@ def complete(n: int) -> Graph:
     if n < 1:
         raise ValueError("order must be positive")
     full = (1 << n) - 1
-    return Graph(n, tuple(full ^ (1 << v) for v in range(n)))
+    return Graph._trusted(n, tuple(full ^ (1 << v) for v in range(n)))
 
 
 def empty_graph(n: int) -> Graph:
@@ -292,7 +335,7 @@ def complete_bipartite(a: int, b: int) -> Graph:
 def union(g: Graph, h: Graph) -> Graph:
     """Disjoint union; the right operand is relabeled above the left."""
     rows = list(g.rows) + [r << g.n for r in h.rows]
-    return Graph(g.n + h.n, tuple(rows))
+    return Graph._trusted(g.n + h.n, tuple(rows))
 
 
 def join(g: Graph, h: Graph) -> Graph:
@@ -304,7 +347,7 @@ def join(g: Graph, h: Graph) -> Graph:
         (row | right) if v < g.n else (row | left)
         for v, row in enumerate(u.rows)
     ]
-    return Graph(u.n, tuple(rows))
+    return Graph._trusted(u.n, tuple(rows))
 
 
 def corona_k3_k1() -> Graph:

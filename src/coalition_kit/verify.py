@@ -17,7 +17,7 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Iterable, Iterator
 
 from .canon import are_isomorphic, enumerate_graphs
@@ -186,18 +186,34 @@ def _filter_f1_member(f: _Facts) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _check_thm1(g: Graph, f: _Facts | None = None) -> str | None:
-    f = f or _Facts(g)
-    expected = complete(1) if g.n == 1 else union(complete(1), complete(g.n - 1))
-    extremal = are_isomorphic(g, expected)
-    if f.is_sp != extremal:
-        return f"sp={f.is_sp} but isomorphic-to-extremal={extremal}"
-    return None
+# Extremal templates, built once per order.
 
 
+@lru_cache(maxsize=None)
+def _isolated_plus_complete(n: int) -> Graph:
+    return complete(1) if n == 1 else union(complete(1), complete(n - 1))
+
+
+@lru_cache(maxsize=None)
 def _near_one_full(n: int) -> Graph:
     # complete graph on n-1 vertices, one extra vertex tied to one of them
     return union(complete(1), complete(n - 1)).with_edge(0, 1)
+
+
+@lru_cache(maxsize=None)
+def _two_full_join(n: int) -> Graph:
+    return join(union(complete(1), complete(n - 3)), complete(2))
+
+
+_TRIANGLE = complete(3)
+
+
+def _check_thm1(g: Graph, f: _Facts | None = None) -> str | None:
+    f = f or _Facts(g)
+    extremal = are_isomorphic(g, _isolated_plus_complete(g.n))
+    if f.is_sp != extremal:
+        return f"sp={f.is_sp} but isomorphic-to-extremal={extremal}"
+    return None
 
 
 def _check_thm2(g: Graph, f: _Facts) -> str | None:
@@ -212,7 +228,7 @@ def _check_thm4(g: Graph, f: _Facts) -> str | None:
     if (wit is not None) != f.is_sp:
         return f"recognizer={'hit' if wit else 'miss'} but sp={f.is_sp}"
     if wit is not None:
-        bad = f1_violations(g, wit)
+        bad = f1_violations(g, wit, f.stats)
         if bad:
             return "witness violations: " + "; ".join(bad)
     return None
@@ -244,7 +260,7 @@ def _check_obs7_cycle(n: int) -> tuple[Graph, str] | None:
 
 
 def _check_thm8(g: Graph, f: _Facts) -> str | None:
-    wit = recognize_f2(g)
+    wit = recognize_f2(g, f.stats)
     if (wit is not None) != f.is_sp:
         return f"recognizer={'hit' if wit else 'miss'} but sp={f.is_sp}"
     if wit is not None:
@@ -257,17 +273,16 @@ def _check_thm8(g: Graph, f: _Facts) -> str | None:
 def _check_thm9(g: Graph, f: _Facts) -> str | None:
     full_count = f.stats.full_count
     if full_count == 1:
-        full = next(v for v in range(g.n) if g.is_full(v))
+        full = f.stats.full_vertices.bit_length() - 1
         rest_in_family = recognize_f1(g.delete_vertex(full)) is not None
         if f.is_sp != rest_in_family:
             return f"sp={f.is_sp} but remainder-in-family={rest_in_family}"
     elif full_count == 2:
-        expected = join(union(complete(1), complete(g.n - 3)), complete(2))
-        extremal = are_isomorphic(g, expected)
+        extremal = are_isomorphic(g, _two_full_join(g.n))
         if f.is_sp != extremal:
             return f"sp={f.is_sp} but isomorphic-to-extremal={extremal}"
     else:
-        if not are_isomorphic(g, complete(3)):
+        if not are_isomorphic(g, _TRIANGLE):
             return "three or more full vertices on a non-triangle"
     return None
 

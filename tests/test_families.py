@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
-from coalition_kit import are_isomorphic
+from coalition_kit import are_isomorphic, families
 from coalition_kit.canon import enumerate_graphs
 from coalition_kit.coalition_graph import sc_graph
 from coalition_kit.domination import sp_check
 from coalition_kit.families import (
     GenerationError,
+    H2Witness,
+    _f2_try,
     f1_violations,
     f2_violations,
     generate_family,
@@ -22,10 +26,12 @@ from coalition_kit.families import (
     recognize_h2,
 )
 from coalition_kit.graphs import (
+    bits,
     complete,
     complete_bipartite,
     cycle,
     degree_stats,
+    emit_graph6,
     empty_graph,
     path,
     union,
@@ -44,6 +50,15 @@ def test_f1_examples():
     assert recognize_f1(union(complete(2), complete(4))) is not None
     assert recognize_f1(complete_bipartite(1, 3)) is None  # center is full
     assert recognize_f1(complete(2)) is None
+
+
+def test_given_stats_are_not_recomputed(monkeypatch):
+    c5, p4 = cycle(5), path(4)
+    c5_stats, p4_stats = degree_stats(c5), degree_stats(p4)
+    expected, wit = recognize_f2(c5), recognize_f1(p4)
+    monkeypatch.setattr(families, "degree_stats", lambda g: pytest.fail("recomputed"))
+    assert expected is not None and recognize_f2(c5, c5_stats) == expected
+    assert f1_violations(p4, wit, p4_stats) == []
 
 
 def test_h1_examples():
@@ -245,3 +260,138 @@ def test_images_land_in_the_image_families():
     ):
         if sp_check(g).is_sp:
             assert recognize_h2(sc_graph(g)) is not None
+
+
+# Reference copies of the recognizer searches as they were before the mask
+# rewrite: per-bit generators, every (y, z) role order and subfamily tried in
+# turn. ``_f2_try`` is the unchanged condition code that ``f2_violations``
+# re-checks witnesses with.
+
+
+def _ref_is_independent(g, mask):
+    return all(g.rows[v] & mask == 0 for v in bits(mask))
+
+
+def _ref_covers(row, mask):
+    return row & mask == mask
+
+
+def _ref_recognize_f2(g):
+    stats = degree_stats(g)
+    if stats.min_degree != 2 or stats.full_count:
+        return None
+    for x in range(g.n):
+        if g.degree(x) != 2:
+            continue
+        a, b = list(bits(g.rows[x]))
+        for y, z in ((a, b), (b, a)):
+            for sub in (1, 2, 3):
+                wit = _f2_try(g, x, y, z, sub)
+                if wit is not None:
+                    return wit
+    return None
+
+
+def _ref_h2_sub1(g):
+    vmask = g.vertex_mask
+    for x in range(g.n):
+        for y in range(g.n):
+            if y == x or not g.has_edge(x, y):
+                continue
+            for z in range(y + 1, g.n):
+                if z == x or not g.has_edge(x, z) or not g.has_edge(y, z):
+                    continue
+                r1 = vmask ^ (1 << x) ^ (1 << y) ^ (1 << z)
+                if r1 == 0 or not _ref_is_independent(g, r1):
+                    continue
+                if all(_ref_covers(g.rows[v], (1 << y) | (1 << z)) for v in bits(r1)):
+                    return H2Witness(1, x, y, z, r1=r1)
+    return None
+
+
+def _ref_h2_sub2(g):
+    vmask = g.vertex_mask
+    for y in range(g.n):
+        for x in bits(g.rows[y]):
+            for z in bits(g.rows[y]):
+                if z == x or g.has_edge(x, z):
+                    continue
+                vx = vmask ^ (1 << x) ^ (1 << y) ^ (1 << z)
+                r1 = vx & g.rows[y]
+                l1 = vx & ~g.rows[y]
+                if r1 == 0 or l1 == 0:
+                    continue
+                if not _ref_is_independent(g, l1 | r1):
+                    continue
+                if not _ref_covers(g.rows[z], l1):
+                    continue
+                allowed = (1 << x) | (1 << z)
+                if any(g.rows[v] & ~allowed for v in bits(l1)):
+                    continue
+                return H2Witness(2, x, y, z, l1=l1, r1=r1)
+    return None
+
+
+def _ref_h2_sub3(g):
+    vmask = g.vertex_mask
+    for x in range(g.n):
+        w = g.rows[x]
+        if w == 0:
+            continue
+        outside = vmask ^ (1 << x) ^ w
+        for y in bits(outside):
+            for z in bits(outside):
+                if z <= y:
+                    continue
+                rest = outside ^ (1 << y) ^ (1 << z)
+                if not _ref_is_independent(g, w | rest):
+                    continue
+                if any(g.rows[v] & ((1 << y) | (1 << z)) == 0 for v in bits(rest)):
+                    continue
+                return H2Witness(
+                    3,
+                    x,
+                    y,
+                    z,
+                    w_set=w,
+                    l1=rest & g.rows[y] & ~g.rows[z],
+                    r1=rest & g.rows[y] & g.rows[z],
+                    r2=rest & g.rows[z] & ~g.rows[y],
+                )
+    return None
+
+
+def _ref_recognize_h2(g, subfamily=None):
+    searchers = {1: _ref_h2_sub1, 2: _ref_h2_sub2, 3: _ref_h2_sub3}
+    for sub in (subfamily,) if subfamily else (1, 2, 3):
+        wit = searchers[sub](g)
+        if wit is not None:
+            return wit
+    return None
+
+
+def _classes_and_images():
+    # every class of orders 1-7, as enumerated and relabeled at random, and
+    # the singleton-coalition images of both
+    rng = random.Random(17)
+    for n in range(1, 8):
+        for cls in enumerate_graphs(n):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            for g in (cls, cls.relabel(perm)):
+                yield g
+                if sp_check(g).is_sp:
+                    yield sc_graph(g)
+
+
+def test_recognizers_return_the_reference_witnesses():
+    checked = hits = 0
+    for g in _classes_and_images():
+        expected = _ref_recognize_f2(g)
+        assert recognize_f2(g) == expected, emit_graph6(g)
+        assert recognize_f2(g, degree_stats(g)) == expected, emit_graph6(g)
+        hits += expected is not None
+        for sub in (None, 1, 2, 3):
+            assert recognize_h2(g, sub) == _ref_recognize_h2(g, sub), (emit_graph6(g), sub)
+        checked += 1
+    assert checked > 2 * 1252 and hits > 0

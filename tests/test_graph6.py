@@ -109,3 +109,11 @@ def test_read_graph6_file(tmp_path):
     with pytest.raises(Graph6Error) as err:
         list(read_graph6_file(str(p)))
     assert ":2:" in str(err.value)
+
+
+def test_read_graph6_file_reports_non_ascii_bytes(tmp_path):
+    p = tmp_path / "graphs.g6"
+    p.write_bytes(b"C~\nB\xc3\xa9\n")
+    with pytest.raises(Graph6Error) as err:
+        list(read_graph6_file(str(p)))
+    assert str(err.value) == f"{p}:2: graph6 record contains non-ASCII bytes"
