@@ -7,11 +7,13 @@ the exhaustive enumeration of orders 1..N by ``canon._extend_codes`` (the
 minimum-degree vertex extension) driven by each backend's kernel.
 
 ``--layers`` instead times, in microseconds per call, the per-graph layers
-of ``verify``: graph6 decoding, ``Graph`` validation, ``degree_stats``,
-``sp_check``, ``recognize_f2`` (on the graphs with minimum degree 2 and no
-full vertex, the thm8 hypothesis) and ``recognize_h2`` (on the
+of ``verify`` and ``sweep``: graph6 decoding, canonical-code decoding
+(``graph_from_code`` on each graph's code), ``Graph`` validation,
+``degree_stats``, ``sp_check``, ``recognize_f2`` (on the graphs with minimum
+degree 2 and no full vertex, the thm8 hypothesis), ``recognize_h2`` (on the
 singleton-coalition images of the singleton-partition ones, as thm13 calls
-it). The graphs are every class of order 7, or the records of ``--file``.
+it) and ``chain_record`` (one sweep record). The graphs are every class of
+order 7, or the records of ``--file``.
 
 Usage: python benchmarks/bench_kernel.py [--orders 8,12,16] [--batch 2000]
        python benchmarks/bench_kernel.py --layers [--file graphs.g6]
@@ -24,7 +26,12 @@ import random
 import time
 
 from coalition_kit import kernel as pure
-from coalition_kit.canon import _extend_codes, enumerate_graphs
+from coalition_kit.canon import (
+    _extend_codes,
+    canonical_form,
+    enumerate_graphs,
+    graph_from_code,
+)
 from coalition_kit.coalition_graph import sc_graph
 from coalition_kit.domination import sp_check
 from coalition_kit.families import recognize_f2, recognize_h2
@@ -35,6 +42,7 @@ from coalition_kit.graphs import (
     parse_graph6,
     read_graph6_file,
 )
+from coalition_kit.verify import chain_record
 
 try:
     from coalition_kit import _fastkernel as fast
@@ -116,11 +124,13 @@ def bench_layers(path: str | None) -> None:
     images = [sc_graph(g) for g in degree2 if sp_check(g).is_sp]
     rows = [
         ("parse_graph6", parse_graph6, [emit_graph6(g) for g in graphs]),
+        ("graph_from_code", graph_from_code, [canonical_form(g) for g in graphs]),
         ("Graph validation", lambda g: Graph(g.n, g.rows), graphs),
         ("degree_stats", degree_stats, graphs),
         ("sp_check", sp_check, graphs),
         ("recognize_f2", recognize_f2, degree2),
         ("recognize_h2", recognize_h2, images),
+        ("chain_record", chain_record, graphs),
     ]
     source = path or "every class of order 7"
     print(f"per-graph layers over {source}, best of {LAYER_PASSES} passes")

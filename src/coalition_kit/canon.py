@@ -32,19 +32,35 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
     return canonical_form(g) == canonical_form(h)
 
 
+@lru_cache(maxsize=None)
+def _code_pair_at(n: int) -> tuple[tuple[int, int] | None, ...]:
+    """Vertex pair of each bit of an order-n code body read as one integer
+    (bit 0 is the last body bit); None marks the padding bits."""
+    npairs = n * (n - 1) // 2
+    nbits = 8 * ((npairs + 7) // 8)
+    table: list[tuple[int, int] | None] = [None] * nbits
+    k = nbits - 1
+    for i in range(n):
+        for j in range(i + 1, n):
+            table[k] = (i, j)
+            k -= 1
+    return tuple(table)
+
+
 def graph_from_code(code: bytes) -> Graph:
     """Rebuild the graph a canonical code describes."""
     if not code:
         raise ValueError("empty code")
     n = code[0]
+    pair_at = _code_pair_at(n)
+    x = int.from_bytes(code[1:], "big")
     rows = [0] * n
-    k = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            if code[1 + (k >> 3)] & (0x80 >> (k & 7)):
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-            k += 1
+    while x:
+        low = x & -x
+        i, j = pair_at[low.bit_length() - 1]
+        rows[i] |= 1 << j
+        rows[j] |= 1 << i
+        x ^= low
     return Graph._trusted(n, tuple(rows))
 
 

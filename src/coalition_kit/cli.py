@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from functools import partial
 
 from .canon import are_isomorphic, enumerate_graphs
 from .coalition_graph import coalition_graph
@@ -40,7 +41,9 @@ from .graphs import (
     bits,
     build_named,
     emit_graph6,
+    graph6_records,
     parse_graph6,
+    parse_graph6_record,
     read_graph6_file,
 )
 from .limits import ENUM_MAX
@@ -78,8 +81,12 @@ def _mask_list(mask: int) -> list[int]:
     return list(bits(mask))
 
 
+def _json_line(obj: dict) -> str:
+    return json.dumps(obj, sort_keys=True)
+
+
 def _print_json(obj: dict) -> None:
-    print(json.dumps(obj, sort_keys=True))
+    print(_json_line(obj))
 
 
 def _parse_partition(text: str, n: int) -> Partition:
@@ -286,25 +293,35 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
+def _sweep_summary(rec: dict) -> str:
+    lscc = rec.get("lscc", {})
+    kind = lscc.get("kind", "?")
+    shown = kind if "value" not in lscc else f"{kind}({lscc['value']})"
+    return f"{rec['graph6']}: length {shown} | {rec.get('template') or rec.get('status')}"
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    # Workers decode the records and render the output lines; this process
+    # reads the file and writes the lines once all are back, so a malformed
+    # record leaves stdout empty.
+    render = _json_line if args.json else _sweep_summary
     if args.file:
-        graphs = list(read_graph6_file(args.file))
+        lines = sweep_chains(
+            list(graph6_records(args.file)),
+            args.jobs,
+            decode=partial(parse_graph6_record, args.file),
+            render=render,
+        )
     else:
         if args.max_order is None:
             raise CliInputError("sweep needs --max-order or --file")
         if args.max_order > ENUM_MAX:
             raise CliInputError(f"built-in enumeration stops at order {ENUM_MAX}")
-        graphs = []
-        for n in range(args.min_order, args.max_order + 1):
-            graphs.extend(enumerate_graphs(n))
-    for rec in sweep_chains(graphs, jobs=args.jobs):
-        if args.json:
-            _print_json(rec)
-        else:
-            lscc = rec.get("lscc", {})
-            kind = lscc.get("kind", "?")
-            shown = kind if "value" not in lscc else f"{kind}({lscc['value']})"
-            print(f"{rec['graph6']}: length {shown} | {rec.get('template') or rec.get('status')}")
+        graphs = [
+            g for n in range(args.min_order, args.max_order + 1) for g in enumerate_graphs(n)
+        ]
+        lines = sweep_chains(graphs, args.jobs, render=render)
+    sys.stdout.writelines(line + "\n" for line in lines)
     return 0
 
 

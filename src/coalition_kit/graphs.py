@@ -47,6 +47,48 @@ def _check_order(n: int) -> None:
         raise ValueError(f"order must be in 1..{ORDER_MAX}, got {n}")
 
 
+# Symmetry is checked on the whole bit-matrix at once: the rows are packed
+# into one int, row u at bits width*u .. width*u + width - 1 for a
+# power-of-two width >= n, and the matrix is transposed by log2(width)
+# block swaps. Step s swaps, inside every 2s x 2s block, the upper-right
+# s x s block (the bits of the step's mask) with the lower-left one, which
+# sits s*(width - 1) bits higher.
+
+
+@lru_cache(maxsize=None)
+def _transpose_plan(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """Packing width for order n and the (shift, mask) of each block swap."""
+    width = 1 << (n - 1).bit_length()
+    steps = []
+    s = width // 2
+    while s:
+        row_mask = sum(1 << v for v in range(width) if v % (2 * s) >= s)
+        mask = sum(row_mask << (width * u) for u in range(width) if u % (2 * s) < s)
+        steps.append((s * (width - 1), mask))
+        s //= 2
+    return width, tuple(steps)
+
+
+def _transpose(packed: int, plan: tuple[tuple[int, int], ...]) -> int:
+    for shift, mask in plan:
+        swap = (packed ^ (packed >> shift)) & mask
+        packed ^= swap ^ (swap << shift)
+    return packed
+
+
+def _first_asymmetric_pair(rows: tuple[int, ...]) -> tuple[int, int]:
+    """The first (u, v), rows in order and v ascending, with v in row u but
+    not u in row v; the rows must have one."""
+    for u, row in enumerate(rows):
+        while row:
+            low = row & -row
+            v = low.bit_length() - 1
+            if not (rows[v] >> u) & 1:
+                return u, v
+            row ^= low
+    raise AssertionError("the transpose found an asymmetry the scan missed")
+
+
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph as a symmetric adjacency bit-matrix."""
@@ -60,18 +102,17 @@ class Graph:
         if len(rows) != self.n:
             raise ValueError("row count does not match order")
         full = (1 << self.n) - 1
+        width, plan = _transpose_plan(self.n)
+        packed = 0
         for u, row in enumerate(rows):
             if row & ~full:
                 raise ValueError(f"row {u} has bits at or above the order")
             if (row >> u) & 1:
                 raise ValueError(f"self-loop at vertex {u}")
-        for u, row in enumerate(rows):
-            while row:
-                low = row & -row
-                v = low.bit_length() - 1
-                if not (rows[v] >> u) & 1:
-                    raise ValueError(f"asymmetric adjacency at ({u},{v})")
-                row ^= low
+            packed |= row << (width * u)
+        if _transpose(packed, plan) != packed:
+            u, v = _first_asymmetric_pair(rows)
+            raise ValueError(f"asymmetric adjacency at ({u},{v})")
 
     @classmethod
     def _trusted(cls, n: int, rows: tuple[int, ...]) -> "Graph":
@@ -79,7 +120,10 @@ class Graph:
         range; only the order is checked."""
         _check_order(n)
         g = object.__new__(cls)
-        g.__dict__.update(n=n, rows=rows)
+        # object.__setattr__ keeps the instance's inline attribute values;
+        # touching g.__dict__ would materialize a dict per graph
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "rows", rows)
         return g
 
     # -- construction ------------------------------------------------------
@@ -279,21 +323,33 @@ def emit_graph6(g: Graph) -> str:
     return bytes(out).decode("ascii")
 
 
-def read_graph6_file(path: str) -> Iterator[Graph]:
-    """Parse every nonblank line of a graph6 file.
+def graph6_records(path: str) -> Iterator[tuple[int, str]]:
+    """(line number, record) for every nonblank line of a graph6 file.
 
-    Bytes outside ASCII reach ``parse_graph6`` (as lone surrogates), so they
-    are reported as a malformed record with its path and line number.
+    Bytes outside ASCII are kept as lone surrogates, so ``parse_graph6``
+    reports them as a malformed record.
     """
     with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
-            if not line:
-                continue
-            try:
-                yield parse_graph6(line)
-            except Graph6Error as exc:
-                raise Graph6Error(f"{path}:{lineno}: {exc}") from exc
+            if line:
+                yield lineno, line
+
+
+def parse_graph6_record(path: str, record: tuple[int, str]) -> Graph:
+    """Decode one ``graph6_records(path)`` entry; a malformed record raises
+    ``Graph6Error`` prefixed with its path and line number."""
+    lineno, text = record
+    try:
+        return parse_graph6(text)
+    except Graph6Error as exc:
+        raise Graph6Error(f"{path}:{lineno}: {exc}") from exc
+
+
+def read_graph6_file(path: str) -> Iterator[Graph]:
+    """Parse every nonblank line of a graph6 file."""
+    for record in graph6_records(path):
+        yield parse_graph6_record(path, record)
 
 
 # ---------------------------------------------------------------------------

@@ -3,14 +3,15 @@
 from __future__ import annotations
 
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from coalition_kit import are_isomorphic, parse_graph6
-from coalition_kit.graphs import path
+from coalition_kit import are_isomorphic, enumerate_graphs, parse_graph6
+from coalition_kit.graphs import emit_graph6, path
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -124,6 +125,48 @@ def test_sweep_golden_output():
     result = run_cli("sweep", "--max-order", "5", "--json", "--jobs", "1")
     assert result.returncode == 0
     assert result.stdout == (GOLDEN / "sweep_order5.jsonl").read_text()
+
+
+def _relabeled_order_six_file(tmp_path) -> Path:
+    """The 156 order-6 classes, relabeled at random, with blank lines: a
+    sweep over them spans several chunks at every job count."""
+    rng = random.Random(6)
+    lines = []
+    for k, g in enumerate(enumerate_graphs(6)):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        lines.append(emit_graph6(g.relabel(perm)))
+        if k % 50 == 0:
+            lines.append("")
+    f = tmp_path / "order6.g6"
+    f.write_text("\n".join(lines) + "\n")
+    return f
+
+
+@pytest.mark.parametrize("fmt", [(), ("--json",)], ids=["text", "json"])
+def test_sweep_file_output_is_the_same_at_every_job_count(tmp_path, fmt):
+    f = _relabeled_order_six_file(tmp_path)
+    outputs = []
+    for jobs in ("1", "2", "3"):
+        result = run_cli("sweep", "--file", str(f), *fmt, "--jobs", jobs)
+        assert result.returncode == 0, result.stderr
+        outputs.append(result.stdout)
+    assert len(outputs[0].splitlines()) == 156
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_file_with_a_malformed_record_writes_nothing(tmp_path, jobs):
+    f = _relabeled_order_six_file(tmp_path)
+    lines = f.read_text().split("\n")
+    lines[140] = "E?"  # too short: order 6 needs three body bytes
+    f.write_text("\n".join(lines))
+    result = run_cli("sweep", "--file", str(f), "--json", "--jobs", jobs)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == (
+        f"error: {f}:141: record too short: 1 body bytes, expected 3\n"
+    )
 
 
 def test_file_input_processes_every_line(tmp_path):

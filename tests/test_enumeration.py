@@ -6,7 +6,7 @@ import pytest
 
 from conftest import graph_from_mask, oracle_min_perm_code
 from coalition_kit import canon, class_count, enumerate_graphs
-from coalition_kit.canon import are_isomorphic, graph_from_code
+from coalition_kit.canon import are_isomorphic, canonical_form, graph_from_code
 from coalition_kit.graphs import degree_stats
 from coalition_kit.kernel import canonical_code
 from coalition_kit.limits import ENUM_MAX
@@ -25,6 +25,20 @@ def full_extension(parent_codes, n: int) -> list[bytes]:
     return sorted(seen)
 
 
+def pair_loop_decode(code: bytes) -> tuple[int, ...]:
+    """Reference decoder: the rows of a code, read pair by pair."""
+    n = code[0]
+    rows = [0] * n
+    k = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            if code[1 + (k >> 3)] & (0x80 >> (k & 7)):
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+            k += 1
+    return tuple(rows)
+
+
 def oracle_class_count(n: int) -> int:
     seen = set()
     for mask in range(1 << (n * (n - 1) // 2)):
@@ -35,6 +49,14 @@ def oracle_class_count(n: int) -> int:
 @pytest.mark.parametrize("n", sorted(KNOWN_COUNTS))
 def test_census(n):
     assert class_count(n) == KNOWN_COUNTS[n]
+
+
+@pytest.mark.parametrize("n", sorted(KNOWN_COUNTS))
+def test_codes_decode_to_their_class(n):
+    for code in canon._codes(n):
+        g = graph_from_code(code)
+        assert g.rows == pair_loop_decode(code)
+        assert canonical_form(g) == code
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])

@@ -140,6 +140,10 @@ def test_parallel_jobs_match_serial():
     assert serial == parallel
 
 
+def _negated_chunk(chunk: list) -> list:
+    return [-x for x in chunk]
+
+
 def _without_elapsed(report) -> dict:
     payload = report.to_json()
     payload.pop("elapsed")
@@ -178,8 +182,8 @@ def test_shared_pool_reports_before_an_invalid_claim():
         next(reports)
 
 
-@pytest.mark.parametrize("jobs, pools", [(1, 0), (2, 1)])
-def test_one_worker_pool_per_run(monkeypatch, jobs, pools):
+@pytest.fixture
+def pools_built(monkeypatch) -> list:
     built = []
 
     class Counting(verify_mod.ProcessPoolExecutor):
@@ -188,9 +192,29 @@ def test_one_worker_pool_per_run(monkeypatch, jobs, pools):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(verify_mod, "ProcessPoolExecutor", Counting)
+    return built
+
+
+@pytest.mark.parametrize("jobs, pools", [(1, 0), (2, 1)])
+def test_one_worker_pool_per_run(pools_built, jobs, pools):
     reports = list(verify_claims(all_theorem_ids(), 6, jobs=jobs))
     assert all(r.passed for r in reports)
-    assert len(built) == pools
+    assert len(pools_built) == pools
+
+
+@pytest.mark.parametrize("jobs, pools", [(1, 0), (2, 1)])
+def test_one_worker_pool_per_sweep(pools_built, jobs, pools):
+    records = sweep_chains(list(enumerate_graphs(6)), jobs=jobs)
+    assert len(records) == 156
+    assert len(pools_built) == pools
+
+
+@pytest.mark.parametrize("count", [0, 1, 15, 16, 17, 100])
+@pytest.mark.parametrize("jobs", [1, 2, 3])
+def test_chunked_map_keeps_every_item_in_order(count, jobs):
+    # the chunks cover the items exactly once, in order, whatever the split
+    items = list(range(count))
+    assert list(verify_mod._pmap(_negated_chunk, items, jobs)) == [-x for x in items]
 
 
 def test_elapsed_counts_only_the_claims_own_checks(monkeypatch):
