@@ -1,18 +1,11 @@
-import os
-
 from setuptools import Extension, setup
 
-ext_modules = []
-if not os.environ.get("COALITION_KIT_NO_EXT"):
-    try:
-        from Cython.Build import cythonize
-
-        ext_modules = cythonize(
-            [Extension("coalition_kit._fastkernel", ["src/coalition_kit/_fastkernel.pyx"])],
-            compiler_directives={"language_level": "3"},
+# optional: without a C compiler the install still succeeds and canon falls
+# back to the pure-Python kernel at import
+setup(
+    ext_modules=[
+        Extension(
+            "coalition_kit._fastkernel", ["src/coalition_kit/_fastkernel.c"], optional=True
         )
-    except ImportError:
-        # pure-Python fallback is selected at import time
-        ext_modules = []
-
-setup(ext_modules=ext_modules)
+    ]
+)

@@ -7,8 +7,14 @@ most two, iterates singleton-coalition chains, and exhaustively verifies
 the claim catalog over all small isomorphism classes.
 """
 
-from ._backend import BACKEND_NAME, IS_COMPILED
-from .canon import are_isomorphic, canonical_form, class_count, enumerate_graphs
+from .canon import (
+    BACKEND_NAME,
+    IS_COMPILED,
+    are_isomorphic,
+    canonical_form,
+    class_count,
+    enumerate_graphs,
+)
 from .chains import (
     ChainResult,
     ChainTemplate,

@@ -3,6 +3,10 @@
 A canonical code is an order byte followed by the packed upper triangle of
 the canonically relabeled adjacency matrix; two graphs of order <= 16 get
 equal codes iff they are isomorphic.
+
+The canonical-code kernel is chosen here, once, at import: the compiled
+extension ``_fastkernel`` when it is built, else the pure-Python ``kernel``.
+Both emit byte-identical codes; ``BACKEND_NAME`` says which one is active.
 """
 
 from __future__ import annotations
@@ -11,9 +15,15 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Callable, Iterator, Sequence
 
-from ._backend import canonical_code
 from .graphs import Graph
 from .limits import CANON_MAX, ENUM_MAX
+
+try:
+    from ._fastkernel import IS_COMPILED, canonical_code
+except ImportError:
+    from .kernel import IS_COMPILED, canonical_code
+
+BACKEND_NAME = "compiled" if IS_COMPILED else "pure"
 
 
 def canonical_form(g: Graph) -> bytes:

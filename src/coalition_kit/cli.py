@@ -397,7 +397,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (CliInputError, Graph6Error, NamedGraphError, KeyError, ValueError) as exc:
+    except (CliInputError, Graph6Error, NamedGraphError, KeyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,8 +1,8 @@
 """Canonical labeling kernel, pure-Python backend.
 
-The compiled extension ``_fastkernel`` implements the same ``canonical_code``
-with byte-identical output; one of the two is selected at import time by
-``_backend``. Enumeration (``canon``) drives whichever is selected.
+The C extension ``_fastkernel`` implements the same ``canonical_code`` step
+by step, with byte-identical output. ``canon`` imports the extension when it
+is built and this module otherwise, and drives whichever it imported.
 
 Canonical codes: iterated neighborhood refinement to an ordered partition,
 then branching over the first non-singleton cell (individualize, re-refine),

@@ -179,6 +179,17 @@ def test_file_input_processes_every_line(tmp_path):
     assert result.returncode == 0  # both are singleton-partition graphs
 
 
+@pytest.mark.parametrize("command", ["sweep", "verify", "sp"])
+@pytest.mark.parametrize("target", ["missing.g6", "."])
+def test_unreadable_file_exits_two(tmp_path, command, target):
+    # a missing file and a directory: an input error, not a traceback
+    jobs = [] if command == "sp" else ["--jobs", "1"]
+    result = run_cli(command, "--file", str(tmp_path / target), *jobs)
+    assert result.returncode == 2
+    assert result.stderr.startswith("error:")
+    assert "Traceback" not in result.stderr
+
+
 def test_usage_errors_exit_two():
     assert run_cli("sp").returncode == 2  # no input source
     assert run_cli("sp", "--named", "C(4)", "--g6", "C~").returncode == 2

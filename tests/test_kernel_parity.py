@@ -8,8 +8,11 @@ from hypothesis import given, settings
 from conftest import graphs
 from coalition_kit import kernel as pure
 from coalition_kit.canon import _extend_codes
+from coalition_kit.limits import CANON_MAX
 
-fast = pytest.importorskip("coalition_kit._fastkernel")
+fast = pytest.importorskip(
+    "coalition_kit._fastkernel", reason="build with: python setup.py build_ext --inplace"
+)
 
 
 @settings(max_examples=400)
@@ -20,10 +23,39 @@ def test_codes_agree(g):
 
 def test_enumerations_agree():
     pure_codes = fast_codes = [pure.canonical_code(1, (0,))]
-    for n in range(2, 7):
+    for n in range(2, 9):
         pure_codes = _extend_codes(pure_codes, n, pure.canonical_code)
         fast_codes = _extend_codes(fast_codes, n, fast.canonical_code)
         assert pure_codes == fast_codes
+
+
+def test_compiled_enumeration_reaches_order_nine():
+    codes = [fast.canonical_code(1, (0,))]
+    for n in range(2, 10):
+        codes = _extend_codes(codes, n, fast.canonical_code)
+    assert len(codes) == 274668  # OEIS A000088
+
+
+@pytest.mark.parametrize("n", [0, CANON_MAX + 1])
+def test_order_out_of_range_raises_the_same_error(n):
+    rows = (0,) * (CANON_MAX + 1)
+    messages = []
+    for kernel in (pure, fast):
+        with pytest.raises(ValueError) as exc:
+            kernel.canonical_code(n, rows)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+
+
+def test_row_wider_than_a_word_raises():
+    with pytest.raises(OverflowError):
+        fast.canonical_code(3, (1 << 32, 0, 0))
+
+
+@pytest.mark.parametrize("kernel", [pure, fast])
+def test_short_rows_raise(kernel):
+    with pytest.raises(IndexError):
+        kernel.canonical_code(3, (0, 0))
 
 
 def test_compiled_flag():
