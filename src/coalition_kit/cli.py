@@ -6,8 +6,9 @@ comes from exactly one of ``--named`` (stock-graph expression), ``--g6``
 
 Exit codes: 0 for success or a true verdict; 1 for a false verdict (not a
 singleton-partition graph, claim failed, not isomorphic, not a family
-member); 2 for usage or input errors. JSON output is schema-stable and
-carries ``schema_version``.
+member); 2 for usage or input errors; 141 (128 + SIGPIPE), with nothing on
+stderr, when the reader of stdout closes it early. JSON output is
+schema-stable and carries ``schema_version``.
 """
 
 from __future__ import annotations
@@ -182,12 +183,7 @@ def _cmd_chain(args: argparse.Namespace) -> int:
         if args.json:
             _print_json(rec)
         else:
-            arrows = " -> ".join(rec.get("chain", []))
-            lscc = rec.get("lscc", {})
-            kind = lscc.get("kind", "?")
-            shown = kind if "value" not in lscc else f"{kind}({lscc['value']})"
-            template = rec.get("template") or rec.get("status")
-            print(f"{rec['graph6']}: {arrows} | length {shown} | {template}")
+            print(_chain_summary(rec, arrows=True))
     return 0
 
 
@@ -293,18 +289,21 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
-def _sweep_summary(rec: dict) -> str:
+def _chain_summary(rec: dict, arrows: bool = False) -> str:
+    """One text line for a chain record: the chain itself when ``arrows``
+    is set, then its length and its template (or status)."""
     lscc = rec.get("lscc", {})
     kind = lscc.get("kind", "?")
     shown = kind if "value" not in lscc else f"{kind}({lscc['value']})"
-    return f"{rec['graph6']}: length {shown} | {rec.get('template') or rec.get('status')}"
+    chain = " -> ".join(rec.get("chain", [])) + " | " if arrows else ""
+    return f"{rec['graph6']}: {chain}length {shown} | {rec.get('template') or rec.get('status')}"
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     # Workers decode the records and render the output lines; this process
     # reads the file and writes the lines once all are back, so a malformed
     # record leaves stdout empty.
-    render = _json_line if args.json else _sweep_summary
+    render = _json_line if args.json else _chain_summary
     if args.file:
         lines = sweep_chains(
             list(graph6_records(args.file)),
@@ -396,7 +395,17 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early (``| head``): end quietly, as the
+        # default SIGPIPE action would, and point stdout at /dev/null so the
+        # interpreter's flush at exit does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (CliInputError, Graph6Error, NamedGraphError, KeyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -124,7 +124,7 @@ def _cex(g: Graph, detail: str) -> dict:
 
 
 class _Facts:
-    """One graph's facts, as the filters and checks read them.
+    """One graph's facts, as the claim table and checks read them.
 
     Every claim splits the graphs on the degree statistics and the
     singleton-partition verdict. The verdict is computed only for minimum
@@ -165,36 +165,16 @@ class _Facts:
     def label(self) -> str:
         return classify_chain(self.g, self.chain(), self.stats).label
 
-
-# ---------------------------------------------------------------------------
-# Hypothesis-class filters, on a graph's facts
-# ---------------------------------------------------------------------------
-
-
-def _where(
-    min_degree: int, full: bool | None = None, sp: bool = False
-) -> Callable[[_Facts], bool]:
-    """Graphs with this minimum degree, with (True) or without (False) a
-    full vertex or either (None), and SP graphs only when ``sp`` is set."""
-
-    def flt(f: _Facts) -> bool:
-        return (
-            f.stats.min_degree == min_degree
-            and (full is None or (f.stats.full_count > 0) == full)
-            and (not sp or f.is_sp)
-        )
-
-    return flt
-
-
-def _filter_thm2(f: _Facts) -> bool:
-    return f.g.n >= 3 and f.stats.min_degree == 1 and f.stats.full_count == 1
-
-
-def _filter_f1_member(f: _Facts) -> bool:
-    # a member has a degree-1 vertex and, through w's row, no isolated
-    # vertex, so members have minimum degree exactly 1
-    return f.stats.min_degree == 1 and f.f1() is not None
+    def key(self, f1_due: bool) -> tuple[int, int, bool, bool, bool]:
+        """The hypothesis key: order, minimum degree capped at 3, a full
+        vertex present, SP, and degree-1 family membership, which is
+        recognized only when ``f1_due`` is set."""
+        min_degree = min(self.stats.min_degree, 3)
+        full = self.stats.full_count > 0
+        # x's one neighbour y misses the hub w, whose row is P | Q, so a
+        # member has no full vertex; and no isolated one, so minimum degree 1
+        member = f1_due and min_degree == 1 and not full and self.f1() is not None
+        return self.g.n, min_degree, full, self.is_sp, member
 
 
 # ---------------------------------------------------------------------------
@@ -224,19 +204,18 @@ def _two_full_join(n: int) -> Graph:
 _TRIANGLE = complete(3)
 
 
-def _check_thm1(g: Graph, f: _Facts | None = None) -> str | None:
+def _sp_iff_template(
+    template: Callable[[int], Graph], g: Graph, f: _Facts | None = None
+) -> str | None:
+    """The graph is SP exactly when it is isomorphic to ``template(g.n)``."""
     f = f or _Facts(g)
-    extremal = are_isomorphic(g, _isolated_plus_complete(g.n))
+    extremal = are_isomorphic(g, template(g.n))
     if f.is_sp != extremal:
         return f"sp={f.is_sp} but isomorphic-to-extremal={extremal}"
     return None
 
 
-def _check_thm2(g: Graph, f: _Facts) -> str | None:
-    extremal = are_isomorphic(g, _near_one_full(g.n))
-    if f.is_sp != extremal:
-        return f"sp={f.is_sp} but isomorphic-to-extremal={extremal}"
-    return None
+_check_thm1 = partial(_sp_iff_template, _isolated_plus_complete)
 
 
 def _check_thm4(g: Graph, f: _Facts) -> str | None:
@@ -294,9 +273,7 @@ def _check_thm9(g: Graph, f: _Facts) -> str | None:
         if f.is_sp != rest_in_family:
             return f"sp={f.is_sp} but remainder-in-family={rest_in_family}"
     elif full_count == 2:
-        extremal = are_isomorphic(g, _two_full_join(g.n))
-        if f.is_sp != extremal:
-            return f"sp={f.is_sp} but isomorphic-to-extremal={extremal}"
+        return _sp_iff_template(_two_full_join, g, f)
     else:
         if not are_isomorphic(g, _TRIANGLE):
             return "three or more full vertices on a non-triangle"
@@ -317,33 +294,11 @@ def _check_thm13(g: Graph, f: _Facts | None = None) -> str | None:
     return None
 
 
-def _expected_label_thm14(n: int) -> str:
-    if n == 1:
-        return "Thm14(a)"
-    if n == 2:
-        return "Thm14(b)"
-    if n == 3:
-        return "Thm14(d)"
-    return "Thm14(c)"
-
-
-def _check_thm14(g: Graph, f: _Facts) -> str | None:
+def _check_label_by_order(labels: dict[int, str], g: Graph, f: _Facts) -> str | None:
+    """The chain's template is the label of the graph's order, the largest
+    order in ``labels`` standing for every larger one."""
     label = f.label()
-    want = _expected_label_thm14(g.n)
-    return None if label == want else f"classified {label}, expected {want}"
-
-
-def _expected_label_thm15(n: int) -> str:
-    if n == 2:
-        return "Thm15(a)"
-    if n == 3:
-        return "Thm15(c)"
-    return "Thm15(b)"
-
-
-def _check_thm15(g: Graph, f: _Facts) -> str | None:
-    label = f.label()
-    want = _expected_label_thm15(g.n)
+    want = labels[min(g.n, max(labels))]
     return None if label == want else f"classified {label}, expected {want}"
 
 
@@ -386,7 +341,7 @@ _LEMH23_LABELS = {f"LemH23({c})" for c in "abcdehijklmnopqrstuv"} | {
 }
 
 
-def _check_lemma_bucket(f: _Facts, subfamily: int) -> str | None:
+def _check_lemma_bucket(subfamily: int, g: Graph, f: _Facts) -> str | None:
     image, image_sp = f.image()
     if not image_sp or recognize_h2(image, subfamily) is None:
         return None  # outside this lemma's hypothesis
@@ -411,35 +366,21 @@ def _check_lemma_bucket(f: _Facts, subfamily: int) -> str | None:
     return None if ok else f"classified {label}, outside the lemma's chain list"
 
 
-def _check_lem18(g: Graph, f: _Facts) -> str | None:
-    return _check_lemma_bucket(f, 1)
-
-
-def _check_lem19(g: Graph, f: _Facts) -> str | None:
-    return _check_lemma_bucket(f, 2)
-
-
-def _check_lem_h23(g: Graph, f: _Facts) -> str | None:
-    return _check_lemma_bucket(f, 3)
-
-
 # ---------------------------------------------------------------------------
 # Seeded generator sweeps (closure checks)
 # ---------------------------------------------------------------------------
 
 
-def _f1_size_combos() -> list[dict]:
+def _f1_combos() -> list[tuple[str, dict]]:
     combos = []
     for n in range(4, 10):
         rest = n - 3
         for q in [0] + list(range(2, rest + 1)):
-            p = rest - q
-            if p >= 0:
-                combos.append({"P": p, "Q": q})
+            combos.append(("f1", {"P": rest - q, "Q": q}))
     return combos
 
 
-def _f2_specs(count: int) -> list[FamilySpec]:
+def _f2_combos() -> list[tuple[str, dict]]:
     combos: list[tuple[str, dict]] = []
     for n in range(4, 10):
         rest = n - 3
@@ -453,45 +394,28 @@ def _f2_specs(count: int) -> list[FamilySpec]:
                     combos.append(
                         ("f2.3", {"L1": l1, "R1": r1, "R2": r2, "L2": 0, "W": left - r1})
                     )
+    return combos
+
+
+def _seeded_specs(combos: list[tuple[str, dict]], count: int) -> list[FamilySpec]:
+    """The first ``count`` specs of rounds through ``combos``, round k with seed k."""
     specs = []
-    seed = 0
-    while len(specs) < count:
-        for family, sizes in combos:
-            specs.append(FamilySpec(family, dict(sizes), seed))
-            if len(specs) == count:
-                return specs
-        seed += 1
+    for k in range(count):
+        seed, i = divmod(k, len(combos))
+        family, sizes = combos[i]
+        specs.append(FamilySpec(family, dict(sizes), seed))
     return specs
 
 
-def _f1_specs(count: int) -> list[FamilySpec]:
-    combos = _f1_size_combos()
-    specs = []
-    seed = 0
-    while len(specs) < count:
-        for sizes in combos:
-            specs.append(FamilySpec("f1", dict(sizes), seed))
-            if len(specs) == count:
-                return specs
-        seed += 1
-    return specs
-
-
-def _check_f1_generation(spec: FamilySpec) -> tuple[Graph, str] | None:
+def _check_generation(
+    recognize: Callable[[Graph], object],
+    check: Callable[[Graph], str | None],
+    spec: FamilySpec,
+) -> tuple[Graph, str] | None:
     g = generate_family(spec)
-    if recognize_f1(g) is None:
+    if recognize(g) is None:
         return g, f"{spec}: generated graph not recognized"
-    detail = _check_thm6(g)
-    if detail:
-        return g, f"{spec}: {detail}"
-    return None
-
-
-def _check_f2_generation(spec: FamilySpec) -> tuple[Graph, str] | None:
-    g = generate_family(spec)
-    if recognize_f2(g) is None:
-        return g, f"{spec}: generated graph not recognized"
-    detail = _check_thm13(g)
+    detail = check(g)
     if detail:
         return g, f"{spec}: {detail}"
     return None
@@ -504,11 +428,35 @@ def _check_f2_generation(spec: FamilySpec) -> tuple[Graph, str] | None:
 
 @dataclass(frozen=True)
 class _TheoremDef:
+    """A claim, its per-graph check and its hypothesis as data.
+
+    A graph is in the hypothesis class when its order is at least
+    ``min_order``, its minimum degree is ``min_degree``, it has a full
+    vertex (``full`` True) or none (False) or either (None), it is SP when
+    ``sp`` is set and a degree-1 family member when ``f1_member`` is set.
+    A claim without ``min_degree`` checks no pool graph (obs7 checks cycles
+    of its own).
+    """
+
     description: str
     min_order: int
-    filter: Callable[[_Facts], bool] | None
-    check: Callable[[Graph, _Facts], object] | None
+    check: Callable[[Graph, _Facts], object] | None = None
+    min_degree: int | None = None
+    full: bool | None = None
+    sp: bool = False
+    f1_member: bool = False
     notes: tuple[str, ...] = ()
+
+    def admits(self, key: tuple[int, int, bool, bool, bool]) -> bool:
+        """Whether a graph with this ``_Facts.key`` meets the hypothesis."""
+        n, min_degree, full, sp, f1_member = key
+        return (
+            n >= self.min_order
+            and min_degree == self.min_degree
+            and self.full in (None, full)
+            and (sp or not self.sp)
+            and (f1_member or not self.f1_member)
+        )
 
 
 THEOREMS: dict[str, _TheoremDef] = {
@@ -516,69 +464,71 @@ THEOREMS: dict[str, _TheoremDef] = {
         "graphs with an isolated vertex reach the maximum partition count "
         "exactly for a complete graph plus one isolated vertex",
         1,
-        _where(0),
         _check_thm1,
+        min_degree=0,
     ),
     "thm2": _TheoremDef(
         "minimum degree 1 with exactly one full vertex: maximum partition "
         "count holds exactly for the one-extra-edge extremal graph",
         3,
-        _filter_thm2,
-        _check_thm2,
+        # a full vertex is the one neighbour of a degree-1 vertex, so from
+        # order 3 up minimum degree 1 allows at most one
+        partial(_sp_iff_template, _near_one_full),
+        min_degree=1, full=True,
     ),
     "thm4": _TheoremDef(
         "minimum degree 1, no full vertex: singleton-partition graphs are "
         "exactly the degree-1 family (both directions)",
         2,
-        _where(1, full=False),
         _check_thm4,
+        min_degree=1, full=False,
     ),
     "thm6": _TheoremDef(
         "singleton-coalition images of degree-1 family members lie in the "
         "bipartite image family (enumerated plus seeded generations)",
         4,
-        _filter_f1_member,
         _check_thm6,
+        min_degree=1, full=False, f1_member=True,
     ),
     "obs7": _TheoremDef(
         "among cycles, singleton partitions exist up to the hexagon and the "
         "degree-2 recognizer accepts exactly the square through the hexagon",
         3,
-        None,
-        None,
     ),
     "thm8": _TheoremDef(
         "minimum degree 2, no full vertex: singleton-partition graphs are "
         "exactly the degree-2 family (both directions)",
         4,
-        _where(2, full=False),
         _check_thm8,
+        min_degree=2, full=False,
     ),
     "thm9": _TheoremDef(
         "minimum degree 2 with full vertices: one full vertex reduces to the "
         "degree-1 family, two force the extremal join, three force the triangle",
         3,
-        _where(2, full=True),
         _check_thm9,
+        min_degree=2, full=True,
     ),
     "thm13": _TheoremDef(
         "singleton-coalition images of degree-2 family members lie in the "
         "degree-2 image family (enumerated plus seeded generations)",
         4,
-        _where(2, full=False, sp=True),
         _check_thm13,
+        min_degree=2, full=False, sp=True,
     ),
     "thm14": _TheoremDef(
         "chain catalog for singleton-partition graphs with an isolated vertex",
         1,
-        _where(0, sp=True),
-        _check_thm14,
+        partial(
+            _check_label_by_order, {1: "Thm14(a)", 2: "Thm14(b)", 3: "Thm14(d)", 4: "Thm14(c)"}
+        ),
+        min_degree=0, sp=True,
     ),
     "thm15": _TheoremDef(
         "chain catalog for minimum degree 1 with a full vertex",
         2,
-        _where(1, full=True, sp=True),
-        _check_thm15,
+        partial(_check_label_by_order, {2: "Thm15(a)", 3: "Thm15(c)", 4: "Thm15(b)"}),
+        min_degree=1, full=True, sp=True,
         notes=(
             "case (b) is phrased with the length-1 conclusion in its hypothesis; "
             "the check asserts the content: above order 3 the image is the "
@@ -588,39 +538,39 @@ THEOREMS: dict[str, _TheoremDef] = {
     "thm16": _TheoremDef(
         "chain catalog for minimum degree 1 without full vertices",
         4,
-        _where(1, full=False, sp=True),
         _check_thm16,
+        min_degree=1, full=False, sp=True,
     ),
     "thm17": _TheoremDef(
         "minimum degree 2 with a full vertex: every chain stops after one arrow",
         3,
-        _where(2, full=True, sp=True),
         _check_thm17,
+        min_degree=2, full=True, sp=True,
     ),
     "thm20": _TheoremDef(
         "minimum degree 2 without full vertices: chain length is infinite or "
         "at most five",
         4,
-        _where(2, full=False, sp=True),
         _check_thm20,
+        min_degree=2, full=False, sp=True,
     ),
     "lem18": _TheoremDef(
         "chains whose first image is in the triangle-hub image family",
         4,
-        _where(2, full=False, sp=True),
-        _check_lem18,
+        partial(_check_lemma_bucket, 1),
+        min_degree=2, full=False, sp=True,
     ),
     "lem19": _TheoremDef(
         "chains whose first image is in the path-hub image family",
         4,
-        _where(2, full=False, sp=True),
-        _check_lem19,
+        partial(_check_lemma_bucket, 2),
+        min_degree=2, full=False, sp=True,
     ),
     "lem-h23": _TheoremDef(
         "chains whose first image is in the independent-hub image family",
         4,
-        _where(2, full=False, sp=True),
-        _check_lem_h23,
+        partial(_check_lemma_bucket, 3),
+        min_degree=2, full=False, sp=True,
         notes=(
             "two catalog entries are corrected to the computed images "
             "(labels LemH23(f*) and LemH23(w*))",
@@ -631,12 +581,6 @@ THEOREMS: dict[str, _TheoremDef] = {
 
 def all_theorem_ids() -> list[str]:
     return list(THEOREMS)
-
-
-_GENERATIONS = {
-    "thm6": (_check_f1_generation, _f1_specs),
-    "thm13": (_check_f2_generation, _f2_specs),
-}
 
 
 def _id_error(theorem_id: str, n_max: int, enumerated: bool) -> Exception | None:
@@ -653,24 +597,29 @@ def _id_error(theorem_id: str, n_max: int, enumerated: bool) -> Exception | None
 
 
 def _check_graphs(
-    claims: tuple[tuple[int, int, str], ...], graphs: list[Graph]
+    claims: tuple[tuple[int, str], ...], graphs: list[Graph]
 ) -> list[list[tuple[int, object, float]]]:
     """Run on each graph every claim whose hypothesis it meets.
 
-    ``claims`` holds (claim index, least order, id) entries; each graph's
-    result holds one (claim index, check result, seconds) entry per claim
-    run.
+    ``claims`` holds (claim index, id) entries. A graph's claims are looked
+    up by its ``_Facts.key`` in a table filled as keys first appear, and
+    family membership enters the key only when a claim asks for it. Each
+    graph's result holds one (claim index, check result, seconds) entry per
+    claim run.
     """
+    f1_due = any(THEOREMS[t].f1_member for _, t in claims)
+    due: dict[tuple, tuple] = {}
     out = []
     for g in graphs:
         f = _Facts(g)
+        key = f.key(f1_due)
+        if key not in due:
+            due[key] = tuple((k, THEOREMS[t].check) for k, t in claims if THEOREMS[t].admits(key))
         results = []
-        for k, low, theorem_id in claims:
-            spec = THEOREMS[theorem_id]
-            if g.n >= low and spec.filter(f):
-                start = time.perf_counter()
-                result = spec.check(g, f)
-                results.append((k, result, time.perf_counter() - start))
+        for k, check in due[key]:
+            start = time.perf_counter()
+            result = check(g, f)
+            results.append((k, result, time.perf_counter() - start))
         out.append(results)
     return out
 
@@ -682,9 +631,14 @@ def _run_own_checks(report: TheoremReport, n_max: int, enumerated: bool) -> None
         top = max(n_max, 10)
         report.order_range = (3, top)
         check, items = _check_obs7_cycle, range(3, top + 1)
-    elif enumerated and report.theorem_id in _GENERATIONS:
-        check, specs = _GENERATIONS[report.theorem_id]
-        items = specs(500)
+    elif enumerated and report.theorem_id in ("thm6", "thm13"):
+        # built per run, so the recognizers are the module's current bindings
+        recognize, family_check, combos = {
+            "thm6": (recognize_f1, _check_thm6, _f1_combos),
+            "thm13": (recognize_f2, _check_thm13, _f2_combos),
+        }[report.theorem_id]
+        check = partial(_check_generation, recognize, family_check)
+        items = _seeded_specs(combos(), 500)
         report.extras["seeded_generations"] = 500
     else:
         return
@@ -705,9 +659,10 @@ def verify_claims(
 
     The pool is the supplied graphs, or every class of orders 1..``n_max``
     enumerated once; each claim takes the graphs of its hypothesis class,
-    enumerated ones from its least order up. Each graph is visited once, in
-    one worker under ``jobs`` > 1: its facts are computed and every claim
-    whose hypothesis it meets is checked against them. A report's
+    from its least order up. Each graph is visited once, in one worker
+    under ``jobs`` > 1: its facts are computed, and the claims whose
+    hypothesis it meets are looked up by its hypothesis key and checked
+    against them. A report's
     ``elapsed`` is the time of its claim's own checks; the pool and the
     facts are charged to no claim. The ids are taken up to the first
     unknown id or unsupported order, whose error is raised after the
@@ -735,11 +690,7 @@ def verify_claims(
         )
         for t in ids
     ]
-    claims = tuple(
-        (k, THEOREMS[t].min_order if enumerated else 0, t)
-        for k, t in enumerate(ids)
-        if t != "obs7"  # checks cycles of its own, not the pool
-    )
+    claims = tuple((k, t) for k, t in enumerate(ids) if THEOREMS[t].min_degree is not None)
     pool: list[Graph] = []
     if claims:
         pool = (

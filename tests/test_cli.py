@@ -199,3 +199,22 @@ def test_usage_errors_exit_two():
     assert run_cli("sweep", "--jobs", "1").returncode == 2
     assert run_cli("nonsense").returncode == 2
 
+
+
+def test_closed_stdout_ends_quietly_with_sigpipe_code():
+    # a reader that stops after one line, like `| head -1`: the writes that
+    # follow fail, which is neither an input error nor a crash
+    args = ["sweep", "--max-order", "7", "--json", "--jobs", "1"]
+    with subprocess.Popen(
+        [sys.executable, "-m", "coalition_kit", *args],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    ) as proc:
+        first = json.loads(proc.stdout.readline())
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    assert first["order"] == 1
+    assert code == 141
+    assert stderr == ""

@@ -16,6 +16,7 @@ from coalition_kit import (
     verify_theorem,
 )
 from coalition_kit.canon import enumerate_graphs
+from coalition_kit.families import FamilySpec
 from coalition_kit.graphs import complete, cycle, union
 from coalition_kit.limits import ENUM_MAX
 from coalition_kit.verify import chain_record
@@ -241,3 +242,162 @@ def test_facts_do_not_outlive_a_run(monkeypatch):
     assert not verify_theorem("thm1", n_max=4).passed
     monkeypatch.undo()
     assert verify_theorem("thm1", n_max=4).passed
+
+
+# ---------------------------------------------------------------------------
+# The claim table against the filters it replaced
+# ---------------------------------------------------------------------------
+# Reference copies of the hypothesis filters that the claim registry held as
+# closures before it declared each hypothesis as data.
+
+
+def _where(min_degree, full=None, sp=False):
+    def flt(f):
+        return (
+            f.stats.min_degree == min_degree
+            and (full is None or (f.stats.full_count > 0) == full)
+            and (not sp or f.is_sp)
+        )
+
+    return flt
+
+
+def _filter_thm2(f):
+    return f.g.n >= 3 and f.stats.min_degree == 1 and f.stats.full_count == 1
+
+
+def _filter_f1_member(f):
+    return f.stats.min_degree == 1 and f.f1() is not None
+
+
+_REFERENCE_FILTERS = {
+    "thm1": _where(0),
+    "thm2": _filter_thm2,
+    "thm4": _where(1, full=False),
+    "thm6": _filter_f1_member,
+    "thm8": _where(2, full=False),
+    "thm9": _where(2, full=True),
+    "thm13": _where(2, full=False, sp=True),
+    "thm14": _where(0, sp=True),
+    "thm15": _where(1, full=True, sp=True),
+    "thm16": _where(1, full=False, sp=True),
+    "thm17": _where(2, full=True, sp=True),
+    "thm20": _where(2, full=False, sp=True),
+    "lem18": _where(2, full=False, sp=True),
+    "lem19": _where(2, full=False, sp=True),
+    "lem-h23": _where(2, full=False, sp=True),
+}
+
+
+@pytest.mark.parametrize("relabel", [False, True], ids=["enumerated", "relabeled"])
+def test_claim_table_admits_what_the_filters_did(relabel):
+    ids = [t for t in all_theorem_ids() if t != "obs7"]
+    assert sorted(ids) == sorted(_REFERENCE_FILTERS)
+    rng = random.Random(7)
+    graphs = []
+    for n in range(1, 8):
+        for g in enumerate_graphs(n):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            graphs.append(g.relabel(perm) if relabel else g)
+    expected = []
+    for g in graphs:
+        f = verify_mod._Facts(g)
+        admitted = {t for t in ids if _REFERENCE_FILTERS[t](f)}
+        # the least orders cut nothing the filters admit, so runs over
+        # supplied graphs, which applied the filters alone, agree as well
+        assert all(g.n >= verify_mod.THEOREMS[t].min_order for t in admitted)
+        expected.append(admitted)
+    results = verify_mod._check_graphs(tuple(enumerate(ids)), graphs)
+    assert [{ids[k] for k, _, _ in row} for row in results] == expected
+
+
+@pytest.fixture
+def f1_calls(monkeypatch) -> list:
+    calls = []
+    real = verify_mod.recognize_f1
+
+    def counting(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(verify_mod, "recognize_f1", counting)
+    return calls
+
+
+def test_family_membership_is_recognized_only_for_claims_that_need_it(f1_calls):
+    assert next(verify_claims(["thm8"], 6)).passed
+    assert f1_calls == []
+
+
+def test_family_membership_is_recognized_once_per_graph(f1_calls):
+    # thm4 reads the witness of every graph it checks, and thm6's key needs
+    # the same witness: one recognition serves both
+    graphs = [g for n in range(1, 7) for g in enumerate_graphs(n)]
+    thm4, thm6 = verify_claims(["thm4", "thm6"], graphs=graphs)
+    assert thm4.passed and thm6.passed
+    assert 0 < thm6.graphs_checked < thm4.graphs_checked == len(f1_calls)
+
+
+# Reference copies of the seeded-generation spec lists as first written.
+
+
+def _reference_f1_specs(count):
+    combos = []
+    for n in range(4, 10):
+        rest = n - 3
+        for q in [0] + list(range(2, rest + 1)):
+            p = rest - q
+            if p >= 0:
+                combos.append({"P": p, "Q": q})
+    specs = []
+    seed = 0
+    while len(specs) < count:
+        for sizes in combos:
+            specs.append(FamilySpec("f1", dict(sizes), seed))
+            if len(specs) == count:
+                return specs
+        seed += 1
+    return specs
+
+
+def _reference_f2_specs(count):
+    combos = []
+    for n in range(4, 10):
+        rest = n - 3
+        combos.append(("f2.1", {"R1": rest}))
+        for l1 in range(1, rest):
+            combos.append(("f2.2", {"L1": l1, "R1": rest - l1}))
+        for l1 in range(1, rest):
+            for r2 in range(1, rest - l1 + 1):
+                left = rest - l1 - r2
+                for r1 in range(0, left + 1):
+                    combos.append(
+                        ("f2.3", {"L1": l1, "R1": r1, "R2": r2, "L2": 0, "W": left - r1})
+                    )
+    specs = []
+    seed = 0
+    while len(specs) < count:
+        for family, sizes in combos:
+            specs.append(FamilySpec(family, dict(sizes), seed))
+            if len(specs) == count:
+                return specs
+        seed += 1
+    return specs
+
+
+def test_seeded_generations_use_the_reference_specs(monkeypatch):
+    # the generations report only a count unless one fails, so a wrong spec
+    # list would change no report: pin the specs themselves
+    generated = []
+    real = verify_mod.generate_family
+
+    def recording(spec):
+        generated.append(str(spec))
+        return real(spec)
+
+    monkeypatch.setattr(verify_mod, "generate_family", recording)
+    thm6, thm13 = verify_claims(["thm6", "thm13"], 4)
+    assert thm6.passed and thm13.passed
+    reference = _reference_f1_specs(500) + _reference_f2_specs(500)
+    assert generated == [str(spec) for spec in reference]
