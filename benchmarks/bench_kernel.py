@@ -3,8 +3,9 @@
 per-graph layers of a verify pass.
 
 Times canonical codes over a fixed random workload at several orders, and
-the exhaustive enumeration of orders 1..N by ``canon._extend_codes`` (the
-minimum-degree vertex extension) driven by each backend's kernel.
+the exhaustive enumeration of orders 1..N (``--enum-order``, default 7) by
+``canon._extend_codes`` (the minimum-degree vertex extension) driven by each
+backend's kernel, with the classes and kernel calls of each order.
 
 ``--layers`` instead times, in microseconds per call, the per-graph layers
 of ``verify`` and ``sweep``: graph6 decoding, canonical-code decoding
@@ -15,7 +16,7 @@ singleton-coalition images of the singleton-partition ones, as thm13 calls
 it) and ``chain_record`` (one sweep record). The graphs are every class of
 order 7, or the records of ``--file``.
 
-Usage: python benchmarks/bench_kernel.py [--orders 8,12,16] [--batch 2000]
+Usage: python benchmarks/bench_kernel.py [--orders 8,12,16] [--batch 2000] [--enum-order 7]
        python benchmarks/bench_kernel.py --layers [--file graphs.g6]
 """
 
@@ -80,25 +81,41 @@ def bench_canonical(batch: int, orders: list[int]) -> None:
         print(f"{n:>6} {pure_ms:>14.4f} {fast_ms:>18.4f} {pure_ms / fast_ms:>7.1f}x")
 
 
-def enumerate_codes(canonical_code, n: int) -> list[bytes]:
-    """All order-n canonical codes, extended order by order with one kernel."""
+def enumerate_codes(canonical_code, n: int) -> tuple[list[bytes], list[tuple[int, int, float]]]:
+    """All order-n canonical codes, extended order by order with one kernel,
+    and for each order 2..n its class count, kernel calls and seconds."""
+    calls = 0
+
+    def counting(k: int, rows) -> bytes:
+        nonlocal calls
+        calls += 1
+        return canonical_code(k, rows)
+
     codes = [canonical_code(1, (0,))]
+    per_order = []
     for k in range(2, n + 1):
-        codes = _extend_codes(codes, k, canonical_code)
-    return codes
+        calls = 0
+        t0 = time.perf_counter()
+        codes = _extend_codes(codes, k, counting)
+        per_order.append((len(codes), calls, time.perf_counter() - t0))
+    return codes, per_order
 
 
 def bench_enumeration(n: int) -> None:
     print(f"\nenumeration of all order-{n} classes (orders 1..{n})")
-    t0 = time.perf_counter()
-    codes = enumerate_codes(pure.canonical_code, n)
-    t1 = time.perf_counter()
-    print(f"  pure:     {len(codes)} classes in {t1 - t0:.2f}s")
+    print(f"{'backend':<9} {'order':>5} {'classes':>8} {'kernel calls':>13} {'seconds':>8}")
+    kernels = [("pure", pure.canonical_code)]
     if fast is not None:
-        fast_codes = enumerate_codes(fast.canonical_code, n)
-        t2 = time.perf_counter()
-        assert fast_codes == codes, "backend mismatch"
-        print(f"  compiled: {len(fast_codes)} classes in {t2 - t1:.2f}s")
+        kernels.append(("compiled", fast.canonical_code))
+    reference = None
+    for name, kernel in kernels:
+        codes, per_order = enumerate_codes(kernel, n)
+        for k, (classes, calls, seconds) in enumerate(per_order, start=2):
+            print(f"{name:<9} {k:>5} {classes:>8} {calls:>13} {seconds:>8.2f}")
+        total = sum(seconds for _, _, seconds in per_order)
+        print(f"{name:<9} {'all':>5} {len(codes):>8} {'':>13} {total:>8.2f}")
+        assert reference is None or codes == reference, "backend mismatch"
+        reference = codes
 
 
 LAYER_PASSES = 5

@@ -1,9 +1,10 @@
 /* Canonical labeling kernel, compiled backend.
  *
- * Mirrors kernel.py step by step: refine to an ordered partition, branch on
- * the first non-singleton cell with twin pruning, pack the least upper
- * triangle. The output is byte-identical; see kernel.py for the algorithm
- * notes and the code layout.
+ * Mirrors kernel.py step by step: refine to an ordered partition, counting
+ * neighbours only in the freshly split cells, branch on the first
+ * non-singleton cell with twin pruning, pack the least upper triangle. The
+ * output is byte-identical; see kernel.py for the algorithm notes, why the
+ * fresh cells alone give the same codes, and the code layout.
  *
  * Build in place with: python setup.py build_ext --inplace
  */
@@ -27,24 +28,23 @@ popcount(unsigned int x)
     return (int)((x * 0x01010101u) >> 24);
 }
 
-/* Split cells by neighbor counts against every cell until stable; subcells
- * are ordered by their count vectors, vertices keep their order within a
- * subcell. Works in place and returns the new cell count. */
+/* Split cells by neighbor counts against the fresh cells until stable; the
+ * caller's one fresh cell is `splitter`, and a split cell's children but the
+ * last are fresh for the next round. A key packs the counts 4 bits each,
+ * first fresh cell most significant; there are at most MAXN - 1 fresh cells,
+ * so a key fits 60 bits. Subcells are ordered by key, vertices keep their
+ * order within a subcell. Works in place and returns the new cell count. */
 static int
-refine(const unsigned int *rows, int *cv, int *cb, int nc)
+refine(const unsigned int *rows, int *cv, int *cb, int nc, unsigned int splitter)
 {
-    unsigned int masks[MAXN];
-    unsigned char keys[MAXN][MAXN];
+    unsigned int fresh[MAXN], split[MAXN], m;
+    unsigned long long keys[MAXN], key;
     int newcb[MAXN + 1];
-    int changed, newnc, k, kk, i, j, v, lo, hi, first;
+    int nfresh = 1, nsplit, newnc, k, f, c, i, j, v, lo, hi, first;
 
-    do {
-        for (k = 0; k < nc; k++) {
-            masks[k] = 0;
-            for (i = cb[k]; i < cb[k + 1]; i++)
-                masks[k] |= 1u << cv[i];
-        }
-        changed = 0;
+    fresh[0] = splitter;
+    while (nfresh > 0) {
+        nsplit = 0;
         newnc = 0;
         newcb[0] = 0;
         for (k = 0; k < nc; k++) {
@@ -56,26 +56,34 @@ refine(const unsigned int *rows, int *cv, int *cb, int nc)
             }
             for (i = lo; i < hi; i++) {
                 v = cv[i];
-                for (kk = 0; kk < nc; kk++)
-                    keys[v][kk] = (unsigned char)popcount(rows[v] & masks[kk]);
+                key = 0;
+                for (f = 0; f < nfresh; f++)
+                    key = key << 4 | (unsigned long long)popcount(rows[v] & fresh[f]);
+                keys[v] = key;
             }
-            /* stable insertion sort of the cell by key vector */
+            /* stable insertion sort of the cell by key */
             for (i = lo + 1; i < hi; i++) {
                 v = cv[i];
-                for (j = i - 1; j >= lo && memcmp(keys[cv[j]], keys[v], nc) > 0; j--)
+                for (j = i - 1; j >= lo && keys[cv[j]] > keys[v]; j--)
                     cv[j + 1] = cv[j];
                 cv[j + 1] = v;
             }
             first = newnc;
             for (i = lo + 1; i <= hi; i++)
-                if (i == hi || memcmp(keys[cv[i - 1]], keys[cv[i]], nc) != 0)
+                if (i == hi || keys[cv[i - 1]] != keys[cv[i]])
                     newcb[++newnc] = i;
-            if (newnc - first > 1)
-                changed = 1;
+            for (c = first; c < newnc - 1; c++) {
+                m = 0;
+                for (i = newcb[c]; i < newcb[c + 1]; i++)
+                    m |= 1u << cv[i];
+                split[nsplit++] = m;
+            }
         }
         memcpy(cb, newcb, (newnc + 1) * sizeof(int));
         nc = newnc;
-    } while (changed);
+        memcpy(fresh, split, nsplit * sizeof(unsigned int));
+        nfresh = nsplit;
+    }
     return nc;
 }
 
@@ -147,7 +155,7 @@ search(Search *s, const int *cv, const int *cb, int nc)
         memcpy(cb2, cb, (idx + 1) * sizeof(int));
         cb2[idx + 1] = lo + 1;
         memcpy(cb2 + idx + 2, cb + idx + 1, (nc - idx) * sizeof(int));
-        search(s, cv2, cb2, refine(s->rows, cv2, cb2, nc + 1));
+        search(s, cv2, cb2, refine(s->rows, cv2, cb2, nc + 1, 1u << v));
     }
 }
 
@@ -202,7 +210,7 @@ canonical_code(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         cv[i] = i;
     cb[0] = 0;
     cb[1] = n;
-    search(&s, cv, cb, refine(rows, cv, cb, 1));
+    search(&s, cv, cb, refine(rows, cv, cb, 1, (1u << n) - 1));
     memcpy(full + 1, s.best, s.codelen);
     return PyBytes_FromStringAndSize((const char *)full, s.codelen + 1);
 }

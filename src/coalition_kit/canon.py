@@ -85,8 +85,19 @@ def _extend_codes(
     order-(n-1) class, so it suffices to extend each parent P by the
     neighbourhoods that make the new vertex a minimum-degree vertex of the
     child: k neighbours for k <= min degree of P + 1, with every parent
-    vertex of degree k - 1 among them. ``kernel`` is the canonical-code
-    function (default: the active backend's, looked up at call time).
+    vertex of degree k - 1 among them.
+
+    Twins of P are vertices whose rows agree outside the pair. They fall
+    into classes, and every permutation within a class is an automorphism
+    of P, so a neighbourhood taking any s vertices of a class gives the
+    same child as one taking the class's first s. Twins have equal degree,
+    so a class is wholly forced or wholly free, and only neighbourhoods
+    that take a prefix of every class are canonicalized: each vertex
+    carries the bit of its previous twin, and those bits over the chosen
+    vertices must lie inside the neighbourhood.
+
+    ``kernel`` is the canonical-code function (default: the active
+    backend's, looked up at call time).
     """
     code_of = canonical_code if kernel is None else kernel
     new_bit = 1 << (n - 1)
@@ -94,16 +105,32 @@ def _extend_codes(
     for code in parent_codes:
         rows = graph_from_code(code).rows
         degrees = [r.bit_count() for r in rows]
+        previous_twin = [0] * len(rows)
+        for v in range(1, len(rows)):
+            for u in range(v - 1, -1, -1):
+                outside = ~((1 << u) | (1 << v))
+                if rows[u] & outside == rows[v] & outside:
+                    previous_twin[v] = 1 << u
+                    break
         for k in range(min(degrees) + 2):
             forced = [v for v, d in enumerate(degrees) if d == k - 1]
-            free = [v for v, d in enumerate(degrees) if d != k - 1]
             if len(forced) > k:
                 continue
+            free = [v for v, d in enumerate(degrees) if d != k - 1]
+            forced_mask = sum(1 << v for v in forced)
+            forced_rows = [r | new_bit if d == k - 1 else r for r, d in zip(rows, degrees)]
             for extra in combinations(free, k - len(forced)):
-                nbrs = (*forced, *extra)
-                cand = [*rows, sum(1 << v for v in nbrs)]
-                for v in nbrs:
+                mask = forced_mask
+                behind = 0
+                for v in extra:
+                    mask |= 1 << v
+                    behind |= previous_twin[v]
+                if behind & ~mask:
+                    continue
+                cand = forced_rows.copy()
+                for v in extra:
                     cand[v] |= new_bit
+                cand.append(mask)
                 seen.add(code_of(n, cand))
     return sorted(seen)
 

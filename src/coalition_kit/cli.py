@@ -291,11 +291,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _chain_summary(rec: dict, arrows: bool = False) -> str:
     """One text line for a chain record: the chain itself when ``arrows``
-    is set, then its length and its template (or status)."""
-    lscc = rec.get("lscc", {})
-    kind = lscc.get("kind", "?")
-    shown = kind if "value" not in lscc else f"{kind}({lscc['value']})"
-    chain = " -> ".join(rec.get("chain", [])) + " | " if arrows else ""
+    is set, then its length and its template (or status). A record without
+    a chain (order above CANON_MAX) shows its status alone."""
+    if "chain" not in rec:
+        return f"{rec['graph6']}: {rec['status']}"
+    lscc = rec["lscc"]
+    shown = lscc["kind"] if "value" not in lscc else f"{lscc['kind']}({lscc['value']})"
+    chain = " -> ".join(rec["chain"]) + " | " if arrows else ""
     return f"{rec['graph6']}: {chain}length {shown} | {rec.get('template') or rec.get('status')}"
 
 

@@ -11,6 +11,20 @@ resulting complete orderings. Interchangeable twin vertices are branched
 only once, which keeps complete/empty-like graphs linear instead of
 factorial.
 
+Refinement counts a vertex's neighbours only in the fresh cells: the cells
+the previous round split off, leaving out the last child of each split (the
+whole vertex set at the start, the cell [v] after individualizing v). Each
+round's partition splits the one before it, and two vertices of one cell
+agree on every cell of that earlier partition (the input is a stable
+partition with one cell split, or a single cell). They then agree on a split
+cell's last child whenever they agree on its siblings, because the counts
+sum to the count in the parent cell. So counting against every cell would
+split the same cells, and the first count on which two vertices differ is
+always a fresh one: ordering by the fresh counts alone gives the same
+partitions, branching and codes, in as many rounds. A key packs the fresh
+counts into one int, 4 bits each, first cell most significant, which orders
+like the tuple of counts because a count is at most n - 1 <= 15.
+
 Code layout: one order byte, then the upper-triangle bits of the relabeled
 adjacency matrix in row-major order, packed most-significant-bit first.
 """
@@ -24,38 +38,44 @@ from .limits import CANON_MAX
 IS_COMPILED = False
 
 
-def _refine(rows: Sequence[int], cells: list[list[int]]) -> list[list[int]]:
-    """Split cells by neighbor counts against every cell until stable.
+def _refine(
+    rows: Sequence[int], cells: list[list[int]], fresh: list[int]
+) -> list[list[int]]:
+    """Split cells by neighbor counts against the fresh cells until stable.
 
-    Subcells are ordered by their count signature, so the resulting ordered
-    partition is invariant under relabeling.
+    ``fresh`` holds the masks of the cells, in partition order, that the
+    vertices of each cell may still disagree on. A split cell's children
+    other than the last are fresh for the next round. Subcells are ordered
+    by their count signature, so the resulting ordered partition is
+    invariant under relabeling.
     """
-    while True:
-        masks = []
-        for cell in cells:
-            m = 0
-            for v in cell:
-                m |= 1 << v
-            masks.append(m)
+    while fresh:
         new_cells: list[list[int]] = []
-        changed = False
+        split_off: list[int] = []
         for cell in cells:
             if len(cell) == 1:
                 new_cells.append(cell)
                 continue
-            groups: dict[tuple[int, ...], list[int]] = {}
+            groups: dict[int, list[int]] = {}
             for v in cell:
-                key = tuple((rows[v] & m).bit_count() for m in masks)
+                r = rows[v]
+                key = 0
+                for m in fresh:
+                    key = key << 4 | (r & m).bit_count()
                 groups.setdefault(key, []).append(v)
             if len(groups) == 1:
                 new_cells.append(cell)
-            else:
-                changed = True
-                for key in sorted(groups):
-                    new_cells.append(groups[key])
+                continue
+            children = [groups[key] for key in sorted(groups)]
+            new_cells += children
+            for child in children[:-1]:
+                m = 0
+                for v in child:
+                    m |= 1 << v
+                split_off.append(m)
         cells = new_cells
-        if not changed:
-            return cells
+        fresh = split_off
+    return cells
 
 
 def _pack(n: int, rows: Sequence[int], order: list[int]) -> bytes:
@@ -104,8 +124,8 @@ def canonical_code(n: int, rows: Sequence[int]) -> bytes:
             return
         for v in _branch_candidates(rows, cells[idx]):
             rest = [u for u in cells[idx] if u != v]
-            search(_refine(rows, cells[:idx] + [[v], rest] + cells[idx + 1 :]))
+            search(_refine(rows, cells[:idx] + [[v], rest] + cells[idx + 1 :], [1 << v]))
 
-    search(_refine(rows, [list(range(n))]))
+    search(_refine(rows, [list(range(n))], [(1 << n) - 1]))
     assert best is not None
     return bytes([n]) + best

@@ -15,7 +15,6 @@ reproduces it.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from typing import Callable, Iterable, Iterator
@@ -109,6 +108,9 @@ def _pmap(chunk_fn: Callable[[list], list], items: list, jobs: int) -> Iterator:
         for chunk in chunks:
             yield from chunk_fn(chunk)
     else:
+        # imported here, so that a serial run does not pay for the pool module
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for results in pool.map(chunk_fn, chunks):
                 yield from results

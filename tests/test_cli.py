@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from coalition_kit import are_isomorphic, enumerate_graphs, parse_graph6
+from coalition_kit import are_isomorphic, build_named, enumerate_graphs, parse_graph6
 from coalition_kit.graphs import emit_graph6, path
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -119,6 +119,22 @@ def test_sweep_command(tmp_path):
     rec = json.loads(result.stdout)
     assert rec["lscc"] == {"kind": "Finite", "value": 1}
     assert rec["status"] == "out-of-characterized-range"
+
+
+def test_graph_above_chain_support_shows_its_status_alone(tmp_path):
+    big = "union(K(9),C(9))"
+    g6 = emit_graph6(build_named(big))
+    result = run_cli("chain", "--named", big)
+    assert result.returncode == 0
+    assert result.stdout == f"{g6}: order-above-chain-support\n"
+
+    f = tmp_path / "mixed.g6"
+    f.write_text(f"Bg\n{g6}\n")
+    result = run_cli("sweep", "--file", str(f), "--jobs", "1")
+    assert result.returncode == 0
+    small, large = result.stdout.splitlines()
+    assert small == "Bg: length Infinite | Thm15(c)"
+    assert large == f"{g6}: order-above-chain-support"
 
 
 def test_sweep_golden_output():

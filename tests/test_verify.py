@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import random
 import time
 
@@ -187,12 +188,12 @@ def test_shared_pool_reports_before_an_invalid_claim():
 def pools_built(monkeypatch) -> list:
     built = []
 
-    class Counting(verify_mod.ProcessPoolExecutor):
+    class Counting(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
             built.append(1)
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(verify_mod, "ProcessPoolExecutor", Counting)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counting)
     return built
 
 
