@@ -8,9 +8,10 @@ the exhaustive enumeration of orders 1..N (``--enum-order``, default 7) by
 backend's kernel, with the classes and kernel calls of each order.
 
 ``--layers`` instead times, in microseconds per call, the per-graph layers
-of ``verify`` and ``sweep``: graph6 decoding, canonical-code decoding
-(``graph_from_code`` on each graph's code), ``Graph`` validation,
-``degree_stats``, ``sp_check``, ``recognize_f2`` (on the graphs with minimum
+of ``verify`` and ``sweep``: graph6 decoding (the text checks and the
+trusted rows, no row validation), canonical-code decoding
+(``graph_from_code`` on each graph's code), ``Graph`` validation (the row
+checks ``Graph(n, rows)`` runs on a caller's rows), ``degree_stats``, ``sp_check``, ``recognize_f2`` (on the graphs with minimum
 degree 2 and no full vertex, the thm8 hypothesis), ``recognize_h2`` (on the
 singleton-coalition images of the singleton-partition ones, as thm13 calls
 it) and ``chain_record`` (one sweep record). The graphs are every class of

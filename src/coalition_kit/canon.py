@@ -15,7 +15,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Callable, Iterator, Sequence
 
-from .graphs import Graph
+from .graphs import Graph, _graph_from_pair_bits
 from .limits import CANON_MAX, ENUM_MAX
 
 try:
@@ -62,16 +62,7 @@ def graph_from_code(code: bytes) -> Graph:
     if not code:
         raise ValueError("empty code")
     n = code[0]
-    pair_at = _code_pair_at(n)
-    x = int.from_bytes(code[1:], "big")
-    rows = [0] * n
-    while x:
-        low = x & -x
-        i, j = pair_at[low.bit_length() - 1]
-        rows[i] |= 1 << j
-        rows[j] |= 1 << i
-        x ^= low
-    return Graph._trusted(n, tuple(rows))
+    return _graph_from_pair_bits(n, int.from_bytes(code[1:], "big"), _code_pair_at(n))
 
 
 def _extend_codes(

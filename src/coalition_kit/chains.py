@@ -11,8 +11,9 @@ counts as zero by convention).
 ``classify_chain`` matches the computed chain for starting graphs of
 minimum degree at most two against a closed catalog of templates, checking
 each named graph in the template by isomorphism rather than trusting the
-catalog. No match is an error carrying the offending chain, so sweeps
-surface it as a counterexample record.
+catalog. No match raises ``ChainClassificationError``, which sweeps and
+``verify`` report as a counterexample record with the start graph's
+graph6.
 """
 
 from __future__ import annotations
@@ -234,11 +235,6 @@ class ChainTemplate:
 class ChainClassificationError(ValueError):
     """The computed chain matches no cataloged template (a counterexample)."""
 
-    def __init__(self, g: Graph, chain: ChainResult, message: str):
-        self.graph = g
-        self.chain = chain
-        super().__init__(message)
-
 
 class OutOfCharacterizedRange(ValueError):
     """Starting graphs of minimum degree three or more are not cataloged."""
@@ -288,9 +284,7 @@ def classify_chain(
 
     label = _classify(g, chain, stats, n, seq, iso)
     if label is None:
-        raise ChainClassificationError(
-            g, chain, "chain matches no template in the catalog"
-        )
+        raise ChainClassificationError("chain matches no template in the catalog")
     name, notes = label
     return ChainTemplate(name, n, tuple(notes))
 

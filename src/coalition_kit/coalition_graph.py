@@ -8,7 +8,7 @@ the underlying graph, so iterating the construction is well defined.
 
 from __future__ import annotations
 
-from .domination import Partition, forms_coalition, is_dominating
+from .domination import Partition, forms_coalition, is_dominating, singleton_partners
 from .graphs import Graph
 
 
@@ -43,20 +43,10 @@ def sc_graph(g: Graph) -> Graph:
     """Singleton-coalition graph: the coalition graph of the all-singletons
     partition, defined only for singleton-partition graphs.
 
-    Singletons {u} and {v} form a coalition exactly when neither vertex is
-    full and N[u] | N[v] == V, so the image comes out of the same
-    closed-neighbourhood pass as ``sp_check``: the first non-full vertex
-    left without a partner is the blocking vertex ``sp_check`` reports.
+    Its rows are the partner masks of ``singleton_partners``, which are
+    symmetric and loop-free, so the image is built trusted.
     """
-    vmask = g.vertex_mask
-    closed = [row | (1 << v) for v, row in enumerate(g.rows)]
-    nonfull = [v for v in range(g.n) if closed[v] != vmask]
-    rows = [0] * g.n
-    for v in nonfull:
-        cv = closed[v]
-        for u in nonfull:
-            if u != v and closed[u] | cv == vmask:
-                rows[v] |= 1 << u
-        if not rows[v]:
-            raise NotSingletonPartitionGraph(v)
-    return Graph._trusted(g.n, tuple(rows))
+    _, partners, blocking = singleton_partners(g)
+    if blocking is not None:
+        raise NotSingletonPartitionGraph(blocking)
+    return Graph._trusted(g.n, tuple(partners))

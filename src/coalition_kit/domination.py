@@ -143,24 +143,44 @@ class SpVerdict:
     blocking_vertex: int | None
 
 
-def sp_check(g: Graph) -> SpVerdict:
+def singleton_partners(g: Graph) -> tuple[int, list[int], int | None]:
+    """``(full, partners, blocking)`` for the singletons of ``g``: the mask of
+    full vertices, each vertex's mask of coalition partners, and the first
+    non-full vertex without one (the scan stops there, leaving the later
+    masks 0), or None.
+
+    {u} and {v} form a coalition exactly when neither is full and
+    N[u] | N[v] == V, that is when u lies in N[w] for every w outside N[v].
+    ``sp_check`` and ``coalition_graph.sc_graph`` both read this one scan.
+    """
     vmask = g.vertex_mask
-    closed = [g.rows[v] | (1 << v) for v in range(g.n)]
+    closed = [row | (1 << v) for v, row in enumerate(g.rows)]
     full = 0
     for v, cv in enumerate(closed):
         if cv == vmask:
             full |= 1 << v
-    partner: dict[int, int] = {}
-    for v in range(g.n):
-        if (full >> v) & 1:
+    partners = [0] * g.n
+    for v, cv in enumerate(closed):
+        if cv == vmask:
             continue
-        for u in range(g.n):
-            if u != v and not (full >> u) & 1 and closed[u] | closed[v] == vmask:
-                partner[v] = u
-                break
-        else:
-            return SpVerdict(False, full, {}, v)
-    return SpVerdict(True, full, partner, None)
+        found = vmask ^ full
+        miss = vmask ^ cv
+        while miss and found:
+            low = miss & -miss
+            found &= closed[low.bit_length() - 1]
+            miss ^= low
+        if not found:
+            return full, partners, v
+        partners[v] = found
+    return full, partners, None
+
+
+def sp_check(g: Graph) -> SpVerdict:
+    full, partners, blocking = singleton_partners(g)
+    if blocking is not None:
+        return SpVerdict(False, full, {}, blocking)
+    least = {v: (m & -m).bit_length() - 1 for v, m in enumerate(partners) if m}
+    return SpVerdict(True, full, least, None)
 
 
 # ---------------------------------------------------------------------------

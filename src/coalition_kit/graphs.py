@@ -6,15 +6,15 @@ package are plain int bitmasks over the same indexing, so set algebra is
 word algebra (union ``|``, intersection ``&``, complement against
 ``g.vertex_mask``).
 
-``Graph(n, rows)`` validates its rows: order, row count, bits in range, no
-self-loops, symmetry. Parsed graph6 and every caller's rows go through it.
-Rows the package builds symmetric by construction go through
-``Graph._trusted``, which checks the order only: canonical-code decoding
-(each pair bit is set in both rows), singleton-coalition images (the
-coalition test is symmetric in u and v and never pairs a vertex with
-itself), induced subgraphs of a valid graph, and ``union``, ``join`` and
-``complete``, which combine valid rows on disjoint index ranges.
-``tests/test_graphs.py`` rebuilds such graphs with ``Graph(n, rows)``.
+One rule decides which rows are validated. Rows from outside the package
+arrive through ``Graph(n, rows)``, which checks them: order, row count,
+bits in range, no self-loops, symmetry. Rows the package builds are
+trusted and go through ``Graph._trusted``, which checks the order only.
+Each builder checks its own input instead (the graph6 text, the edges of
+``from_edges``, the permutation of ``relabel``) and from valid input
+builds rows that are in range, loop-free and symmetric.
+``tests/test_graphs.py`` rebuilds the graphs of every builder with
+``Graph(n, rows)``.
 """
 
 from __future__ import annotations
@@ -47,38 +47,9 @@ def _check_order(n: int) -> None:
         raise ValueError(f"order must be in 1..{ORDER_MAX}, got {n}")
 
 
-# Symmetry is checked on the whole bit-matrix at once: the rows are packed
-# into one int, row u at bits width*u .. width*u + width - 1 for a
-# power-of-two width >= n, and the matrix is transposed by log2(width)
-# block swaps. Step s swaps, inside every 2s x 2s block, the upper-right
-# s x s block (the bits of the step's mask) with the lower-left one, which
-# sits s*(width - 1) bits higher.
-
-
-@lru_cache(maxsize=None)
-def _transpose_plan(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """Packing width for order n and the (shift, mask) of each block swap."""
-    width = 1 << (n - 1).bit_length()
-    steps = []
-    s = width // 2
-    while s:
-        row_mask = sum(1 << v for v in range(width) if v % (2 * s) >= s)
-        mask = sum(row_mask << (width * u) for u in range(width) if u % (2 * s) < s)
-        steps.append((s * (width - 1), mask))
-        s //= 2
-    return width, tuple(steps)
-
-
-def _transpose(packed: int, plan: tuple[tuple[int, int], ...]) -> int:
-    for shift, mask in plan:
-        swap = (packed ^ (packed >> shift)) & mask
-        packed ^= swap ^ (swap << shift)
-    return packed
-
-
-def _first_asymmetric_pair(rows: tuple[int, ...]) -> tuple[int, int]:
+def _first_asymmetric_pair(rows: tuple[int, ...]) -> tuple[int, int] | None:
     """The first (u, v), rows in order and v ascending, with v in row u but
-    not u in row v; the rows must have one."""
+    not u in row v, or None for symmetric rows."""
     for u, row in enumerate(rows):
         while row:
             low = row & -row
@@ -86,7 +57,7 @@ def _first_asymmetric_pair(rows: tuple[int, ...]) -> tuple[int, int]:
             if not (rows[v] >> u) & 1:
                 return u, v
             row ^= low
-    raise AssertionError("the transpose found an asymmetry the scan missed")
+    return None
 
 
 @dataclass(frozen=True)
@@ -102,17 +73,14 @@ class Graph:
         if len(rows) != self.n:
             raise ValueError("row count does not match order")
         full = (1 << self.n) - 1
-        width, plan = _transpose_plan(self.n)
-        packed = 0
         for u, row in enumerate(rows):
             if row & ~full:
                 raise ValueError(f"row {u} has bits at or above the order")
             if (row >> u) & 1:
                 raise ValueError(f"self-loop at vertex {u}")
-            packed |= row << (width * u)
-        if _transpose(packed, plan) != packed:
-            u, v = _first_asymmetric_pair(rows)
-            raise ValueError(f"asymmetric adjacency at ({u},{v})")
+        pair = _first_asymmetric_pair(rows)
+        if pair is not None:
+            raise ValueError(f"asymmetric adjacency at ({pair[0]},{pair[1]})")
 
     @classmethod
     def _trusted(cls, n: int, rows: tuple[int, ...]) -> "Graph":
@@ -138,7 +106,7 @@ class Graph:
                 raise ValueError(f"edge ({u},{v}) outside 0..{n - 1}")
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-        return Graph(n, tuple(rows))
+        return Graph._trusted(n, tuple(rows))
 
     # -- basic queries -----------------------------------------------------
 
@@ -176,13 +144,13 @@ class Graph:
         rows = list(self.rows)
         rows[u] |= 1 << v
         rows[v] |= 1 << u
-        return Graph(self.n, tuple(rows))
+        return Graph._trusted(self.n, tuple(rows))
 
     def without_edge(self, u: int, v: int) -> "Graph":
         rows = list(self.rows)
         rows[u] &= ~(1 << v)
         rows[v] &= ~(1 << u)
-        return Graph(self.n, tuple(rows))
+        return Graph._trusted(self.n, tuple(rows))
 
     def relabel(self, perm: Iterable[int]) -> "Graph":
         """Image under the permutation ``perm`` (perm[old] = new)."""
@@ -193,7 +161,7 @@ class Graph:
         for u in range(self.n):
             for v in bits(self.rows[u]):
                 rows[p[u]] |= 1 << p[v]
-        return Graph(self.n, tuple(rows))
+        return Graph._trusted(self.n, tuple(rows))
 
     def induced(self, mask: int) -> "Graph":
         """Subgraph induced by the vertices of ``mask``, relabeled to 0..k-1."""
@@ -213,10 +181,9 @@ class Graph:
 
 @dataclass(frozen=True)
 class DegreeStats:
-    """Minimum/maximum degree plus the set of full vertices."""
+    """Minimum degree plus the set of full vertices."""
 
     min_degree: int
-    max_degree: int
     full_vertices: int  # bitmask
 
     @property
@@ -231,7 +198,7 @@ def degree_stats(g: Graph) -> DegreeStats:
     for v, d in enumerate(degs):
         if d == top:
             full |= 1 << v
-    return DegreeStats(min(degs), max(degs), full)
+    return DegreeStats(min(degs), full)
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +265,18 @@ def parse_graph6(text: str) -> Graph:
         x = (x << 6) | (b - 63)
     if x & ((1 << (6 * need - npairs)) - 1):
         raise Graph6Error("nonzero padding bits")
-    pair_at = _pair_at(n)
+    return _graph_from_pair_bits(n, x, _pair_at(n))
+
+
+def _graph_from_pair_bits(n: int, x: int, pair_at: tuple[tuple[int, int] | None, ...]) -> Graph:
+    """The order-n graph with the edge ``pair_at[p]`` for each set bit p of
+    ``x``; graph6 records and canonical codes decode through it.
+
+    The rows need no validation: every pair in the table holds two distinct
+    vertices below n, and its bit sets each one in the other's row, so the
+    rows come out in range, loop-free and symmetric. A set bit beyond the
+    table or on a padding entry (None) raises before any graph exists.
+    """
     rows = [0] * n
     while x:
         low = x & -x
@@ -306,7 +284,7 @@ def parse_graph6(text: str) -> Graph:
         rows[i] |= 1 << j
         rows[j] |= 1 << i
         x ^= low
-    return Graph(n, tuple(rows))
+    return Graph._trusted(n, tuple(rows))
 
 
 def emit_graph6(g: Graph) -> str:
@@ -367,7 +345,7 @@ def complete(n: int) -> Graph:
 def empty_graph(n: int) -> Graph:
     if n < 1:
         raise ValueError("order must be positive")
-    return Graph(n, (0,) * n)
+    return Graph._trusted(n, (0,) * n)
 
 
 def cycle(n: int) -> Graph:

@@ -172,12 +172,13 @@ def test_sweep_file_output_is_the_same_at_every_job_count(tmp_path, fmt):
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
-def test_sweep_file_with_a_malformed_record_writes_nothing(tmp_path, jobs):
+@pytest.mark.parametrize("command", [["sweep"], ["verify", "--all"]], ids=["sweep", "verify"])
+def test_sweep_file_with_a_malformed_record_writes_nothing(tmp_path, command, jobs):
     f = _relabeled_order_six_file(tmp_path)
     lines = f.read_text().split("\n")
     lines[140] = "E?"  # too short: order 6 needs three body bytes
     f.write_text("\n".join(lines))
-    result = run_cli("sweep", "--file", str(f), "--json", "--jobs", jobs)
+    result = run_cli(*command, "--file", str(f), "--json", "--jobs", jobs)
     assert result.returncode == 2
     assert result.stdout == ""
     assert result.stderr == (

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 
@@ -13,9 +15,12 @@ from coalition_kit.domination import (
     forms_coalition,
     is_coalition_partition,
     is_dominating,
+    SpVerdict,
     singleton_partition,
     sp_check,
 )
+from coalition_kit.canon import enumerate_graphs
+from coalition_kit.coalition_graph import NotSingletonPartitionGraph, sc_graph
 from coalition_kit.graphs import (
     complete,
     cycle,
@@ -113,6 +118,52 @@ def test_sp_check_examples():
     verdict = sp_check(cycle(7))
     assert verdict.blocking_vertex == 0
     assert verdict.partner == {}
+
+
+def reference_sp_check(g):
+    """The per-vertex partner loop ``sp_check`` ran before it shared its
+    scan with ``sc_graph``, kept verbatim."""
+    vmask = g.vertex_mask
+    closed = [g.rows[v] | (1 << v) for v in range(g.n)]
+    full = 0
+    for v, cv in enumerate(closed):
+        if cv == vmask:
+            full |= 1 << v
+    partner: dict[int, int] = {}
+    for v in range(g.n):
+        if (full >> v) & 1:
+            continue
+        for u in range(g.n):
+            if u != v and not (full >> u) & 1 and closed[u] | closed[v] == vmask:
+                partner[v] = u
+                break
+        else:
+            return SpVerdict(False, full, {}, v)
+    return SpVerdict(True, full, partner, None)
+
+
+def test_sp_check_and_sc_graph_match_the_reference_loop():
+    # every class of orders 1-7 under a seeded relabeling: sp_check gives the
+    # reference verdict with its partners in the same order, and sc_graph
+    # builds an image exactly for the SP verdicts, its least partners being
+    # the verdict's, or else reports the same blocking vertex
+    rng = random.Random(1107)
+    for n in range(1, 8):
+        for g in enumerate_graphs(n):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            h = g.relabel(perm)
+            verdict, expected = sp_check(h), reference_sp_check(h)
+            assert verdict == expected
+            assert list(verdict.partner.items()) == list(expected.partner.items())
+            try:
+                image = sc_graph(h)
+            except NotSingletonPartitionGraph as exc:
+                assert exc.blocking_vertex == expected.blocking_vertex
+                continue
+            assert expected.is_sp
+            least = {v: (r & -r).bit_length() - 1 for v, r in enumerate(image.rows) if r}
+            assert least == expected.partner
 
 
 @settings(max_examples=200)

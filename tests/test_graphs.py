@@ -3,15 +3,30 @@
 from __future__ import annotations
 
 import pickle
+import random
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coalition_kit import chains
 from coalition_kit.canon import enumerate_graphs
 from coalition_kit.coalition_graph import NotSingletonPartitionGraph, sc_graph
-from coalition_kit.graphs import Graph, complete, cycle, join, union
+from coalition_kit.graphs import (
+    Graph,
+    Graph6Error,
+    complete,
+    complete_bipartite,
+    corona_k3_k1,
+    cycle,
+    emit_graph6,
+    empty_graph,
+    join,
+    parse_graph6,
+    path,
+    union,
+)
 from coalition_kit.limits import ORDER_MAX
 
 
@@ -57,12 +72,22 @@ def _revalidated(g: Graph) -> None:
 
 
 def test_package_built_rows_pass_full_validation():
-    # every class of orders 1-7 (decoded from its canonical code), its
+    # every class of orders 1-7 (decoded from its canonical code), its graph6
+    # round trip, its edge list, a relabeling, each pair toggled, its
     # vertex-deleted subgraphs, its union and join with K2, and its image
+    rng = random.Random(11)
     images = 0
     for n in range(1, 8):
         for g in enumerate_graphs(n):
             _revalidated(g)
+            _revalidated(parse_graph6(emit_graph6(g)))
+            _revalidated(Graph.from_edges(n, g.edges()))
+            perm = list(range(n))
+            rng.shuffle(perm)
+            _revalidated(g.relabel(perm))
+            for v in range(n):
+                for u in range(v):
+                    _revalidated(g.without_edge(u, v) if g.has_edge(u, v) else g.with_edge(u, v))
             _revalidated(union(g, complete(2)))
             _revalidated(join(g, complete(2)))
             if n > 1:
@@ -77,7 +102,62 @@ def test_package_built_rows_pass_full_validation():
     assert images == 400  # the singleton-partition classes of orders 1-7
     for n in range(1, ORDER_MAX + 1):
         _revalidated(complete(n))
+        _revalidated(empty_graph(n))
+        _revalidated(path(n))
     _revalidated(cycle(9).induced(0b101010101))
+    # the chain catalog's templates
+    templates = [
+        chains._k4_minus_e(),
+        chains._k4_plus_tail_pair(),
+        chains._house(),
+        chains._bridged_pair(),
+        corona_k3_k1(),
+    ]
+    for m in range(1, 11):
+        templates += [chains._pair_join_independents(m), complete_bipartite(2, m)]
+        if m >= 2:
+            templates.append(chains._pair_join_independents_plus_edge(m))
+    for n in range(6, 13):
+        templates += [
+            chains._triangle_with_pendants(n),
+            chains._triangle_with_pendants_plus_edge(n),
+        ]
+    for g in templates:
+        _revalidated(g)
+
+
+@pytest.mark.parametrize("edit", ["with_edge", "without_edge"])
+@pytest.mark.parametrize("u,v", [(0, 3), (3, 0), (2, 7), (-1, 0), (0, -1), (-1, 2), (-4, 1)])
+def test_edge_edits_reject_vertices_outside_the_graph(edit, u, v):
+    # an index past the rows or a negative shift raises before any graph is
+    # built, so trusting the edited rows lets no invalid graph out
+    g = path(3)
+    with pytest.raises((IndexError, ValueError)):
+        getattr(g, edit)(u, v)
+
+
+@st.composite
+def graph6_like(draw):
+    """Text close to a graph6 record: an order byte, then a body of about
+    the right length, padding bits free, and maybe one byte out of range."""
+    n = draw(st.integers(0, ORDER_MAX + 2))
+    need = (n * (n - 1) // 2 + 5) // 6
+    size = draw(st.sampled_from([need, need, need, need + 1, max(need - 1, 0)]))
+    x = draw(st.integers(0, (1 << (6 * size)) - 1))
+    body = [63 + ((x >> (6 * k)) & 63) for k in range(size)]
+    if size and draw(st.integers(0, 3)) == 0:
+        body[draw(st.integers(0, size - 1))] = draw(st.integers(32, 127))
+    return chr(n + 63) + "".join(map(chr, body))
+
+
+@settings(max_examples=500, deadline=None)
+@given(graph6_like() | st.text(max_size=12))
+def test_every_accepted_graph6_record_decodes_to_valid_rows(text):
+    try:
+        g = parse_graph6(text)
+    except Graph6Error:
+        return
+    _revalidated(g)
 
 
 def test_trusted_constructions_keep_the_order_cap():
@@ -121,7 +201,7 @@ def symmetric_rows_with_flip(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(symmetric_rows_with_flip())
-def test_transpose_symmetry_check_matches_the_scan(case):
+def test_symmetry_check_matches_the_reference_scan(case):
     n, rows = case
     pair = scan_first_asymmetric_pair(rows)
     if pair is None:
