@@ -11,8 +11,11 @@ backend's kernel, with the classes and kernel calls of each order.
 of ``verify`` and ``sweep``: graph6 decoding (the text checks and the
 trusted rows, no row validation), canonical-code decoding
 (``graph_from_code`` on each graph's code), ``Graph`` validation (the row
-checks ``Graph(n, rows)`` runs on a caller's rows), ``degree_stats``, ``sp_check``, ``recognize_f2`` (on the graphs with minimum
-degree 2 and no full vertex, the thm8 hypothesis), ``recognize_h2`` (on the
+checks ``Graph(n, rows)`` runs on a caller's rows), ``degree_stats``,
+``sp_check``, ``_Facts`` (the facts the verify pass computes for every
+graph, plus its hypothesis key with family membership due, as under
+``verify --all``), ``recognize_f2`` (on the graphs with minimum degree 2 and
+no full vertex, the thm8 hypothesis), ``recognize_h2`` (on the
 singleton-coalition images of the singleton-partition ones, as thm13 calls
 it) and ``chain_record`` (one sweep record). The graphs are every class of
 order 7, or the records of ``--file``.
@@ -44,7 +47,7 @@ from coalition_kit.graphs import (
     parse_graph6,
     read_graph6_file,
 )
-from coalition_kit.verify import chain_record
+from coalition_kit.verify import _Facts, chain_record
 
 try:
     from coalition_kit import _fastkernel as fast
@@ -146,6 +149,7 @@ def bench_layers(path: str | None) -> None:
         ("Graph validation", lambda g: Graph(g.n, g.rows), graphs),
         ("degree_stats", degree_stats, graphs),
         ("sp_check", sp_check, graphs),
+        ("_Facts", lambda g: _Facts(g).key(True), graphs),
         ("recognize_f2", recognize_f2, degree2),
         ("recognize_h2", recognize_h2, images),
         ("chain_record", chain_record, graphs),

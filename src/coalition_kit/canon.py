@@ -15,7 +15,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Callable, Iterator, Sequence
 
-from .graphs import Graph, _graph_from_pair_bits
+from .graphs import Graph, _byte_tables, _graph_from_body
 from .limits import CANON_MAX, ENUM_MAX
 
 try:
@@ -42,27 +42,25 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
     return canonical_form(g) == canonical_form(h)
 
 
-@lru_cache(maxsize=None)
-def _code_pair_at(n: int) -> tuple[tuple[int, int] | None, ...]:
-    """Vertex pair of each bit of an order-n code body read as one integer
-    (bit 0 is the last body bit); None marks the padding bits."""
-    npairs = n * (n - 1) // 2
-    nbits = 8 * ((npairs + 7) // 8)
-    table: list[tuple[int, int] | None] = [None] * nbits
-    k = nbits - 1
-    for i in range(n):
-        for j in range(i + 1, n):
-            table[k] = (i, j)
-            k -= 1
-    return tuple(table)
-
-
 def graph_from_code(code: bytes) -> Graph:
-    """Rebuild the graph a canonical code describes."""
+    """Rebuild the graph a canonical code describes.
+
+    Raises ValueError for an empty code, an order outside 1..CANON_MAX, a
+    body other than the ceil(n(n-1)/2 / 8) bytes of order n, or a set
+    padding bit.
+    """
     if not code:
         raise ValueError("empty code")
     n = code[0]
-    return _graph_from_pair_bits(n, int.from_bytes(code[1:], "big"), _code_pair_at(n))
+    if not 1 <= n <= CANON_MAX:
+        raise ValueError(f"code order must be in 1..{CANON_MAX}, got {n}")
+    need = (n * (n - 1) // 2 + 7) // 8
+    if len(code) - 1 != need:
+        raise ValueError(f"order-{n} code needs {need} body bytes, got {len(code) - 1}")
+    g = _graph_from_body(n, _byte_tables(n, 8, 0, False), code[1:])
+    if g is None:
+        raise ValueError("code has nonzero padding bits")
+    return g
 
 
 def _extend_codes(

@@ -153,17 +153,22 @@ def singleton_partners(g: Graph) -> tuple[int, list[int], int | None]:
     N[u] | N[v] == V, that is when u lies in N[w] for every w outside N[v].
     ``sp_check`` and ``coalition_graph.sc_graph`` both read this one scan.
     """
-    vmask = g.vertex_mask
-    closed = [row | (1 << v) for v, row in enumerate(g.rows)]
+    vmask = (1 << g.n) - 1
+    closed = []
     full = 0
-    for v, cv in enumerate(closed):
+    bit = 1
+    for row in g.rows:
+        cv = row | bit
         if cv == vmask:
-            full |= 1 << v
+            full |= bit
+        closed.append(cv)
+        bit <<= 1
     partners = [0] * g.n
+    non_full = vmask ^ full
     for v, cv in enumerate(closed):
         if cv == vmask:
             continue
-        found = vmask ^ full
+        found = non_full
         miss = vmask ^ cv
         while miss and found:
             low = miss & -miss

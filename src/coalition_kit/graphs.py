@@ -15,12 +15,20 @@ Each builder checks its own input instead (the graph6 text, the edges of
 builds rows that are in range, loop-free and symmetric.
 ``tests/test_graphs.py`` rebuilds the graphs of every builder with
 ``Graph(n, rows)``.
+
+graph6 records and canonical codes (``canon.graph_from_code``) decode
+through byte tables: for each body byte position of an order and each byte
+value, one precomputed int holds the rows that byte's pair bits set, packed
+n bits per row. Decoding ORs one entry per body byte and slices out the
+rows. An order's tables are built on its first decode, never at import;
+order 32 in graph6 takes under 1 MB.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import getitem
 from typing import Iterable, Iterator
 
 from .limits import ORDER_MAX
@@ -192,13 +200,16 @@ class DegreeStats:
 
 
 def degree_stats(g: Graph) -> DegreeStats:
-    degs = [row.bit_count() for row in g.rows]
     top = g.n - 1
+    low = top
     full = 0
-    for v, d in enumerate(degs):
+    for v, row in enumerate(g.rows):
+        d = row.bit_count()
+        if d < low:
+            low = d
         if d == top:
             full |= 1 << v
-    return DegreeStats(min(degs), full)
+    return DegreeStats(low, full)
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +240,59 @@ def _pair_at(n: int) -> tuple[tuple[int, int] | None, ...]:
     return tuple(table)
 
 
+@lru_cache(maxsize=None)
+def _byte_tables(
+    n: int, width: int, offset: int, column_major: bool
+) -> tuple[tuple[int | None, ...], ...]:
+    """Decoding tables for an order-n body of ``width``-bit values, each
+    stored as a byte ``offset`` above its value.
+
+    The body holds the upper triangle pairs column-major, x(0,1), x(0,2),
+    x(1,2), ... (graph6), or row-major, x(0,1), x(0,2), ..., x(1,2), ...
+    (canonical codes), most significant bit first. The table of each body
+    byte position maps a stored byte to the packed rows of the pairs its
+    value sets: row v at bits v*n .. v*n+n-1. The entry is None where the
+    value sets a padding bit, and at the ``offset`` bytes below the values.
+    """
+    if column_major:
+        pairs = [(i, j) for j in range(1, n) for i in range(j)]
+    else:
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    tables = []
+    for start in range(0, len(pairs), width):
+        # the edge bits of each byte bit, the most significant first
+        edge_bits: list[int | None] = [None] * width
+        for k, (i, j) in enumerate(pairs[start : start + width]):
+            edge_bits[k] = (1 << (i * n + j)) | (1 << (j * n + i))
+        entries: list[int | None] = [0] * (1 << width)
+        for value in range(1, 1 << width):
+            low = value & -value
+            rest, bit = entries[value ^ low], edge_bits[width - low.bit_length()]
+            entries[value] = None if rest is None or bit is None else rest | bit
+        tables.append((None,) * offset + tuple(entries))
+    return tuple(tables)
+
+
+def _graph_from_body(
+    n: int, tables: tuple[tuple[int | None, ...], ...], body: bytes
+) -> Graph | None:
+    """The order-n graph whose body bytes select one entry of ``tables``
+    each, or None when an entry is None; graph6 records and canonical codes
+    decode through it, and the caller checks the byte count and range.
+
+    The rows need no validation: every pair sets its bit in both rows, so
+    they come out in range, loop-free and symmetric.
+    """
+    try:
+        # distinct pairs set distinct bits, so summing the entries ORs them;
+        # a None entry raises TypeError
+        x = sum(map(getitem, tables, body))
+    except TypeError:
+        return None
+    mask = (1 << n) - 1
+    return Graph._trusted(n, tuple([(x >> s) & mask for s in range(0, n * n, n)]))
+
+
 _BODY_BYTES = bytes(range(63, 127))
 
 
@@ -250,41 +314,20 @@ def parse_graph6(text: str) -> Graph:
         raise Graph6Error(f"order byte out of range: {head}")
     if n > ORDER_MAX:
         raise Graph6Error(f"order {n} above the supported maximum {ORDER_MAX}")
-    npairs = n * (n - 1) // 2
-    need = (npairs + 5) // 6
+    need = (n * (n - 1) // 2 + 5) // 6
     if len(data) - 1 < need:
         raise Graph6Error(f"record too short: {len(data) - 1} body bytes, expected {need}")
     if len(data) - 1 > need:
         raise Graph6Error(f"trailing garbage after {need} body bytes")
     body = data[1:]
+    # ahead of the table lookup, which takes only bytes 63..126
     stray = body.translate(None, _BODY_BYTES)
     if stray:
         raise Graph6Error(f"body byte out of range: {stray[0]}")
-    x = 0
-    for b in body:
-        x = (x << 6) | (b - 63)
-    if x & ((1 << (6 * need - npairs)) - 1):
+    g = _graph_from_body(n, _byte_tables(n, 6, 63, True), body)
+    if g is None:
         raise Graph6Error("nonzero padding bits")
-    return _graph_from_pair_bits(n, x, _pair_at(n))
-
-
-def _graph_from_pair_bits(n: int, x: int, pair_at: tuple[tuple[int, int] | None, ...]) -> Graph:
-    """The order-n graph with the edge ``pair_at[p]`` for each set bit p of
-    ``x``; graph6 records and canonical codes decode through it.
-
-    The rows need no validation: every pair in the table holds two distinct
-    vertices below n, and its bit sets each one in the other's row, so the
-    rows come out in range, loop-free and symmetric. A set bit beyond the
-    table or on a padding entry (None) raises before any graph exists.
-    """
-    rows = [0] * n
-    while x:
-        low = x & -x
-        i, j = pair_at[low.bit_length() - 1]
-        rows[i] |= 1 << j
-        rows[j] |= 1 << i
-        x ^= low
-    return Graph._trusted(n, tuple(rows))
+    return g
 
 
 def emit_graph6(g: Graph) -> str:

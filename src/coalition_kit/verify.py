@@ -32,7 +32,7 @@ from .chains import (
     sc_chain,
 )
 from .coalition_graph import sc_graph
-from .domination import sp_check
+from .domination import singleton_partners, sp_check
 from .families import (
     F1Witness,
     FamilySpec,
@@ -131,19 +131,20 @@ class _Facts:
     Every claim splits the graphs on the degree statistics and the
     singleton-partition verdict. The verdict is computed only for minimum
     degree <= 2, the range every claim covers, and is False above it. The
-    degree-1 family witness, the singleton-coalition image and the chain are
-    computed on first read. A ``_Facts`` lives while its graph is checked,
-    so nothing outlives a run.
+    degree-1 family witness, the singleton-coalition image, the image's own
+    verdict and the chain are computed on first read. A ``_Facts`` lives
+    while its graph is checked, so nothing outlives a run.
     """
 
-    __slots__ = ("g", "stats", "is_sp", "_f1", "_image", "_chain")
+    __slots__ = ("g", "stats", "is_sp", "_f1", "_image", "_image_sp", "_chain")
 
     def __init__(self, g: Graph):
         self.g = g
-        self.stats = degree_stats(g)
-        self.is_sp = self.stats.min_degree <= 2 and sp_check(g).is_sp
+        self.stats = stats = degree_stats(g)
+        self.is_sp = stats.min_degree <= 2 and singleton_partners(g)[2] is None
         self._f1: F1Witness | None | bool = False  # False until first read
-        self._image: tuple[Graph, bool] | None = None
+        self._image: Graph | None = None
+        self._image_sp: bool | None = None
         self._chain: ChainResult | None = None
 
     def f1(self) -> F1Witness | None:
@@ -152,12 +153,17 @@ class _Facts:
             self._f1 = recognize_f1(self.g)
         return self._f1
 
-    def image(self) -> tuple[Graph, bool]:
-        """The singleton-coalition image and whether it is itself SP."""
+    def image(self) -> Graph:
+        """The singleton-coalition image."""
         if self._image is None:
-            image = sc_graph(self.g)
-            self._image = (image, sp_check(image).is_sp)
+            self._image = sc_graph(self.g)
         return self._image
+
+    def image_sp(self) -> bool:
+        """Whether the singleton-coalition image is itself SP."""
+        if self._image_sp is None:
+            self._image_sp = singleton_partners(self.image())[2] is None
+        return self._image_sp
 
     def chain(self) -> ChainResult:
         if self._chain is None:
@@ -235,7 +241,7 @@ def _check_thm6(g: Graph, f: _Facts | None = None) -> str | None:
     f = f or _Facts(g)
     if not f.is_sp:
         return "family member is not a singleton-partition graph"
-    image, _ = f.image()
+    image = f.image()
     wit = recognize_h1(image)
     if wit is None:
         return "singleton-coalition image not in the bipartite image family"
@@ -286,7 +292,7 @@ def _check_thm13(g: Graph, f: _Facts | None = None) -> str | None:
     f = f or _Facts(g)
     if not f.is_sp:
         return None  # hypothesis is the SP side; thm8 covers the equivalence
-    image, _ = f.image()
+    image = f.image()
     wit = recognize_h2(image)
     if wit is None:
         return "singleton-coalition image not in the degree-2 image family"
@@ -344,8 +350,8 @@ _LEMH23_LABELS = {f"LemH23({c})" for c in "abcdehijklmnopqrstuv"} | {
 
 
 def _check_lemma_bucket(subfamily: int, g: Graph, f: _Facts) -> str | None:
-    image, image_sp = f.image()
-    if not image_sp or recognize_h2(image, subfamily) is None:
+    image = f.image()
+    if not f.image_sp() or recognize_h2(image, subfamily) is None:
         return None  # outside this lemma's hypothesis
     try:
         label = f.label()
@@ -412,12 +418,15 @@ def _seeded_specs(combos: list[tuple[str, dict]], count: int) -> list[FamilySpec
 def _check_generation(
     recognize: Callable[[Graph], object],
     check: Callable[[Graph], str | None],
+    verdicts: dict[Graph, str | None],
     spec: FamilySpec,
 ) -> tuple[Graph, str] | None:
+    """Check the graph ``spec`` generates, once per distinct graph: a graph
+    already in ``verdicts`` takes its verdict from there."""
     g = generate_family(spec)
-    if recognize(g) is None:
-        return g, f"{spec}: generated graph not recognized"
-    detail = check(g)
+    if g not in verdicts:
+        verdicts[g] = "generated graph not recognized" if recognize(g) is None else check(g)
+    detail = verdicts[g]
     if detail:
         return g, f"{spec}: {detail}"
     return None
@@ -639,7 +648,7 @@ def _run_own_checks(report: TheoremReport, n_max: int, enumerated: bool) -> None
             "thm6": (recognize_f1, _check_thm6, _f1_combos),
             "thm13": (recognize_f2, _check_thm13, _f2_combos),
         }[report.theorem_id]
-        check = partial(_check_generation, recognize, family_check)
+        check = partial(_check_generation, recognize, family_check, {})
         items = _seeded_specs(combos(), 500)
         report.extras["seeded_generations"] = 500
     else:

@@ -1,0 +1,136 @@
+"""Byte-table decoding of graph6 records and canonical codes, against the
+pair-by-pair decoder it replaced."""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from coalition_kit.canon import _codes, graph_from_code
+from coalition_kit.graphs import Graph, Graph6Error, emit_graph6, parse_graph6
+from coalition_kit.limits import CANON_MAX
+
+
+def reference_pair_at(n: int, column_major: bool) -> list[tuple[int, int] | None]:
+    """The pair of each bit of an order-n body read as one integer (bit 0 is
+    the last body bit), None on the padding bits: 6-bit bytes column-major
+    for graph6, 8-bit bytes row-major for canonical codes."""
+    width = 6 if column_major else 8
+    if column_major:
+        pairs = [(i, j) for j in range(1, n) for i in range(j)]
+    else:
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    nbits = width * -(-len(pairs) // width)
+    return (pairs + [None] * (nbits - len(pairs)))[::-1]
+
+
+def reference_decode(n: int, values: bytes, column_major: bool) -> Graph | None:
+    """The pair-loop decoder: two row updates per set bit, None when a
+    padding bit is set."""
+    width = 6 if column_major else 8
+    x = 0
+    for b in values:
+        x = (x << width) | b
+    pair_at = reference_pair_at(n, column_major)
+    rows = [0] * n
+    while x:
+        low = x & -x
+        pair = pair_at[low.bit_length() - 1]
+        if pair is None:
+            return None
+        i, j = pair
+        rows[i] |= 1 << j
+        rows[j] |= 1 << i
+        x ^= low
+    return Graph(n, tuple(rows))
+
+
+def graph6_body(record: str) -> bytes:
+    return bytes(ord(c) - 63 for c in record[1:])
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_table_decoders_match_the_pair_loop_on_every_class(n):
+    rng = random.Random(1200 + n)
+    for code in _codes(n):
+        g = graph_from_code(code)
+        assert g == reference_decode(n, code[1:], column_major=False)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        for h in (g, g.relabel(perm)):
+            record = emit_graph6(h)
+            assert parse_graph6(record) == reference_decode(n, graph6_body(record), True) == h
+
+
+def body_length(n: int, width: int) -> int:
+    return -(-(n * (n - 1) // 2) // width)
+
+
+def _bodies(max_n: int, width: int):
+    """(n, body values): any values of ``width`` bits, with the padding bits
+    cleared in about half the cases."""
+
+    def body(n: int, raw: bytes, clear: bool) -> tuple[int, bytes]:
+        values = bytearray(b & ((1 << width) - 1) for b in raw)
+        padding = width * len(values) - n * (n - 1) // 2
+        if clear and values:
+            values[-1] &= ~((1 << padding) - 1)
+        return n, bytes(values)
+
+    return st.integers(1, max_n).flatmap(
+        lambda n: st.builds(
+            body,
+            st.just(n),
+            st.binary(min_size=body_length(n, width), max_size=body_length(n, width)),
+            st.booleans(),
+        )
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_bodies(32, 6))
+def test_graph6_tables_match_the_pair_loop(case):
+    n, values = case
+    record = chr(n + 63) + "".join(chr(b + 63) for b in values)
+    expected = reference_decode(n, values, column_major=True)
+    if expected is None:
+        with pytest.raises(Graph6Error, match="^nonzero padding bits$"):
+            parse_graph6(record)
+    else:
+        assert parse_graph6(record) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(_bodies(CANON_MAX, 8))
+def test_code_tables_match_the_pair_loop(case):
+    n, body = case
+    expected = reference_decode(n, body, column_major=False)
+    if expected is None:
+        with pytest.raises(ValueError, match="^code has nonzero padding bits$"):
+            graph_from_code(bytes([n]) + body)
+    else:
+        assert graph_from_code(bytes([n]) + body) == expected
+
+
+@pytest.mark.parametrize(
+    "code, fragment",
+    [
+        (b"", "empty code"),
+        (bytes([0]), "order must be in 1..16, got 0"),
+        (bytes([17]) + bytes(17), "order must be in 1..16, got 17"),
+        (bytes([8]), "needs 4 body bytes, got 0"),
+        (bytes([4, 0, 0]), "needs 1 body bytes, got 2"),
+        (bytes([4, 0, 0, 0]), "needs 1 body bytes, got 3"),
+        (bytes([1, 0]), "needs 0 body bytes, got 1"),
+        (bytes([3, 0xFF]), "nonzero padding bits"),
+        (bytes([3, 0x1F]), "nonzero padding bits"),
+    ],
+)
+def test_malformed_codes_are_rejected(code, fragment):
+    with pytest.raises(ValueError) as err:
+        graph_from_code(code)
+    assert fragment in str(err.value)
+

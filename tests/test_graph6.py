@@ -96,7 +96,7 @@ def test_nonzero_padding_rejected():
     # K1bar-pair record with stray bits in the padding area
     good = emit_graph6(empty_graph(2))  # "A?"
     bad = good[0] + chr(ord(good[1]) + 1)  # flips a padding bit
-    with pytest.raises(Graph6Error):
+    with pytest.raises(Graph6Error, match="^nonzero padding bits$"):
         parse_graph6(bad)
 
 

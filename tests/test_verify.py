@@ -16,9 +16,11 @@ from coalition_kit import (
     verify_claims,
     verify_theorem,
 )
+from coalition_kit import domination
 from coalition_kit.canon import enumerate_graphs
+from coalition_kit.coalition_graph import sc_graph
 from coalition_kit.families import FamilySpec
-from coalition_kit.graphs import complete, cycle, union
+from coalition_kit.graphs import DegreeStats, complete, cycle, degree_stats, union
 from coalition_kit.limits import ENUM_MAX
 from coalition_kit.verify import chain_record
 
@@ -67,19 +69,21 @@ def test_reports_are_deterministic_modulo_elapsed():
     assert a == b
 
 
+def _flipped_partner_scan():
+    """A partner scan that lies about the singleton-partition verdict."""
+    real = verify_mod.singleton_partners
+
+    def flipped(g):
+        full, partners, blocking = real(g)
+        return full, partners, (0 if blocking is None else None)
+
+    return flipped
+
+
 def test_counterexamples_reproduce(monkeypatch):
     # force a failure by lying about singleton partitions, then re-run the
     # genuine check on the reported graph6 record
-    real = verify_mod.sp_check
-
-    class Flipped:
-        def __init__(self, inner):
-            self.is_sp = not inner.is_sp
-            self.full_vertices = inner.full_vertices
-            self.partner = inner.partner
-            self.blocking_vertex = inner.blocking_vertex
-
-    monkeypatch.setattr(verify_mod, "sp_check", lambda g: Flipped(real(g)))
+    monkeypatch.setattr(verify_mod, "singleton_partners", _flipped_partner_scan())
     report = verify_theorem("thm1", n_max=4)
     monkeypatch.undo()
     assert not report.passed
@@ -233,16 +237,46 @@ def test_elapsed_counts_only_the_claims_own_checks(monkeypatch):
 
 
 def test_facts_do_not_outlive_a_run(monkeypatch):
-    real = verify_mod.sp_check
-
-    class Flipped:
-        def __init__(self, inner):
-            self.is_sp = not inner.is_sp
-
-    monkeypatch.setattr(verify_mod, "sp_check", lambda g: Flipped(real(g)))
+    monkeypatch.setattr(verify_mod, "singleton_partners", _flipped_partner_scan())
     assert not verify_theorem("thm1", n_max=4).passed
     monkeypatch.undo()
     assert verify_theorem("thm1", n_max=4).passed
+
+
+def _reference_degree_stats(g):
+    # the list-and-min form degree_stats had before it became one loop
+    degs = [row.bit_count() for row in g.rows]
+    full = sum(1 << v for v, d in enumerate(degs) if d == g.n - 1)
+    return DegreeStats(min(degs), full)
+
+
+@pytest.mark.parametrize("relabel", [False, True], ids=["enumerated", "relabeled"])
+def test_facts_match_degree_stats_and_sp_check(relabel):
+    rng = random.Random(1207)
+    for n in range(1, 8):
+        for g in enumerate_graphs(n):
+            if relabel:
+                perm = list(range(n))
+                rng.shuffle(perm)
+                g = g.relabel(perm)
+            f = verify_mod._Facts(g)
+            assert f.stats == degree_stats(g) == _reference_degree_stats(g)
+            assert f.is_sp == (f.stats.min_degree <= 2 and domination.sp_check(g).is_sp)
+            if f.is_sp:
+                assert f.image() == sc_graph(g)
+                assert f.image_sp() == domination.sp_check(sc_graph(g)).is_sp
+
+
+def test_a_pass_calls_sp_check_only_for_the_obs7_cycles(monkeypatch):
+    calls = []
+    for module in (verify_mod, domination):
+        real = module.sp_check
+        monkeypatch.setattr(module, "sp_check", lambda g, real=real: calls.append(g) or real(g))
+    pool_ids = [t for t in all_theorem_ids() if t != "obs7"]
+    assert all(report.passed for report in verify_claims(pool_ids, 6))
+    assert calls == []
+    assert next(verify_claims(["obs7"], 6)).passed
+    assert [g.n for g in calls] == list(range(3, 11))
 
 
 # ---------------------------------------------------------------------------
@@ -402,3 +436,31 @@ def test_seeded_generations_use_the_reference_specs(monkeypatch):
     assert thm6.passed and thm13.passed
     reference = _reference_f1_specs(500) + _reference_f2_specs(500)
     assert generated == [str(spec) for spec in reference]
+
+
+def test_each_distinct_seeded_generation_is_checked_once(monkeypatch):
+    # a recognizer that rejects the graphs with an even edge count fails
+    # those generations: each failing spec still reports its own detail,
+    # though a graph generated twice is recognized once
+    generated, recognized = [], []
+    real_generate, real_recognize = verify_mod.generate_family, verify_mod.recognize_f2
+
+    def recording(spec):
+        generated.append(real_generate(spec))
+        return generated[-1]
+
+    def rejecting_even(g):
+        recognized.append(g)
+        return None if g.edge_count() % 2 == 0 else real_recognize(g)
+
+    monkeypatch.setattr(verify_mod, "generate_family", recording)
+    monkeypatch.setattr(verify_mod, "recognize_f2", rejecting_even)
+    report = next(verify_claims(["thm13"], 4))
+    expected = [
+        f"{spec}: generated graph not recognized"
+        for spec, g in zip(_reference_f2_specs(500), generated)
+        if g.edge_count() % 2 == 0
+    ]
+    assert 0 < len(expected) < 500
+    assert [cex["detail"] for cex in report.counterexamples] == expected
+    assert len(recognized) == len(set(generated)) < len(generated) == 500
