@@ -17,8 +17,11 @@ graph, plus its hypothesis key with family membership due, as under
 ``verify --all``), ``recognize_f2`` (on the graphs with minimum degree 2 and
 no full vertex, the thm8 hypothesis), ``recognize_h2`` (on the
 singleton-coalition images of the singleton-partition ones, as thm13 calls
-it) and ``chain_record`` (one sweep record). The graphs are every class of
-order 7, or the records of ``--file``.
+it), ``chain`` (``_Facts(g).chain()``: the facts and the chain continued
+from their partner scan, on the singleton-partition graphs with minimum
+degree at most 2, the ones the chain claims read) and ``chain_record`` (one
+sweep record). The graphs are every class of order 7, or the records of
+``--file``.
 
 Usage: python benchmarks/bench_kernel.py [--orders 8,12,16] [--batch 2000] [--enum-order 7]
        python benchmarks/bench_kernel.py --layers [--file graphs.g6]
@@ -143,6 +146,7 @@ def bench_layers(path: str | None) -> None:
         if (s := degree_stats(g)).min_degree == 2 and s.full_count == 0
     ]
     images = [sc_graph(g) for g in degree2 if sp_check(g).is_sp]
+    sp_low = [g for g in graphs if degree_stats(g).min_degree <= 2 and sp_check(g).is_sp]
     rows = [
         ("parse_graph6", parse_graph6, [emit_graph6(g) for g in graphs]),
         ("graph_from_code", graph_from_code, [canonical_form(g) for g in graphs]),
@@ -152,6 +156,7 @@ def bench_layers(path: str | None) -> None:
         ("_Facts", lambda g: _Facts(g).key(True), graphs),
         ("recognize_f2", recognize_f2, degree2),
         ("recognize_h2", recognize_h2, images),
+        ("chain", lambda g: _Facts(g).chain(), sp_low),
         ("chain_record", chain_record, graphs),
     ]
     source = path or "every class of order 7"

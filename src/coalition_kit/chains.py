@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .canon import canonical_form
-from .coalition_graph import NotSingletonPartitionGraph, sc_graph
+from .domination import singleton_partners
 from .families import recognize_h1, recognize_h2
 from .graphs import (
     DegreeStats,
@@ -90,41 +90,39 @@ class ChainResult:
 
 
 def sc_chain(g: Graph, max_steps: int = CHAIN_STEPS_DEFAULT) -> ChainResult:
-    """Iterate the singleton-coalition construction from ``g``.
-
-    Stops at the first non-singleton-partition graph (which is included in
-    the sequence), at the first repeated isomorphism class, or after
-    ``max_steps`` arrows.
-
-    Only an SP member can repeat an earlier one: every earlier member is
-    SP, and SP-ness is an isomorphism invariant. So each new member's image
-    is built first, which is its SP test, and the member is canonicalized
-    only when that succeeds; the start is canonicalized at the first such
-    comparison. Other codes are left to ``ChainResult.codes``.
-    """
+    """Iterate the singleton-coalition construction from ``g``. Stops at the
+    first non-SP graph (included in the sequence), at the first repeated
+    isomorphism class, or after ``max_steps`` arrows."""
     if max_steps < 1:
         raise ValueError("max_steps must be at least 1")
+    return _chain_from(g, singleton_partners(g), max_steps)
+
+
+def _chain_from(g: Graph, scan: tuple, max_steps: int) -> ChainResult:
+    """The chain of ``g`` from ``scan``, its ``singleton_partners``: each
+    member's scan tests it and gives the next member's rows. Only an SP member
+    can repeat an earlier one, so a member (and the start with the first one)
+    is canonicalized only after its scan passes; other codes are lazy."""
     seq = [g]
     codes: dict[int, bytes] = {}
-    try:
-        image = sc_graph(g)
-    except NotSingletonPartitionGraph as exc:
-        return ChainResult(tuple(seq), TerminatedNonSp(0), codes, exc.blocking_vertex)
-    while len(seq) - 1 < max_steps:
-        seq.append(image)
+    while True:
         last = len(seq) - 1
-        try:
-            image = sc_graph(image)
-        except NotSingletonPartitionGraph as exc:
-            return ChainResult(tuple(seq), TerminatedNonSp(last), codes, exc.blocking_vertex)
-        if not codes:
-            codes[0] = canonical_form(g)
-        code = canonical_form(seq[last])
-        entry = next((i for i, c in codes.items() if c == code), None)
-        codes[last] = code
-        if entry is not None:
-            return ChainResult(tuple(seq), CycleOutcome(entry, last - entry), codes)
-    return ChainResult(tuple(seq), StepCap(max_steps), codes)
+        _, partners, blocking = scan
+        if blocking is not None:
+            return ChainResult(tuple(seq), TerminatedNonSp(last), codes, blocking)
+        if last:
+            if not codes:
+                codes[0] = canonical_form(g)
+            code = canonical_form(seq[last])
+            entry = next((i for i, c in codes.items() if c == code), None)
+            codes[last] = code
+            if entry is not None:
+                return ChainResult(tuple(seq), CycleOutcome(entry, last - entry), codes)
+        if last == max_steps:
+            return ChainResult(tuple(seq), StepCap(max_steps), codes)
+        # partner masks are symmetric and loop-free, so the image is trusted
+        seq.append(Graph._trusted(g.n, tuple(partners)))
+        scan = singleton_partners(seq[-1])
 
 
 @dataclass(frozen=True)

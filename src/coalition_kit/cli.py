@@ -316,6 +316,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     else:
         if args.max_order is None:
             raise CliInputError("sweep needs --max-order or --file")
+        if args.min_order < 1:
+            raise CliInputError("--min-order must be at least 1")
+        if args.max_order < args.min_order:
+            raise CliInputError("--max-order must be at least --min-order")
         if args.max_order > ENUM_MAX:
             raise CliInputError(f"built-in enumeration stops at order {ENUM_MAX}")
         graphs = [

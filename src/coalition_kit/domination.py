@@ -151,7 +151,8 @@ def singleton_partners(g: Graph) -> tuple[int, list[int], int | None]:
 
     {u} and {v} form a coalition exactly when neither is full and
     N[u] | N[v] == V, that is when u lies in N[w] for every w outside N[v].
-    ``sp_check`` and ``coalition_graph.sc_graph`` both read this one scan.
+    ``sp_check``, ``sc_graph`` and each ``sc_chain`` step read this scan, and
+    ``verify._Facts`` keeps a graph's as its SP verdict, image and first arrow.
     """
     vmask = (1 << g.n) - 1
     closed = []

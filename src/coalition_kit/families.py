@@ -346,9 +346,12 @@ def _f2_sub3(g: Graph, x: int, y: int, z: int, vx: int, yz: int) -> F2Witness | 
     return F2Witness(3, x, y, z, l1=l1, r1=r1, r2=r2, l2=l2, w_set=wstar)
 
 
-def f2_violations(g: Graph, wit: F2Witness) -> list[str]:
+def f2_violations(g: Graph, wit: F2Witness, stats: DegreeStats | None = None) -> list[str]:
+    """Conditions of the degree-2 family that ``wit`` breaks in ``g``;
+    ``stats`` is the graph's ``degree_stats``, computed when omitted."""
     out = []
-    stats = degree_stats(g)
+    if stats is None:
+        stats = degree_stats(g)
     if stats.min_degree != 2:
         out.append("minimum degree is not 2")
     if stats.full_count:

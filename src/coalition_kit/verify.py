@@ -23,15 +23,15 @@ from .canon import are_isomorphic, enumerate_graphs
 from .chains import (
     ChainClassificationError,
     ChainResult,
+    ChainTemplate,
     CycleOutcome,
     LsccValue,
     StepCap,
     TerminatedNonSp,
     classify_chain,
+    _chain_from,
     l_scc_of,
-    sc_chain,
 )
-from .coalition_graph import sc_graph
 from .domination import singleton_partners, sp_check
 from .families import (
     F1Witness,
@@ -55,7 +55,7 @@ from .graphs import (
     join,
     union,
 )
-from .limits import CANON_MAX, ENUM_MAX
+from .limits import CANON_MAX, CHAIN_STEPS_DEFAULT, ENUM_MAX
 
 SCHEMA_VERSION = 1
 
@@ -126,25 +126,24 @@ def _cex(g: Graph, detail: str) -> dict:
 
 
 class _Facts:
-    """One graph's facts, as the claim table and checks read them.
+    """One graph's facts, as the claim table, the checks and sweep records
+    read them.
 
-    Every claim splits the graphs on the degree statistics and the
-    singleton-partition verdict. The verdict is computed only for minimum
-    degree <= 2, the range every claim covers, and is False above it. The
-    degree-1 family witness, the singleton-coalition image, the image's own
-    verdict and the chain are computed on first read. A ``_Facts`` lives
+    For minimum degree <= 2, the range every claim covers, one
+    ``singleton_partners`` scan is the singleton-partition verdict, the
+    image (its partner masks) and the chain's first arrow; above it the
+    verdict is False. The rest is computed on first read. A ``_Facts`` lives
     while its graph is checked, so nothing outlives a run.
     """
 
-    __slots__ = ("g", "stats", "is_sp", "_f1", "_image", "_image_sp", "_chain")
+    __slots__ = ("g", "stats", "is_sp", "_scan", "_f1", "_chain")
 
     def __init__(self, g: Graph):
         self.g = g
         self.stats = stats = degree_stats(g)
-        self.is_sp = stats.min_degree <= 2 and singleton_partners(g)[2] is None
+        self._scan = singleton_partners(g) if stats.min_degree <= 2 else None
+        self.is_sp = self._scan is not None and self._scan[2] is None
         self._f1: F1Witness | None | bool = False  # False until first read
-        self._image: Graph | None = None
-        self._image_sp: bool | None = None
         self._chain: ChainResult | None = None
 
     def f1(self) -> F1Witness | None:
@@ -154,24 +153,21 @@ class _Facts:
         return self._f1
 
     def image(self) -> Graph:
-        """The singleton-coalition image."""
-        if self._image is None:
-            self._image = sc_graph(self.g)
-        return self._image
-
-    def image_sp(self) -> bool:
-        """Whether the singleton-coalition image is itself SP."""
-        if self._image_sp is None:
-            self._image_sp = singleton_partners(self.image())[2] is None
-        return self._image_sp
+        """The singleton-coalition image of an SP graph, trusted like sc_graph's."""
+        return Graph._trusted(self.g.n, tuple(self._scan[1]))
 
     def chain(self) -> ChainResult:
+        """The chain, from the held scan (taken here above minimum degree 2)."""
         if self._chain is None:
-            self._chain = sc_chain(self.g)
+            scan = self._scan or singleton_partners(self.g)
+            self._chain = _chain_from(self.g, scan, CHAIN_STEPS_DEFAULT)
         return self._chain
 
+    def template(self) -> ChainTemplate:
+        return classify_chain(self.g, self.chain(), self.stats)
+
     def label(self) -> str:
-        return classify_chain(self.g, self.chain(), self.stats).label
+        return self.template().label
 
     def key(self, f1_due: bool) -> tuple[int, int, bool, bool, bool]:
         """The hypothesis key: order, minimum degree capped at 3, a full
@@ -267,7 +263,7 @@ def _check_thm8(g: Graph, f: _Facts) -> str | None:
     if (wit is not None) != f.is_sp:
         return f"recognizer={'hit' if wit else 'miss'} but sp={f.is_sp}"
     if wit is not None:
-        bad = f2_violations(g, wit)
+        bad = f2_violations(g, wit, f.stats)
         if bad:
             return "witness violations: " + "; ".join(bad)
     return None
@@ -350,8 +346,10 @@ _LEMH23_LABELS = {f"LemH23({c})" for c in "abcdehijklmnopqrstuv"} | {
 
 
 def _check_lemma_bucket(subfamily: int, g: Graph, f: _Facts) -> str | None:
-    image = f.image()
-    if not f.image_sp() or recognize_h2(image, subfamily) is None:
+    chain = f.chain()
+    image = chain.sequence[1]
+    # the image is SP exactly when the chain does not stop at it
+    if chain.outcome == TerminatedNonSp(1) or recognize_h2(image, subfamily) is None:
         return None  # outside this lemma's hypothesis
     try:
         label = f.label()
@@ -765,7 +763,8 @@ def _lscc_json(lv: LsccValue) -> dict:
 
 def chain_record(g: Graph) -> dict:
     """One sweep record: chain, length, and template label (or a status)."""
-    stats = degree_stats(g)
+    f = _Facts(g) if g.n <= CANON_MAX else None
+    stats = f.stats if f else degree_stats(g)
     g6 = emit_graph6(g)
     rec: dict = {
         "schema_version": SCHEMA_VERSION,
@@ -774,11 +773,9 @@ def chain_record(g: Graph) -> dict:
         "min_degree": stats.min_degree,
         "full_vertices": stats.full_count,
     }
-    if g.n > CANON_MAX:
-        rec["status"] = "order-above-chain-support"
-        rec["template"] = None
-        return rec
-    chain = sc_chain(g)
+    if f is None:
+        return dict(rec, status="order-above-chain-support", template=None)
+    chain = f.chain()
     lv = l_scc_of(chain)
     rec["chain"] = [g6] + [emit_graph6(h) for h in chain.sequence[1:]]
     out = chain.outcome
@@ -790,23 +787,18 @@ def chain_record(g: Graph) -> dict:
         rec["outcome"] = {"type": "step-cap", "cap": out.cap}
     rec["lscc"] = _lscc_json(lv)
     if lv.start_not_sp:
-        rec["status"] = "not-sp"
-        rec["template"] = None
-        rec["blocking_vertex"] = chain.blocking_vertex
+        rec.update(status="not-sp", template=None, blocking_vertex=chain.blocking_vertex)
     elif stats.min_degree >= 3:
-        rec["status"] = "out-of-characterized-range"
-        rec["template"] = None
+        rec.update(status="out-of-characterized-range", template=None)
     else:
         try:
-            template = classify_chain(g, chain, stats)
-            rec["status"] = "classified"
-            rec["template"] = template.label
+            template = f.template()
+        except ChainClassificationError as exc:
+            rec.update(status="unclassified", template=None, detail=str(exc))
+        else:
+            rec.update(status="classified", template=template.label)
             if template.notes:
                 rec["template_notes"] = list(template.notes)
-        except ChainClassificationError as exc:
-            rec["status"] = "unclassified"
-            rec["template"] = None
-            rec["detail"] = str(exc)
     return rec
 
 

@@ -217,6 +217,21 @@ def test_usage_errors_exit_two():
     assert run_cli("nonsense").returncode == 2
 
 
+@pytest.mark.parametrize(
+    "orders, flag",
+    [
+        (["--max-order", "0"], "--max-order"),
+        (["--min-order", "6", "--max-order", "3"], "--max-order"),
+        (["--min-order", "0", "--max-order", "2"], "--min-order"),
+        (["--min-order", "-1", "--max-order", "2"], "--min-order"),
+    ],
+)
+def test_sweep_rejects_an_empty_or_invalid_order_range(orders, flag):
+    result = run_cli("sweep", *orders, "--jobs", "1")
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: " + flag)
+
 
 def test_closed_stdout_ends_quietly_with_sigpipe_code():
     # a reader that stops after one line, like `| head -1`: the writes that

@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+import coalition_kit
 import coalition_kit.verify as verify_mod
 from coalition_kit import (
     all_theorem_ids,
@@ -17,7 +18,9 @@ from coalition_kit import (
     verify_theorem,
 )
 from coalition_kit import domination
+from coalition_kit import chains, coalition_graph
 from coalition_kit.canon import enumerate_graphs
+from coalition_kit.chains import TerminatedNonSp, sc_chain
 from coalition_kit.coalition_graph import sc_graph
 from coalition_kit.families import FamilySpec
 from coalition_kit.graphs import DegreeStats, complete, cycle, degree_stats, union
@@ -262,9 +265,69 @@ def test_facts_match_degree_stats_and_sp_check(relabel):
             f = verify_mod._Facts(g)
             assert f.stats == degree_stats(g) == _reference_degree_stats(g)
             assert f.is_sp == (f.stats.min_degree <= 2 and domination.sp_check(g).is_sp)
+            chain, reference = f.chain(), sc_chain(g)
+            assert chain == reference
+            assert chain.blocking_vertex == reference.blocking_vertex
             if f.is_sp:
                 assert f.image() == sc_graph(g)
-                assert f.image_sp() == domination.sp_check(sc_graph(g)).is_sp
+                # the lemma checks read the image's verdict from the chain
+                image_sp = domination.sp_check(sc_graph(g)).is_sp
+                assert (chain.outcome == TerminatedNonSp(1)) == (not image_sp)
+
+
+def _relabeled_classes(n_max, seed):
+    rng = random.Random(seed)
+    graphs = []
+    for n in range(1, n_max + 1):
+        for g in enumerate_graphs(n):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            graphs.append(g.relabel(perm))
+    return graphs
+
+
+@pytest.fixture
+def scans(monkeypatch) -> dict:
+    """Counts of partner scans and of ``sc_graph`` calls, through every
+    module that binds either name."""
+    counts = {"singleton_partners": 0, "sc_graph": 0}
+    for module in (coalition_kit, domination, coalition_graph, chains, verify_mod):
+        for name in counts:
+            real = getattr(module, name, None)
+            if real is not None:
+
+                def counted(g, name=name, real=real):
+                    counts[name] += 1
+                    return real(g)
+
+                monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+def test_a_pass_scans_each_start_once_and_each_chain_member_once(scans, monkeypatch):
+    # every graph with minimum degree <= 2 is scanned once for its facts;
+    # a chain continues from that scan and scans each member it adds
+    built = []
+    real_chain_from = verify_mod._chain_from
+
+    def recording(g, scan, max_steps):
+        built.append(real_chain_from(g, scan, max_steps))
+        return built[-1]
+
+    monkeypatch.setattr(verify_mod, "_chain_from", recording)
+    graphs = _relabeled_classes(6, 613)
+    pool_ids = [t for t in all_theorem_ids() if t != "obs7"]
+    assert all(report.passed for report in verify_claims(pool_ids, graphs=graphs))
+    starts = sum(1 for g in graphs if degree_stats(g).min_degree <= 2)
+    assert built
+    assert scans["singleton_partners"] == starts + sum(len(c.sequence) - 1 for c in built)
+    assert scans["sc_graph"] == 0
+
+
+def test_a_sweep_scans_each_chain_member_once(scans):
+    records = sweep_chains(_relabeled_classes(6, 614))
+    assert scans["singleton_partners"] == sum(len(rec["chain"]) for rec in records)
+    assert scans["sc_graph"] == 0
 
 
 def test_a_pass_calls_sp_check_only_for_the_obs7_cycles(monkeypatch):
