@@ -131,23 +131,16 @@ def _codes(n: int) -> tuple[bytes, ...]:
     return tuple(_extend_codes(_codes(n - 1), n))
 
 
-def enumerate_graphs(
-    n: int, predicate: Callable[[Graph], bool] | None = None
-) -> Iterator[Graph]:
-    """One representative per isomorphism class of order n (n <= ENUM_MAX).
-
-    The optional predicate filters the stream; representatives come out in
-    canonical-code order, so runs are deterministic.
-    """
+def enumerate_graphs(n: int) -> Iterator[Graph]:
+    """One representative per isomorphism class of order n (n <= ENUM_MAX),
+    in canonical-code order, so runs are deterministic."""
     if not 1 <= n <= ENUM_MAX:
         raise ValueError(
             f"built-in enumeration supports order 1..{ENUM_MAX}; "
             "larger orders must arrive via graph6 files"
         )
     for code in _codes(n):
-        g = graph_from_code(code)
-        if predicate is None or predicate(g):
-            yield g
+        yield graph_from_code(code)
 
 
 def class_count(n: int) -> int:

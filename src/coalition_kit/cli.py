@@ -19,7 +19,7 @@ import os
 import sys
 from functools import partial
 
-from .canon import are_isomorphic, enumerate_graphs
+from .canon import _codes, are_isomorphic, graph_from_code
 from .coalition_graph import coalition_graph
 from .domination import (
     Partition,
@@ -272,9 +272,10 @@ def _cmd_family(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     ids = all_theorem_ids() if args.all or not args.theorem else [args.theorem]
-    graphs = list(read_graph6_file(args.file)) if args.file else None
+    records = list(graph6_records(args.file)) if args.file else None
+    decode = partial(parse_graph6_record, args.file)
     failed = False
-    for report in verify_claims(ids, n_max=args.max_order, jobs=args.jobs, graphs=graphs):
+    for report in verify_claims(ids, args.max_order, args.jobs, records, decode=decode):
         if args.json:
             _print_json(report.to_json())
         else:
@@ -302,17 +303,12 @@ def _chain_summary(rec: dict, arrows: bool = False) -> str:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    # Workers decode the records and render the output lines; this process
-    # reads the file and writes the lines once all are back, so a malformed
-    # record leaves stdout empty.
-    render = _json_line if args.json else _chain_summary
+    # Workers decode the records (graph6 lines or canonical codes) and render
+    # the output lines; this process writes the lines once all are back, so
+    # a malformed record leaves stdout empty.
     if args.file:
-        lines = sweep_chains(
-            list(graph6_records(args.file)),
-            args.jobs,
-            decode=partial(parse_graph6_record, args.file),
-            render=render,
-        )
+        items = list(graph6_records(args.file))
+        decode = partial(parse_graph6_record, args.file)
     else:
         if args.max_order is None:
             raise CliInputError("sweep needs --max-order or --file")
@@ -322,10 +318,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             raise CliInputError("--max-order must be at least --min-order")
         if args.max_order > ENUM_MAX:
             raise CliInputError(f"built-in enumeration stops at order {ENUM_MAX}")
-        graphs = [
-            g for n in range(args.min_order, args.max_order + 1) for g in enumerate_graphs(n)
-        ]
-        lines = sweep_chains(graphs, args.jobs, render=render)
+        items = [code for n in range(args.min_order, args.max_order + 1) for code in _codes(n)]
+        decode = graph_from_code
+    render = _json_line if args.json else _chain_summary
+    lines = sweep_chains(items, args.jobs, decode=decode, render=render)
     sys.stdout.writelines(line + "\n" for line in lines)
     return 0
 
@@ -401,6 +397,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "jobs", 1) < 1:
+            raise CliInputError("--jobs must be at least 1")
         code = args.fn(args)
         sys.stdout.flush()
         return code

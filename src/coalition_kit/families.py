@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 
 from .graphs import DegreeStats, Graph, bits, degree_stats, mask_of
 
@@ -541,26 +542,14 @@ class FamilySpec:
         return hash((self.family, tuple(sorted(self.sizes.items())), self.seed))
 
 
-_FAMILY_KEYS = {
-    "f1": {"P", "Q"},
-    "h1": {"P1", "Q1"},
-    "f2.1": {"R1"},
-    "f2.2": {"L1", "R1"},
-    "f2.3": {"L1", "R1", "R2", "L2", "W"},
-    "h2.1": {"R1"},
-    "h2.2": {"L1", "R1"},
-    "h2.3": {"L1", "R1", "R2", "W"},
-}
-
-
 def parse_family_spec(text: str) -> FamilySpec:
-    """Parse ``family:key=value,...`` with an optional ``seed=<int>`` entry."""
+    """Parse ``family:key=value,...`` with an optional ``seed=<int>`` entry;
+    each key may appear once."""
     head, sep, body = text.partition(":")
     family = head.strip().lower()
-    if family not in _FAMILY_KEYS:
-        raise ValueError(f"unknown family {family!r}; expected one of {sorted(_FAMILY_KEYS)}")
+    if family not in _FAMILIES:
+        raise ValueError(f"unknown family {family!r}; expected one of {sorted(_FAMILIES)}")
     sizes: dict[str, int] = {}
-    seed = 0
     if sep:
         for item in body.split(","):
             item = item.strip()
@@ -571,11 +560,13 @@ def parse_family_spec(text: str) -> FamilySpec:
                 raise ValueError(f"bad size entry {item!r}")
             key = key.strip()
             if key.lower() == "seed":
-                seed = int(value)
-            elif key in _FAMILY_KEYS[family]:
-                sizes[key] = int(value)
-            else:
+                key = "seed"
+            elif key not in _FAMILIES[family][0]:
                 raise ValueError(f"unknown key {key!r} for family {family}")
+            if key in sizes:
+                raise ValueError(f"repeated key {key!r} in family spec {text!r}")
+            sizes[key] = int(value)
+    seed = sizes.pop("seed", 0)
     return FamilySpec(family, sizes, seed)
 
 
@@ -766,15 +757,17 @@ def _generate_h2_3(l1: int, r1: int, r2: int, w: int, seed: int) -> Graph:
     return Graph.from_edges(cursor, edges)
 
 
-_RECOGNIZERS = {
-    "f1": recognize_f1,
-    "h1": recognize_h1,
-    "f2.1": recognize_f2,
-    "f2.2": recognize_f2,
-    "f2.3": recognize_f2,
-    "h2.1": lambda g: recognize_h2(g, 1),
-    "h2.2": lambda g: recognize_h2(g, 2),
-    "h2.3": lambda g: recognize_h2(g, 3),
+# Each family: its size keys in the order its builder takes them, its
+# builder and its recognizer.
+_FAMILIES = {
+    "f1": (("P", "Q"), _generate_f1, recognize_f1),
+    "h1": (("P1", "Q1"), _generate_h1, recognize_h1),
+    "f2.1": (("R1",), _generate_f2_1, recognize_f2),
+    "f2.2": (("L1", "R1"), _generate_f2_2, recognize_f2),
+    "f2.3": (("L1", "R1", "R2", "L2", "W"), _generate_f2_3, recognize_f2),
+    "h2.1": (("R1",), _generate_h2_1, partial(recognize_h2, subfamily=1)),
+    "h2.2": (("L1", "R1"), _generate_h2_2, partial(recognize_h2, subfamily=2)),
+    "h2.3": (("L1", "R1", "R2", "W"), _generate_h2_3, partial(recognize_h2, subfamily=3)),
 }
 
 
@@ -782,22 +775,8 @@ def generate_family(spec: FamilySpec | str) -> Graph:
     """Build a seeded family member; the result always re-recognizes."""
     if isinstance(spec, str):
         spec = parse_family_spec(spec)
-    s = spec.sizes
-    builders = {
-        "f1": lambda: _generate_f1(s.get("P", 0), s.get("Q", 0), spec.seed),
-        "h1": lambda: _generate_h1(s.get("P1", 0), s.get("Q1", 0), spec.seed),
-        "f2.1": lambda: _generate_f2_1(s.get("R1", 0), spec.seed),
-        "f2.2": lambda: _generate_f2_2(s.get("L1", 0), s.get("R1", 0), spec.seed),
-        "f2.3": lambda: _generate_f2_3(
-            s.get("L1", 0), s.get("R1", 0), s.get("R2", 0), s.get("L2", 0), s.get("W", 0), spec.seed
-        ),
-        "h2.1": lambda: _generate_h2_1(s.get("R1", 0), spec.seed),
-        "h2.2": lambda: _generate_h2_2(s.get("L1", 0), s.get("R1", 0), spec.seed),
-        "h2.3": lambda: _generate_h2_3(
-            s.get("L1", 0), s.get("R1", 0), s.get("R2", 0), s.get("W", 0), spec.seed
-        ),
-    }
-    g = builders[spec.family]()
-    if _RECOGNIZERS[spec.family](g) is None:
+    keys, build, recognize = _FAMILIES[spec.family]
+    g = build(*(spec.sizes.get(key, 0) for key in keys), spec.seed)
+    if recognize(g) is None:
         raise GenerationError(f"generated graph failed recognition for {spec}")
     return g

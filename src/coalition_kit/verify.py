@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from typing import Callable, Iterable, Iterator
 
-from .canon import are_isomorphic, enumerate_graphs
+from .canon import _codes, are_isomorphic, graph_from_code
 from .chains import (
     ChainClassificationError,
     ChainResult,
@@ -114,6 +114,18 @@ def _pmap(chunk_fn: Callable[[list], list], items: list, jobs: int) -> Iterator:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for results in pool.map(chunk_fn, chunks):
                 yield from results
+
+
+def _itself(x):
+    return x
+
+
+def _run_chunk(decode: Callable, per_graph: Callable[[Graph], object], chunk: list) -> list:
+    """Decode every item of ``chunk``, then map ``per_graph`` over the graphs."""
+    # decoding the whole chunk before building any chain measured about 10%
+    # faster than interleaving the two graph by graph
+    graphs = [decode(item) for item in chunk]
+    return [per_graph(g) for g in graphs]
 
 
 def _cex(g: Graph, detail: str) -> dict:
@@ -447,7 +459,6 @@ class _TheoremDef:
     of its own).
     """
 
-    description: str
     min_order: int
     check: Callable[[Graph, _Facts], object] | None = None
     min_degree: int | None = None
@@ -470,15 +481,11 @@ class _TheoremDef:
 
 THEOREMS: dict[str, _TheoremDef] = {
     "thm1": _TheoremDef(
-        "graphs with an isolated vertex reach the maximum partition count "
-        "exactly for a complete graph plus one isolated vertex",
         1,
         _check_thm1,
         min_degree=0,
     ),
     "thm2": _TheoremDef(
-        "minimum degree 1 with exactly one full vertex: maximum partition "
-        "count holds exactly for the one-extra-edge extremal graph",
         3,
         # a full vertex is the one neighbour of a degree-1 vertex, so from
         # order 3 up minimum degree 1 allows at most one
@@ -486,47 +493,34 @@ THEOREMS: dict[str, _TheoremDef] = {
         min_degree=1, full=True,
     ),
     "thm4": _TheoremDef(
-        "minimum degree 1, no full vertex: singleton-partition graphs are "
-        "exactly the degree-1 family (both directions)",
         2,
         _check_thm4,
         min_degree=1, full=False,
     ),
     "thm6": _TheoremDef(
-        "singleton-coalition images of degree-1 family members lie in the "
-        "bipartite image family (enumerated plus seeded generations)",
         4,
         _check_thm6,
         min_degree=1, full=False, f1_member=True,
     ),
     "obs7": _TheoremDef(
-        "among cycles, singleton partitions exist up to the hexagon and the "
-        "degree-2 recognizer accepts exactly the square through the hexagon",
         3,
     ),
     "thm8": _TheoremDef(
-        "minimum degree 2, no full vertex: singleton-partition graphs are "
-        "exactly the degree-2 family (both directions)",
         4,
         _check_thm8,
         min_degree=2, full=False,
     ),
     "thm9": _TheoremDef(
-        "minimum degree 2 with full vertices: one full vertex reduces to the "
-        "degree-1 family, two force the extremal join, three force the triangle",
         3,
         _check_thm9,
         min_degree=2, full=True,
     ),
     "thm13": _TheoremDef(
-        "singleton-coalition images of degree-2 family members lie in the "
-        "degree-2 image family (enumerated plus seeded generations)",
         4,
         _check_thm13,
         min_degree=2, full=False, sp=True,
     ),
     "thm14": _TheoremDef(
-        "chain catalog for singleton-partition graphs with an isolated vertex",
         1,
         partial(
             _check_label_by_order, {1: "Thm14(a)", 2: "Thm14(b)", 3: "Thm14(d)", 4: "Thm14(c)"}
@@ -534,7 +528,6 @@ THEOREMS: dict[str, _TheoremDef] = {
         min_degree=0, sp=True,
     ),
     "thm15": _TheoremDef(
-        "chain catalog for minimum degree 1 with a full vertex",
         2,
         partial(_check_label_by_order, {2: "Thm15(a)", 3: "Thm15(c)", 4: "Thm15(b)"}),
         min_degree=1, full=True, sp=True,
@@ -545,38 +538,31 @@ THEOREMS: dict[str, _TheoremDef] = {
         ),
     ),
     "thm16": _TheoremDef(
-        "chain catalog for minimum degree 1 without full vertices",
         4,
         _check_thm16,
         min_degree=1, full=False, sp=True,
     ),
     "thm17": _TheoremDef(
-        "minimum degree 2 with a full vertex: every chain stops after one arrow",
         3,
         _check_thm17,
         min_degree=2, full=True, sp=True,
     ),
     "thm20": _TheoremDef(
-        "minimum degree 2 without full vertices: chain length is infinite or "
-        "at most five",
         4,
         _check_thm20,
         min_degree=2, full=False, sp=True,
     ),
     "lem18": _TheoremDef(
-        "chains whose first image is in the triangle-hub image family",
         4,
         partial(_check_lemma_bucket, 1),
         min_degree=2, full=False, sp=True,
     ),
     "lem19": _TheoremDef(
-        "chains whose first image is in the path-hub image family",
         4,
         partial(_check_lemma_bucket, 2),
         min_degree=2, full=False, sp=True,
     ),
     "lem-h23": _TheoremDef(
-        "chains whose first image is in the independent-hub image family",
         4,
         partial(_check_lemma_bucket, 3),
         min_degree=2, full=False, sp=True,
@@ -605,32 +591,29 @@ def _id_error(theorem_id: str, n_max: int, enumerated: bool) -> Exception | None
     return None
 
 
-def _check_graphs(
-    claims: tuple[tuple[int, str], ...], graphs: list[Graph]
-) -> list[list[tuple[int, object, float]]]:
-    """Run on each graph every claim whose hypothesis it meets.
+def _check_graph(
+    claims: tuple[tuple[int, str], ...], f1_due: bool, due: dict, g: Graph
+) -> tuple[int, list[tuple[int, object, float]]]:
+    """Run on ``g`` every claim whose hypothesis it meets.
 
-    ``claims`` holds (claim index, id) entries. A graph's claims are looked
-    up by its ``_Facts.key`` in a table filled as keys first appear, and
-    family membership enters the key only when a claim asks for it. Each
-    graph's result holds one (claim index, check result, seconds) entry per
-    claim run.
+    ``claims`` holds (claim index, id) entries. The graph's claims are
+    looked up by its ``_Facts.key`` in ``due``, a table the run fills as
+    keys first appear, and family membership enters the key only when
+    ``f1_due`` is set. Returns the graph's order and one (claim index,
+    check result, seconds) entry per claim run.
     """
-    f1_due = any(THEOREMS[t].f1_member for _, t in claims)
-    due: dict[tuple, tuple] = {}
-    out = []
-    for g in graphs:
-        f = _Facts(g)
-        key = f.key(f1_due)
-        if key not in due:
-            due[key] = tuple((k, THEOREMS[t].check) for k, t in claims if THEOREMS[t].admits(key))
-        results = []
-        for k, check in due[key]:
-            start = time.perf_counter()
-            result = check(g, f)
-            results.append((k, result, time.perf_counter() - start))
-        out.append(results)
-    return out
+    if not claims:
+        return g.n, []  # a pool no claim reads is decoded only for its errors
+    f = _Facts(g)
+    key = f.key(f1_due)
+    if key not in due:
+        due[key] = tuple((k, THEOREMS[t].check) for k, t in claims if THEOREMS[t].admits(key))
+    results = []
+    for k, check in due[key]:
+        start = time.perf_counter()
+        result = check(g, f)
+        results.append((k, result, time.perf_counter() - start))
+    return g.n, results
 
 
 def _run_own_checks(report: TheoremReport, n_max: int, enumerated: bool) -> None:
@@ -662,20 +645,24 @@ def verify_claims(
     theorem_ids: Iterable[str],
     n_max: int = 6,
     jobs: int = 1,
-    graphs: Iterable[Graph] | None = None,
+    graphs: Iterable | None = None,
+    *,
+    decode: Callable[..., Graph] = _itself,
 ) -> Iterator[TheoremReport]:
     """Run claims in one pass over one pool, yielding one report per claim.
 
-    The pool is the supplied graphs, or every class of orders 1..``n_max``
-    enumerated once; each claim takes the graphs of its hypothesis class,
-    from its least order up. Each graph is visited once, in one worker
-    under ``jobs`` > 1: its facts are computed, and the claims whose
-    hypothesis it meets are looked up by its hypothesis key and checked
-    against them. A report's
-    ``elapsed`` is the time of its claim's own checks; the pool and the
-    facts are charged to no claim. The ids are taken up to the first
-    unknown id or unsupported order, whose error is raised after the
-    reports of the claims before it.
+    The pool is the supplied items, each turned into its graph by
+    ``decode`` (the items are graphs by default), or the canonical codes of
+    every class of orders 1..``n_max``, enumerated once; each claim takes
+    the graphs of its hypothesis class, from its least order up. Each item
+    is decoded and visited once, in one worker under ``jobs`` > 1: its
+    facts are computed, and the claims whose hypothesis it meets are looked
+    up by its hypothesis key and checked against them. A supplied pool is
+    decoded even when no claim reads it, so a malformed item raises first.
+    A report's ``elapsed`` is the time of its claim's own checks; the pool,
+    its decoding and the facts are charged to no claim. The ids are taken up
+    to the first unknown id or unsupported order, whose error is raised
+    after the reports of the claims before it.
     """
     enumerated = graphs is None
     ids: list[str] = []
@@ -700,19 +687,19 @@ def verify_claims(
         for t in ids
     ]
     claims = tuple((k, t) for k, t in enumerate(ids) if THEOREMS[t].min_degree is not None)
-    pool: list[Graph] = []
-    if claims:
-        pool = (
-            list(graphs)
-            if graphs is not None
-            else [g for n in range(1, n_max + 1) for g in enumerate_graphs(n)]
-        )
-    for g, results in zip(pool, _pmap(partial(_check_graphs, claims), pool, jobs)):
+    if enumerated:
+        decode = graph_from_code
+        items = [code for n in range(1, n_max + 1) for code in _codes(n)] if claims else []
+    else:
+        items = list(graphs)
+    f1_due = any(THEOREMS[t].f1_member for _, t in claims)
+    check = partial(_check_graph, claims, f1_due, {})
+    for item, (n, results) in zip(items, _pmap(partial(_run_chunk, decode, check), items, jobs)):
         for k, result, seconds in results:
             report = reports[k]
             if not enumerated:
-                lo, hi = report.order_range if report.graphs_checked else (g.n, g.n)
-                report.order_range = (min(lo, g.n), max(hi, g.n))
+                lo, hi = report.order_range if report.graphs_checked else (n, n)
+                report.order_range = (min(lo, n), max(hi, n))
             report.graphs_checked += 1
             report.elapsed += seconds
             if report.theorem_id == "thm20":
@@ -720,7 +707,8 @@ def verify_claims(
                 histogram = report.extras["lscc_histogram"]
                 histogram[key] = histogram.get(key, 0) + 1
             if result:
-                report.counterexamples.append(_cex(g, result))
+                # failures are rare, so the parent decodes only their items
+                report.counterexamples.append(_cex(decode(item), result))
 
     for report in reports:
         _run_own_checks(report, n_max, enumerated)
@@ -802,15 +790,8 @@ def chain_record(g: Graph) -> dict:
     return rec
 
 
-def _itself(x):
-    return x
-
-
-def _sweep_chunk(decode: Callable, render: Callable, chunk: list) -> list:
-    # decoding the whole chunk before building any chain measured about 10%
-    # faster than interleaving the two graph by graph
-    graphs = [decode(item) for item in chunk]
-    return [render(chain_record(g)) for g in graphs]
+def _sweep_record(render: Callable[[dict], object], g: Graph) -> object:
+    return render(chain_record(g))
 
 
 def sweep_chains(
@@ -829,4 +810,5 @@ def sweep_chains(
     finished output lines. An error in ``decode`` is raised as it is, and
     no result is returned.
     """
-    return list(_pmap(partial(_sweep_chunk, decode, render), list(items), jobs))
+    per_graph = partial(_sweep_record, render)
+    return list(_pmap(partial(_run_chunk, decode, per_graph), list(items), jobs))

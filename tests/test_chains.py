@@ -211,8 +211,8 @@ def test_chain_is_well_defined_up_to_relabeling(gp):
 
 def _sp_graphs(n_max, pred):
     for n in range(1, n_max + 1):
-        for g in enumerate_graphs(n, pred):
-            if sp_check(g).is_sp:
+        for g in enumerate_graphs(n):
+            if pred(g) and sp_check(g).is_sp:
                 yield g
 
 

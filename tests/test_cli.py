@@ -171,8 +171,32 @@ def test_sweep_file_output_is_the_same_at_every_job_count(tmp_path, fmt):
     assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
 
+def test_verify_file_output_is_the_same_at_every_job_count(tmp_path):
+    f = _relabeled_order_six_file(tmp_path)
+    outputs = []
+    for jobs in ("1", "2", "3"):
+        result = run_cli("verify", "--all", "--file", str(f), "--json", "--jobs", jobs)
+        assert result.returncode == 0, result.stderr
+        reports = [json.loads(line) for line in result.stdout.splitlines()]
+        for report in reports:
+            report.pop("elapsed")
+        outputs.append(reports)
+    assert len(outputs[0]) == 16
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
-@pytest.mark.parametrize("command", [["sweep"], ["verify", "--all"]], ids=["sweep", "verify"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["sweep"],
+        ["verify", "--all"],
+        # no claim but obs7, or none at all, reads the pool: it is still read
+        ["verify", "--theorem", "obs7"],
+        ["verify", "--theorem", "nope"],
+    ],
+    ids=["sweep", "verify", "verify-obs7", "verify-unknown"],
+)
 def test_sweep_file_with_a_malformed_record_writes_nothing(tmp_path, command, jobs):
     f = _relabeled_order_six_file(tmp_path)
     lines = f.read_text().split("\n")
@@ -214,6 +238,7 @@ def test_usage_errors_exit_two():
     assert run_cli("cnum", "--named", "C(2)").returncode == 2
     assert run_cli("verify", "--theorem", "nope", "--jobs", "1").returncode == 2
     assert run_cli("sweep", "--jobs", "1").returncode == 2
+    assert run_cli("family", "generate", "--spec", "f1:P=1,P=2,seed=1").returncode == 2
     assert run_cli("nonsense").returncode == 2
 
 
@@ -231,6 +256,19 @@ def test_sweep_rejects_an_empty_or_invalid_order_range(orders, flag):
     assert result.returncode == 2
     assert result.stdout == ""
     assert result.stderr.startswith("error: " + flag)
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1", "-2"])
+@pytest.mark.parametrize(
+    "command",
+    [["verify", "--theorem", "thm1", "--max-order", "3"], ["sweep", "--max-order", "3"]],
+    ids=["verify", "sweep"],
+)
+def test_jobs_below_one_is_an_input_error(command, jobs):
+    result = run_cli(*command, "--jobs", jobs)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == "error: --jobs must be at least 1\n"
 
 
 def test_closed_stdout_ends_quietly_with_sigpipe_code():

@@ -88,13 +88,6 @@ def test_isolated_vertex_classes_match_previous_order():
         assert with_isolated == KNOWN_COUNTS[n - 1]
 
 
-def test_predicate_filter():
-    regular_two = [
-        g for g in enumerate_graphs(5, lambda g: all(d == 2 for d in g.degrees()))
-    ]
-    assert len(regular_two) == 1  # only the pentagon
-
-
 def test_enumeration_cap():
     with pytest.raises(ValueError):
         list(enumerate_graphs(ENUM_MAX + 1))

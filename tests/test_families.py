@@ -219,17 +219,33 @@ def test_spec_parsing():
     assert spec.family == "f2.3" and spec.seed == 11
     assert spec.sizes == {"L1": 1, "R1": 0, "R2": 1, "L2": 0, "W": 2}
     assert str(spec).startswith("f2.3:")
-    with pytest.raises(ValueError):
-        parse_family_spec("f9:P=1")
-    with pytest.raises(ValueError):
-        parse_family_spec("f1:P=x")
-    with pytest.raises(ValueError):
-        parse_family_spec("f1:R1=2")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            "f9:P=1",
+            "unknown family 'f9'; expected one of "
+            "['f1', 'f2.1', 'f2.2', 'f2.3', 'h1', 'h2.1', 'h2.2', 'h2.3']",
+        ),
+        ("f1:P=x", "bad size entry 'P=x'"),
+        ("f1:R1=2", "unknown key 'R1' for family f1"),
+        # a repeated key, seed included, is an error, not a silent overwrite
+        ("f1:P=1,P=2,seed=1", "repeated key 'P'"),
+        ("f1:P=1,seed=1,seed=2", "repeated key 'seed'"),
+        ("f2.3:L1=1,R2=1,W=1,Seed=1,seed=2", "repeated key 'seed'"),
+    ],
+)
+def test_spec_errors_name_the_entry(text, message):
+    with pytest.raises(ValueError) as exc:
+        parse_family_spec(text)
+    assert str(exc.value).startswith(message)
 
 
 def _classes(n_max, pred):
     for n in range(2, n_max + 1):
-        yield from enumerate_graphs(n, pred)
+        yield from filter(pred, enumerate_graphs(n))
 
 
 def test_degree_one_family_matches_sp_exhaustively():

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import concurrent.futures
+import dataclasses
 import random
 import time
+from functools import partial
 
 import pytest
 
@@ -23,7 +25,16 @@ from coalition_kit.canon import enumerate_graphs
 from coalition_kit.chains import TerminatedNonSp, sc_chain
 from coalition_kit.coalition_graph import sc_graph
 from coalition_kit.families import FamilySpec
-from coalition_kit.graphs import DegreeStats, complete, cycle, degree_stats, union
+from coalition_kit.graphs import (
+    DegreeStats,
+    complete,
+    cycle,
+    degree_stats,
+    emit_graph6,
+    graph6_records,
+    parse_graph6_record,
+    union,
+)
 from coalition_kit.limits import ENUM_MAX
 from coalition_kit.verify import chain_record
 
@@ -94,6 +105,37 @@ def test_counterexamples_reproduce(monkeypatch):
         g = parse_graph6(cex["graph6"])
         assert verify_mod._check_thm1(g) is None  # the honest check passes
     assert report.to_json()["counterexamples"] == report.counterexamples
+
+
+def test_record_fed_counterexamples_carry_each_records_own_graph6(tmp_path, monkeypatch):
+    # a failing check on records decoded in the pass: the parent decodes a
+    # failing record again, so each counterexample is that record's graph6
+    lines = [emit_graph6(g) for g in _relabeled_classes(6, 615)]
+    path = tmp_path / "order6.g6"
+    path.write_text("\n".join(lines) + "\n")
+    failing = dataclasses.replace(verify_mod.THEOREMS["thm8"], check=lambda g, f: "forced")
+    monkeypatch.setitem(verify_mod.THEOREMS, "thm8", failing)
+    records = list(graph6_records(str(path)))
+    decode = partial(parse_graph6_record, str(path))
+    (report,) = verify_claims(["thm8"], graphs=records, decode=decode)
+    stats = [degree_stats(parse_graph6(line)) for line in lines]
+    expected = [
+        line for line, s in zip(lines, stats) if s.min_degree == 2 and s.full_count == 0
+    ]
+    assert expected
+    assert report.counterexamples == [{"graph6": line, "detail": "forced"} for line in expected]
+    assert report.order_range == (4, 6)
+
+
+def test_a_pool_no_claim_reads_is_decoded_but_not_checked(monkeypatch):
+    # obs7 checks cycles of its own: the supplied items are decoded, so that
+    # a malformed one raises, but no facts are computed for them
+    decoded = []
+    monkeypatch.setattr(verify_mod, "_Facts", lambda g: pytest.fail("facts computed"))
+    graphs = _relabeled_classes(5, 616)
+    (report,) = verify_claims(["obs7"], graphs=graphs, decode=lambda g: decoded.append(g) or g)
+    assert report.passed
+    assert decoded == graphs
 
 
 def test_verify_with_supplied_graphs():
@@ -227,14 +269,27 @@ def test_chunked_map_keeps_every_item_in_order(count, jobs):
 
 
 def test_elapsed_counts_only_the_claims_own_checks(monkeypatch):
-    real = verify_mod.enumerate_graphs
+    real = verify_mod._codes
 
     def slow(n):
         time.sleep(0.3)
         return real(n)
 
-    monkeypatch.setattr(verify_mod, "enumerate_graphs", slow)
+    monkeypatch.setattr(verify_mod, "_codes", slow)
     reports = list(verify_claims(all_theorem_ids(), 4))
+    assert len(reports) == 16
+    assert all(r.elapsed < 0.3 for r in reports), [(r.theorem_id, r.elapsed) for r in reports]
+
+
+def test_elapsed_leaves_out_the_decoding_of_supplied_items():
+    # 0.05 s for each of the 18 classes of orders 1..4: charged to a claim,
+    # it would put thm1, which checks the 8 with an isolated vertex, over 0.3 s
+    def slow_decode(g):
+        time.sleep(0.05)
+        return g
+
+    graphs = [g for n in range(1, 5) for g in enumerate_graphs(n)]
+    reports = list(verify_claims(all_theorem_ids(), graphs=graphs, decode=slow_decode))
     assert len(reports) == 16
     assert all(r.elapsed < 0.3 for r in reports), [(r.theorem_id, r.elapsed) for r in reports]
 
@@ -406,8 +461,11 @@ def test_claim_table_admits_what_the_filters_did(relabel):
         # supplied graphs, which applied the filters alone, agree as well
         assert all(g.n >= verify_mod.THEOREMS[t].min_order for t in admitted)
         expected.append(admitted)
-    results = verify_mod._check_graphs(tuple(enumerate(ids)), graphs)
-    assert [{ids[k] for k, _, _ in row} for row in results] == expected
+    # one claim table for the whole pool, as in a run
+    check = partial(verify_mod._check_graph, tuple(enumerate(ids)), True, {})
+    results = verify_mod._run_chunk(verify_mod._itself, check, graphs)
+    assert [n for n, _ in results] == [g.n for g in graphs]
+    assert [{ids[k] for k, _, _ in row} for _, row in results] == expected
 
 
 @pytest.fixture
