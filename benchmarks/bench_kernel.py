@@ -19,9 +19,11 @@ no full vertex, the thm8 hypothesis), ``recognize_h2`` (on the
 singleton-coalition images of the singleton-partition ones, as thm13 calls
 it), ``chain`` (``_Facts(g).chain()``: the facts and the chain continued
 from their partner scan, on the singleton-partition graphs with minimum
-degree at most 2, the ones the chain claims read) and ``chain_record`` (one
-sweep record). The graphs are every class of order 7, or the records of
-``--file``.
+degree at most 2, the ones the chain claims read), ``classify_chain`` (on
+the same graphs, with their chains and degree stats computed beforehand;
+member codes are cached on a chain after the first pass) and
+``chain_record`` (one sweep record). The graphs are every class of order 7,
+or the records of ``--file``.
 
 Usage: python benchmarks/bench_kernel.py [--orders 8,12,16] [--batch 2000] [--enum-order 7]
        python benchmarks/bench_kernel.py --layers [--file graphs.g6]
@@ -40,6 +42,7 @@ from coalition_kit.canon import (
     enumerate_graphs,
     graph_from_code,
 )
+from coalition_kit.chains import classify_chain
 from coalition_kit.coalition_graph import sc_graph
 from coalition_kit.domination import sp_check
 from coalition_kit.families import recognize_f2, recognize_h2
@@ -147,6 +150,7 @@ def bench_layers(path: str | None) -> None:
     ]
     images = [sc_graph(g) for g in degree2 if sp_check(g).is_sp]
     sp_low = [g for g in graphs if degree_stats(g).min_degree <= 2 and sp_check(g).is_sp]
+    chained = [(g, _Facts(g).chain(), degree_stats(g)) for g in sp_low]
     rows = [
         ("parse_graph6", parse_graph6, [emit_graph6(g) for g in graphs]),
         ("graph_from_code", graph_from_code, [canonical_form(g) for g in graphs]),
@@ -157,6 +161,7 @@ def bench_layers(path: str | None) -> None:
         ("recognize_f2", recognize_f2, degree2),
         ("recognize_h2", recognize_h2, images),
         ("chain", lambda g: _Facts(g).chain(), sp_low),
+        ("classify_chain", lambda args: classify_chain(*args), chained),
         ("chain_record", chain_record, graphs),
     ]
     source = path or "every class of order 7"

@@ -136,7 +136,7 @@ def enumerate_graphs(n: int) -> Iterator[Graph]:
     in canonical-code order, so runs are deterministic."""
     if not 1 <= n <= ENUM_MAX:
         raise ValueError(
-            f"built-in enumeration supports order 1..{ENUM_MAX}; "
+            f"built-in enumeration supports order 1..ENUM_MAX = {ENUM_MAX}; "
             "larger orders must arrive via graph6 files"
         )
     for code in _codes(n):
@@ -146,5 +146,5 @@ def enumerate_graphs(n: int) -> Iterator[Graph]:
 def class_count(n: int) -> int:
     """Number of isomorphism classes of order n (n <= ENUM_MAX)."""
     if not 1 <= n <= ENUM_MAX:
-        raise ValueError(f"built-in enumeration supports order 1..{ENUM_MAX}")
+        raise ValueError(f"built-in enumeration supports order 1..ENUM_MAX = {ENUM_MAX}")
     return len(_codes(n))

@@ -11,14 +11,21 @@ counts as zero by convention).
 ``classify_chain`` matches the computed chain for starting graphs of
 minimum degree at most two against a closed catalog of templates, checking
 each named graph in the template by isomorphism rather than trusting the
-catalog. No match raises ``ChainClassificationError``, which sweeps and
-``verify`` report as a counterexample record with the start graph's
-graph6.
+catalog. For minimum degree two and no full vertex, the finite chains of
+Lemmas 18, 19 and H2.3 are one table of tails: the template graphs that end
+a chain, or a recognizer of its last member. A chain of k arrows tries the
+k-arrow entries in catalog order, then the (k-1)-arrow entries under their
+Lemma H2.3 labels one arrow later. Only 10 of that branch's 37 labels occur
+at orders up to 9. No match raises ``ChainClassificationError``, which
+sweeps and ``verify`` report as a counterexample record with the start
+graph's graph6.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import Callable, NamedTuple
 
 from .canon import canonical_form
 from .domination import singleton_partners
@@ -140,30 +147,16 @@ class LsccValue:
     start_not_sp: bool = False
     late_entry_cycle: bool = False
 
-    @staticmethod
-    def finite(k: int, start_not_sp: bool = False) -> "LsccValue":
-        return LsccValue("finite", value=k, start_not_sp=start_not_sp)
-
-    @staticmethod
-    def infinite(late_entry_cycle: bool = False) -> "LsccValue":
-        return LsccValue("infinite", late_entry_cycle=late_entry_cycle)
-
-    @staticmethod
-    def unknown(cap: int) -> "LsccValue":
-        return LsccValue("unknown", cap=cap)
-
 
 def l_scc_of(chain: ChainResult) -> LsccValue:
     out = chain.outcome
     if isinstance(out, TerminatedNonSp):
-        if out.last_index == 0:
-            return LsccValue.finite(0, start_not_sp=True)
-        return LsccValue.finite(out.last_index)
+        return LsccValue("finite", value=out.last_index, start_not_sp=out.last_index == 0)
     if isinstance(out, CycleOutcome):
         if out.entry_index == 0 and out.period == 1:
-            return LsccValue.finite(0)
-        return LsccValue.infinite(late_entry_cycle=out.entry_index > 0)
-    return LsccValue.unknown(out.cap)
+            return LsccValue("finite", value=0)
+        return LsccValue("infinite", late_entry_cycle=out.entry_index > 0)
+    return LsccValue("unknown", cap=out.cap)
 
 
 def l_scc(g: Graph, max_steps: int = CHAIN_STEPS_DEFAULT) -> LsccValue:
@@ -226,8 +219,12 @@ def _triangle_with_pendants_plus_edge(n: int) -> Graph:
 @dataclass(frozen=True)
 class ChainTemplate:
     label: str
-    order: int
     notes: tuple[str, ...] = ()
+
+    @property
+    def lemma(self) -> str:
+        """The theorem or lemma the label cites, such as ``Lem19``."""
+        return self.label.partition("(")[0]
 
 
 class ChainClassificationError(ValueError):
@@ -238,16 +235,70 @@ class OutOfCharacterizedRange(ValueError):
     """Starting graphs of minimum degree three or more are not cataloged."""
 
 
+class _Entry(NamedTuple):
+    """A finite chain of Lemmas 18, 19 and H2.3. ``in_h23`` asks the first
+    image to be in H2.3; ``split`` is the label when it is not in H2.2."""
+
+    arrows: int
+    label: str
+    later: str | None  # the Lemma H2.3 label of the same tail one arrow later
+    tail: tuple[Graph, ...] | Callable[[Graph], object]  # templates, or a recognizer
+    note: str | None = None
+    in_h23: bool = False
+    split: str | None = None
+
+
+_CORRECTED = "catalog entry corrected to the computed image"
+_ADDED = "catalog entry added from the exhaustive sweep"
+
+
+@lru_cache(maxsize=None)
+def _catalog(n: int) -> tuple[_Entry, ...]:
+    """The entries for start order ``n``, built once; one with no tail at ``n`` is left out."""
+    K, E = complete, empty_graph
+    lem18b = (join(E(2), K(3)), union(E(3), K(2)))
+    bridge = (_bridged_pair(), *lem18b)
+    pairs = _pair_join_independents(n - 2)
+    rest = E(n - 3)
+    w_star = (join(union(K(1), K(2)), rest), join(path(3), rest), union(K(1), join(K(2), rest)))
+    big = n >= 6
+    entries = (
+        _Entry(2, "Lem18(a)", "LemH23(h)", (K(4), E(4))),
+        _Entry(2, "Lem18(b)", "LemH23(i)", lem18b),
+        _Entry(2, "Lem18(c)", "LemH23(j)", (_k4_minus_e(), union(E(2), K(2)))),
+        _Entry(2, "Lem18(d)", "LemH23(k)", (_k4_plus_tail_pair(), union(E(2), path(3)))),
+        _Entry(2, "Lem19(f)", "LemH23(q)", (corona_k3_k1(),)),
+        _Entry(2, "Lem19(g)", "LemH23(r)", (_triangle_with_pendants(n),) if big else ()),
+        _Entry(2, "Lem19(h)", "LemH23(s)", (_triangle_with_pendants_plus_edge(n),) if big else ()),
+        _Entry(2, "LemH23(f*)", None, (complete_bipartite(2, 3), pairs) if n == 5 else (),
+               _CORRECTED, True),
+        _Entry(2, "Lem19(i)", "LemH23(t)", (pairs,)),
+        _Entry(2, "Lem19(j)", "LemH23(u)", (_pair_join_independents_plus_edge(n - 2),)),
+        _Entry(2, "Lem19(a)", "LemH23(l)", recognize_h1, split="LemH23(a)"),
+        # a gap the sweep found: the second image is in H2 but not SP
+        _Entry(2, "LemH23(x*)", None, recognize_h2, _ADDED, True),
+        _Entry(3, "Lem19(e)", "LemH23(p)", bridge),
+        _Entry(3, "Lem19(c)", "LemH23(n)", (complete_bipartite(2, n - 2), pairs),
+               split="LemH23(c)"),
+        _Entry(3, "LemH23(w*)", None, w_star if big else (), _CORRECTED),
+        _Entry(4, "Lem19(d)", "LemH23(o)", (_house(), *bridge)),
+        _Entry(4, "Lem19(b)", "LemH23(m)", (cycle(4), K(4), E(4)), split="LemH23(b)"),
+    )
+    return tuple(e for e in entries if e.tail)
+
+
+@lru_cache(maxsize=None)
+def _fingerprint(h: Graph) -> tuple[int, list[int], bytes]:
+    """Order, sorted degrees and canonical code of a template graph."""
+    return h.n, sorted(h.degrees()), canonical_form(h)
+
+
 def _fin(chain: ChainResult, k: int) -> bool:
-    return isinstance(chain.outcome, TerminatedNonSp) and chain.outcome.last_index == k
+    return chain.outcome == TerminatedNonSp(k)
 
 
 def _cyc(chain: ChainResult, entry: int, period: int) -> bool:
-    return (
-        isinstance(chain.outcome, CycleOutcome)
-        and chain.outcome.entry_index == entry
-        and chain.outcome.period == period
-    )
+    return chain.outcome == CycleOutcome(entry, period)
 
 
 def classify_chain(
@@ -268,188 +319,102 @@ def classify_chain(
         chain = sc_chain(g)
     if chain.outcome == TerminatedNonSp(0):
         raise ValueError("classify_chain needs a singleton-partition graph")
-    n = g.n
     seq = chain.sequence
 
     def iso(i: int, h: Graph) -> bool:
         # member codes are cached on the chain; the guards spare most of them
+        order, degrees, code = _fingerprint(h)
         return (
             i < len(seq)
-            and seq[i].n == h.n
-            and sorted(seq[i].degrees()) == sorted(h.degrees())
-            and chain.code(i) == canonical_form(h)
+            and seq[i].n == order
+            and sorted(seq[i].degrees()) == degrees
+            and chain.code(i) == code
         )
 
-    label = _classify(g, chain, stats, n, seq, iso)
+    label = _classify(chain, stats, g.n, seq, iso)
     if label is None:
         raise ChainClassificationError("chain matches no template in the catalog")
-    name, notes = label
-    return ChainTemplate(name, n, tuple(notes))
+    return ChainTemplate(*label)
 
 
-def _classify(g, chain, stats, n, seq, iso):
+def _classify(chain, stats, n, seq, iso):
     has_full = stats.full_count > 0
     d = stats.min_degree
 
     if d == 0:
         if n == 1 and _cyc(chain, 0, 1):
-            return "Thm14(a)", []
+            return "Thm14(a)", ()
         if n == 2 and _cyc(chain, 0, 2) and iso(1, complete(2)):
-            return "Thm14(b)", []
+            return "Thm14(b)", ()
         if n == 3 and _cyc(chain, 0, 2) and iso(1, path(3)):
-            return "Thm14(d)", []
+            return "Thm14(d)", ()
         if n > 3 and _fin(chain, 1) and iso(1, complete_bipartite(1, n - 1)):
-            return "Thm14(c)", []
+            return "Thm14(c)", ()
         return None
 
     if d == 1 and has_full:
         if n == 2 and _cyc(chain, 0, 2) and iso(1, empty_graph(2)):
-            return "Thm15(a)", []
+            return "Thm15(a)", ()
         if n == 3 and _cyc(chain, 0, 2) and iso(1, union(complete(1), complete(2))):
-            return "Thm15(c)", []
+            return "Thm15(c)", ()
         if n > 3 and _fin(chain, 1) and iso(1, union(complete(1), complete_bipartite(1, n - 2))):
-            return "Thm15(b)", []
+            return "Thm15(b)", ()
         return None
 
     if d == 1:
         if n == 4 and _fin(chain, 3) and iso(1, cycle(4)) and iso(2, complete(4)) and iso(3, empty_graph(4)):
-            return "Thm16(b)", ["intermediate image is the 4-cycle; order-4 boundary case"]
+            return "Thm16(b)", ("intermediate image is the 4-cycle; order-4 boundary case",)
         if (
             n >= 5
             and _fin(chain, 2)
             and iso(1, complete_bipartite(2, n - 2))
             and iso(2, _pair_join_independents(n - 2))
         ):
-            return "Thm16(c)", []
+            return "Thm16(c)", ()
         if _fin(chain, 1) and recognize_h1(seq[1]) is not None:
-            return "Thm16(a)", []
+            return "Thm16(a)", ()
         return None
 
     if d == 2 and has_full:
-        if _fin(chain, 1):
-            return "Thm17", []
-        return None
+        return ("Thm17", ()) if _fin(chain, 1) else None
 
     # minimum degree 2, no full vertex
-    b = seq[1] if len(seq) > 1 else None
-    if b is None:
+    if len(seq) < 2:
         return None
-
-    def h2_role(sub):
-        return recognize_h2(b, sub) is not None
-
     if _fin(chain, 1):
-        if recognize_h2(b) is not None:
-            return "H2-nonSP", []
-        return None
+        return ("H2-nonSP", ()) if recognize_h2(seq[1]) is not None else None
 
     if isinstance(chain.outcome, CycleOutcome):
         if _cyc(chain, 0, 1) and iso(0, cycle(5)):
-            return "LemH23(d)", ["constant chain; length zero by convention"]
+            return "LemH23(d)", ("constant chain; length zero by convention",)
         if _cyc(chain, 1, 1) and iso(1, cycle(5)):
-            return "LemH23(d)", []
+            return "LemH23(d)", ()
         if _cyc(chain, 1, 1) and n >= 6 and iso(1, complete_bipartite(3, n - 3)):
-            return "LemH23(v)", []
+            return "LemH23(v)", ()
         return None
 
-    if _fin(chain, 2):
-        if iso(1, complete(4)) and iso(2, empty_graph(4)):
-            return "Lem18(a)", []
-        if iso(1, join(empty_graph(2), complete(3))) and iso(2, union(empty_graph(3), complete(2))):
-            return "Lem18(b)", []
-        if iso(1, _k4_minus_e()) and iso(2, union(empty_graph(2), complete(2))):
-            return "Lem18(c)", []
-        if iso(1, _k4_plus_tail_pair()) and iso(2, union(empty_graph(2), path(3))):
-            return "Lem18(d)", []
-        if iso(2, corona_k3_k1()):
-            return "Lem19(f)", []
-        if n >= 6 and iso(2, _triangle_with_pendants(n)):
-            return "Lem19(g)", []
-        if n >= 6 and iso(2, _triangle_with_pendants_plus_edge(n)):
-            return "Lem19(h)", []
-        if n == 5 and iso(1, complete_bipartite(2, 3)) and iso(2, _pair_join_independents(3)) and h2_role(3):
-            return "LemH23(f*)", ["catalog entry corrected to the computed image"]
-        if iso(2, _pair_join_independents(n - 2)):
-            return "Lem19(i)", []
-        if iso(2, _pair_join_independents_plus_edge(n - 2)):
-            return "Lem19(j)", []
-        if recognize_h1(seq[2]) is not None:
-            return ("Lem19(a)", []) if h2_role(2) else ("LemH23(a)", [])
-        if h2_role(3) and recognize_h2(seq[2]) is not None:
-            # catalog gap found by the exhaustive sweep: the image of the
-            # first image lands back in the independent-hub family without a
-            # singleton partition, stopping the chain after two arrows
-            return "LemH23(x*)", ["catalog entry added from the exhaustive sweep"]
-        return None
+    if isinstance(chain.outcome, TerminatedNonSp):
+        return _finite_label(seq, chain.outcome.last_index, _catalog(n), iso)
+    return None
 
-    if _fin(chain, 3):
-        if (
-            iso(1, _bridged_pair())
-            and iso(2, join(empty_graph(2), complete(3)))
-            and iso(3, union(empty_graph(3), complete(2)))
-        ):
-            return "Lem19(e)", []
-        if iso(2, complete_bipartite(2, n - 2)) and iso(3, _pair_join_independents(n - 2)):
-            return ("Lem19(c)", []) if h2_role(2) else ("LemH23(c)", [])
-        if iso(2, complete(4)) and iso(3, empty_graph(4)):
-            return "LemH23(h)", []
-        if iso(2, join(empty_graph(2), complete(3))) and iso(3, union(empty_graph(3), complete(2))):
-            return "LemH23(i)", []
-        if iso(2, _k4_minus_e()) and iso(3, union(empty_graph(2), complete(2))):
-            return "LemH23(j)", []
-        if iso(2, _k4_plus_tail_pair()) and iso(3, union(empty_graph(2), path(3))):
-            return "LemH23(k)", []
-        if iso(3, corona_k3_k1()):
-            return "LemH23(q)", []
-        if n >= 6 and iso(3, _triangle_with_pendants(n)):
-            return "LemH23(r)", []
-        if n >= 6 and iso(3, _triangle_with_pendants_plus_edge(n)):
-            return "LemH23(s)", []
-        if iso(3, _pair_join_independents(n - 2)):
-            return "LemH23(t)", []
-        if iso(3, _pair_join_independents_plus_edge(n - 2)):
-            return "LemH23(u)", []
-        if (
-            n >= 6
-            and iso(1, join(union(complete(1), complete(2)), empty_graph(n - 3)))
-            and iso(2, join(path(3), empty_graph(n - 3)))
-            and iso(3, union(complete(1), _pair_join_independents(n - 3)))
-        ):
-            return "LemH23(w*)", ["catalog entry corrected to the computed image"]
-        if recognize_h1(seq[3]) is not None:
-            return "LemH23(l)", []
-        return None
 
-    if _fin(chain, 4):
-        if (
-            iso(1, _house())
-            and iso(2, _bridged_pair())
-            and iso(3, join(empty_graph(2), complete(3)))
-            and iso(4, union(empty_graph(3), complete(2)))
-        ):
-            return "Lem19(d)", []
-        if iso(2, cycle(4)) and iso(3, complete(4)) and iso(4, empty_graph(4)):
-            return ("Lem19(b)", []) if h2_role(2) else ("LemH23(b)", [])
-        if iso(3, complete_bipartite(2, n - 2)) and iso(4, _pair_join_independents(n - 2)):
-            return "LemH23(n)", []
-        if (
-            iso(2, _bridged_pair())
-            and iso(3, join(empty_graph(2), complete(3)))
-            and iso(4, union(empty_graph(3), complete(2)))
-        ):
-            return "LemH23(p)", []
-        return None
+def _finite_label(seq, k, catalog, iso):
+    """The catalog label of a chain of ``k`` arrows (the tail rule in the module docstring)."""
+    def ends_with(tail) -> bool:
+        if callable(tail):
+            return tail(seq[k]) is not None
+        first = k + 1 - len(tail)
+        return all(iso(first + j, h) for j, h in enumerate(tail))
 
-    if _fin(chain, 5):
-        if iso(3, cycle(4)) and iso(4, complete(4)) and iso(5, empty_graph(4)):
-            return "LemH23(m)", []
-        if (
-            iso(2, _house())
-            and iso(3, _bridged_pair())
-            and iso(4, join(empty_graph(2), complete(3)))
-            and iso(5, union(empty_graph(3), complete(2)))
-        ):
-            return "LemH23(o)", []
-        return None
-
+    for e in catalog:
+        if e.arrows != k or not ends_with(e.tail):
+            continue
+        if e.in_h23 and recognize_h2(seq[1], 3) is None:
+            continue
+        if e.split and recognize_h2(seq[1], 2) is None:
+            return e.split, ()
+        return e.label, (e.note,) if e.note else ()
+    for e in catalog:
+        if e.arrows == k - 1 and e.later and ends_with(e.tail):
+            return e.later, ()
     return None

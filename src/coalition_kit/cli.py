@@ -317,7 +317,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if args.max_order < args.min_order:
             raise CliInputError("--max-order must be at least --min-order")
         if args.max_order > ENUM_MAX:
-            raise CliInputError(f"built-in enumeration stops at order {ENUM_MAX}")
+            raise CliInputError(f"built-in enumeration stops at ENUM_MAX = {ENUM_MAX}")
         items = [code for n in range(args.min_order, args.max_order + 1) for code in _codes(n)]
         decode = graph_from_code
     render = _json_line if args.json else _chain_summary

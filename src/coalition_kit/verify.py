@@ -348,13 +348,8 @@ def _check_thm20(g: Graph, f: _Facts) -> tuple[str | None, str]:
     return f"chain length {key} outside the allowed range", key
 
 
-_LEM18_LABELS = {"Lem18(a)", "Lem18(b)", "Lem18(c)", "Lem18(d)"}
-_LEM19_LABELS = {f"Lem19({c})" for c in "abcdefghij"}
-_LEMH23_LABELS = {f"LemH23({c})" for c in "abcdehijklmnopqrstuv"} | {
-    "LemH23(f*)",
-    "LemH23(w*)",
-    "LemH23(x*)",
-}
+# the lemma of each image subfamily H2.1, H2.2 and H2.3
+_LEMMAS = ("Lem18", "Lem19", "LemH23")
 
 
 def _check_lemma_bucket(subfamily: int, g: Graph, f: _Facts) -> str | None:
@@ -364,24 +359,18 @@ def _check_lemma_bucket(subfamily: int, g: Graph, f: _Facts) -> str | None:
     if chain.outcome == TerminatedNonSp(1) or recognize_h2(image, subfamily) is None:
         return None  # outside this lemma's hypothesis
     try:
-        label = f.label()
+        template = f.template()
     except ChainClassificationError as exc:
         return f"unclassified chain: {exc}"
-    if subfamily == 1:
-        ok = label in _LEM18_LABELS
-    elif subfamily == 2:
-        ok = (
-            label in _LEM19_LABELS
-            or (label in _LEM18_LABELS and recognize_h2(image, 1) is not None)
-            or (label in _LEMH23_LABELS and recognize_h2(image, 3) is not None)
-        )
-    else:
-        ok = (
-            label in _LEMH23_LABELS
-            or (label in _LEM18_LABELS and recognize_h2(image, 1) is not None)
-            or (label in _LEM19_LABELS and recognize_h2(image, 2) is not None)
-        )
-    return None if ok else f"classified {label}, outside the lemma's chain list"
+    # a chain under another lemma counts when the image is in that lemma's
+    # subfamily too; Lemma 18 takes its own chains only
+    lemma = template.lemma
+    ok = lemma == _LEMMAS[subfamily - 1] or (
+        subfamily != 1
+        and lemma in _LEMMAS
+        and recognize_h2(image, _LEMMAS.index(lemma) + 1) is not None
+    )
+    return None if ok else f"classified {template.label}, outside the lemma's chain list"
 
 
 # ---------------------------------------------------------------------------
@@ -586,7 +575,7 @@ def _id_error(theorem_id: str, n_max: int, enumerated: bool) -> Exception | None
         return ValueError(f"{theorem_id} needs order at least {min_order}, got n_max={n_max}")
     if enumerated and n_max > ENUM_MAX:
         return ValueError(
-            f"built-in enumeration stops at order {ENUM_MAX}; pass graphs from a file instead"
+            f"built-in enumeration stops at ENUM_MAX = {ENUM_MAX}; pass graphs from a file instead"
         )
     return None
 

@@ -12,6 +12,7 @@ from conftest import graph_with_permutation
 from coalition_kit import are_isomorphic, chains, emit_graph6
 from coalition_kit.chains import (
     ChainClassificationError,
+    ChainResult,
     CycleOutcome,
     OutOfCharacterizedRange,
     StepCap,
@@ -23,11 +24,16 @@ from coalition_kit.chains import (
 from coalition_kit.canon import canonical_form, enumerate_graphs
 from coalition_kit.coalition_graph import NotSingletonPartitionGraph, sc_graph
 from coalition_kit.domination import sp_check
+from coalition_kit.families import generate_family, recognize_h2
 from coalition_kit.graphs import (
+    DegreeStats,
     complete,
+    complete_bipartite,
+    corona_k3_k1,
     cycle,
     degree_stats,
     empty_graph,
+    join,
     path,
     union,
 )
@@ -239,10 +245,9 @@ def test_degree_two_without_full_vertex_is_infinite_or_short():
 def test_every_small_sp_chain_classifies():
     for g in _sp_graphs(6, lambda g: degree_stats(g).min_degree <= 2):
         try:
-            template = classify_chain(g)
+            classify_chain(g)
         except ChainClassificationError as err:  # pragma: no cover - failure path
             pytest.fail(f"{emit_graph6(g)}: {err}")
-        assert template.order == g.n
 
 
 def test_corrected_and_added_catalog_entries():
@@ -256,3 +261,105 @@ def test_corrected_and_added_catalog_entries():
     assert classify_chain(parse_graph6("EJfg")).label == "LemH23(w*)"
     # fixed-point biclique chain
     assert classify_chain(parse_graph6("EJaG")).label == "LemH23(v)"
+
+
+def _catalog_cases():
+    """Synthetic chains for every label of the minimum-degree-2, no-full-vertex
+    branch, built from the catalog's templates: (label, notes, members,
+    outcome). A chain one arrow longer than a Lemma 18/19 chain puts a
+    complete graph in front of the same tail. The first image decides the
+    split labels: an H2.2 member or a complete graph (in neither H2.2 nor
+    H2.3)."""
+    K, E = complete, empty_graph
+    pji, pjie = chains._pair_join_independents, chains._pair_join_independents_plus_edge
+    lem18 = {
+        "a": (K(4), E(4)),
+        "b": (join(E(2), K(3)), union(E(3), K(2))),
+        "c": (chains._k4_minus_e(), union(E(2), K(2))),
+        "d": (chains._k4_plus_tail_pair(), union(E(2), path(3))),
+    }
+    bridge = (chains._bridged_pair(), *lem18["b"])
+    square = (cycle(4), K(4), E(4))
+    h22 = {n: generate_family(f"h2.2:L1=1,R1={n - 4},seed=0") for n in (5, 6)}
+    h1 = generate_family("h1:P1=0,Q1=2,seed=0")  # order 5
+    w_star = (
+        join(union(K(1), K(2)), E(3)),
+        join(path(3), E(3)),
+        union(K(1), pji(3)),
+    )
+    later = dict(zip("abcd", "hijk"))
+    fin = []  # (label, notes, members after the start)
+    for sub, tail in lem18.items():
+        fin += [(f"Lem18({sub})", tail), (f"LemH23({later[sub]})", (K(tail[0].n), *tail))]
+    for lem19, lemh23, tail in [
+        ("f", "q", (corona_k3_k1(),)),
+        ("g", "r", (chains._triangle_with_pendants(7),)),
+        ("h", "s", (chains._triangle_with_pendants_plus_edge(6),)),
+        ("i", "t", (pji(4),)),
+        ("j", "u", (pjie(4),)),
+    ]:
+        n = tail[0].n
+        fin += [(f"Lem19({lem19})", (K(n), *tail)), (f"LemH23({lemh23})", (K(n), K(n), *tail))]
+    fin += [
+        # f* wins over Lem19(i), whose tail pji(3) it shares
+        ("LemH23(f*)", (complete_bipartite(2, 3), pji(3))),
+        ("Lem19(i)", (K(5), pji(3))),
+        ("Lem19(a)", (h22[5], h1)),
+        ("LemH23(a)", (K(5), h1)),
+        ("LemH23(l)", (K(5), K(5), h1)),
+        # the pentagon is in H2.3 and in H2, and not in H1
+        ("LemH23(x*)", (cycle(5), cycle(5))),
+        # Lem19(e) wins over LemH23(i), and Lem19(d) over LemH23(p)
+        ("Lem19(e)", bridge),
+        ("LemH23(p)", (K(5), *bridge)),
+        ("Lem19(d)", (chains._house(), *bridge)),
+        ("LemH23(o)", (K(5), chains._house(), *bridge)),
+        # Lem19(c) wins over LemH23(t)
+        ("Lem19(c)", (h22[6], complete_bipartite(2, 4), pji(4))),
+        ("LemH23(c)", (K(6), complete_bipartite(2, 4), pji(4))),
+        ("LemH23(n)", (K(6), K(6), complete_bipartite(2, 4), pji(4))),
+        ("LemH23(w*)", w_star),
+        # no H2.2 member has order 4: only a chain of mixed orders gives Lem19(b)
+        ("Lem19(b)", (h22[5], *square)),
+        ("LemH23(b)", (K(4), *square)),
+        ("LemH23(m)", (K(4), K(4), *square)),
+        ("H2-nonSP", (h22[5],)),
+    ]
+    notes = {
+        "LemH23(f*)": ("catalog entry corrected to the computed image",),
+        "LemH23(w*)": ("catalog entry corrected to the computed image",),
+        "LemH23(x*)": ("catalog entry added from the exhaustive sweep",),
+    }
+    cases = [
+        (label, notes.get(label, ()), (cycle(rest[0].n), *rest), TerminatedNonSp(len(rest)))
+        for label, rest in fin
+    ]
+    return cases + [
+        ("LemH23(d)", ("constant chain; length zero by convention",), (cycle(5),) * 2, CycleOutcome(0, 1)),
+        ("LemH23(d)", (), (cycle(5),) * 3, CycleOutcome(1, 1)),
+        ("LemH23(v)", (), (cycle(6), *(complete_bipartite(3, 3),) * 2), CycleOutcome(1, 1)),
+    ]
+
+
+_CATALOG_CASES = _catalog_cases()
+
+
+def test_catalog_cases_cover_every_label_of_the_degree_two_branch():
+    assert len({label for label, *_ in _CATALOG_CASES}) == 37
+    # the first images that split the labels
+    for n in (5, 6):
+        assert recognize_h2(generate_family(f"h2.2:L1=1,R1={n - 4},seed=0"), 2) is not None
+    for n in (4, 5, 6):
+        assert recognize_h2(complete(n), 2) is None and recognize_h2(complete(n), 3) is None
+    assert recognize_h2(complete_bipartite(2, 3), 3) is not None
+
+
+@pytest.mark.parametrize(
+    "label, notes, members, outcome",
+    _CATALOG_CASES,
+    ids=[f"{i}-{c[0]}" for i, c in enumerate(_CATALOG_CASES)],
+)
+def test_catalog_labels_of_synthetic_chains(label, notes, members, outcome):
+    chain = ChainResult(members, outcome)
+    template = classify_chain(members[0], chain, DegreeStats(2, 0))
+    assert (template.label, template.notes) == (label, notes)

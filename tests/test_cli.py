@@ -12,6 +12,7 @@ import pytest
 
 from coalition_kit import are_isomorphic, build_named, enumerate_graphs, parse_graph6
 from coalition_kit.graphs import emit_graph6, path
+from coalition_kit.limits import ENUM_MAX
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -256,6 +257,16 @@ def test_sweep_rejects_an_empty_or_invalid_order_range(orders, flag):
     assert result.returncode == 2
     assert result.stdout == ""
     assert result.stderr.startswith("error: " + flag)
+
+
+@pytest.mark.parametrize(
+    "command", [["verify", "--all"], ["sweep"]], ids=["verify", "sweep"]
+)
+def test_orders_above_the_enumeration_limit_name_it(command):
+    result = run_cli(*command, "--max-order", str(ENUM_MAX + 1), "--jobs", "1")
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert "ENUM_MAX" in result.stderr
 
 
 @pytest.mark.parametrize("jobs", ["0", "-1", "-2"])

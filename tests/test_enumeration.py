@@ -89,7 +89,7 @@ def test_isolated_vertex_classes_match_previous_order():
 
 
 def test_enumeration_cap():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="ENUM_MAX"):
         list(enumerate_graphs(ENUM_MAX + 1))
     with pytest.raises(ValueError):
         class_count(0)

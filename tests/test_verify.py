@@ -7,6 +7,7 @@ import dataclasses
 import random
 import time
 from functools import partial
+from types import SimpleNamespace
 
 import pytest
 
@@ -53,7 +54,7 @@ def test_unknown_id():
 def test_order_too_small():
     with pytest.raises(ValueError):
         verify_theorem("thm8", n_max=3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="ENUM_MAX"):
         verify_theorem("thm1", n_max=ENUM_MAX + 1)
 
 
@@ -585,3 +586,32 @@ def test_each_distinct_seeded_generation_is_checked_once(monkeypatch):
     assert 0 < len(expected) < 500
     assert [cex["detail"] for cex in report.counterexamples] == expected
     assert len(recognized) == len(set(generated)) < len(generated) == 500
+
+
+# Which chains each lemma check accepts: its own lemma's, and for Lemmas 19
+# and H2.3 another lemma's when the image is also in that lemma's subfamily
+# (the value; None for the own lemma).
+_LEMMA_CHAIN_LISTS = {
+    1: {"Lem18": None},
+    2: {"Lem19": None, "Lem18": 1, "LemH23": 3},
+    3: {"LemH23": None, "Lem18": 1, "Lem19": 2},
+}
+
+
+@pytest.mark.parametrize("subfamily", [1, 2, 3])
+def test_lemma_checks_accept_the_chains_their_lemmas_list(monkeypatch, subfamily):
+    # the image's subfamilies are stubbed, so every combination is reached
+    g = cycle(5)
+    chain = chains.ChainResult((g,) * 3, TerminatedNonSp(2))
+    accepted = _LEMMA_CHAIN_LISTS[subfamily]
+    for mask in range(8):
+        subs = {s for s in (1, 2, 3) if mask >> (s - 1) & 1}
+        monkeypatch.setattr(verify_mod, "recognize_h2", lambda h, sub: sub in subs or None)
+        for label in ("Lem18(a)", "Lem19(i)", "LemH23(x*)", "LemH23(d)", "H2-nonSP"):
+            facts = SimpleNamespace(chain=lambda: chain, template=lambda: chains.ChainTemplate(label))
+            lemma = label.partition("(")[0]
+            ok = subfamily not in subs or (
+                lemma in accepted and accepted[lemma] in (None, *subs)
+            )
+            expected = None if ok else f"classified {label}, outside the lemma's chain list"
+            assert verify_mod._check_lemma_bucket(subfamily, g, facts) == expected, (subs, label)
