@@ -96,21 +96,25 @@ class ChainResult:
         return tuple(self.code(i) for i in range(len(self.sequence)))
 
 
-def sc_chain(g: Graph, max_steps: int = CHAIN_STEPS_DEFAULT) -> ChainResult:
+def sc_chain(
+    g: Graph, max_steps: int = CHAIN_STEPS_DEFAULT, *, scan: tuple | None = None
+) -> ChainResult:
     """Iterate the singleton-coalition construction from ``g``. Stops at the
     first non-SP graph (included in the sequence), at the first repeated
-    isomorphism class, or after ``max_steps`` arrows."""
+    isomorphism class, or after ``max_steps`` arrows.
+
+    ``scan`` is ``singleton_partners(g)`` when the caller holds it. Each
+    member's scan tests it and gives the next member's rows. Only an SP
+    member can repeat an earlier one, and only one with the same sorted
+    degree sequence, so a member and such an earlier one are canonicalized
+    only then. A cycling chain ends with every member's code; other codes
+    are computed on first read."""
     if max_steps < 1:
         raise ValueError("max_steps must be at least 1")
-    return _chain_from(g, singleton_partners(g), max_steps)
-
-
-def _chain_from(g: Graph, scan: tuple, max_steps: int) -> ChainResult:
-    """The chain of ``g`` from ``scan``, its ``singleton_partners``: each
-    member's scan tests it and gives the next member's rows. Only an SP member
-    can repeat an earlier one, so a member (and the start with the first one)
-    is canonicalized only after its scan passes; other codes are lazy."""
+    if scan is None:
+        scan = singleton_partners(g)
     seq = [g]
+    degrees: list[list[int]] = []  # sorted, of the SP members, once there are two
     codes: dict[int, bytes] = {}
     while True:
         last = len(seq) - 1
@@ -118,13 +122,22 @@ def _chain_from(g: Graph, scan: tuple, max_steps: int) -> ChainResult:
         if blocking is not None:
             return ChainResult(tuple(seq), TerminatedNonSp(last), codes, blocking)
         if last:
-            if not codes:
-                codes[0] = canonical_form(g)
-            code = canonical_form(seq[last])
-            entry = next((i for i, c in codes.items() if c == code), None)
-            codes[last] = code
-            if entry is not None:
-                return ChainResult(tuple(seq), CycleOutcome(entry, last - entry), codes)
+            if not degrees:
+                degrees.append(sorted(g.degrees()))
+            member = sorted(seq[last].degrees())
+            ties = [i for i, d in enumerate(degrees) if d == member]
+            degrees.append(member)
+            if ties:
+                code = codes[last] = canonical_form(seq[last])
+                for i in ties:
+                    if i not in codes:
+                        codes[i] = canonical_form(seq[i])
+                    if codes[i] == code:
+                        # a cycling chain ends holding every member's code
+                        for j in range(last):
+                            if j not in codes:
+                                codes[j] = canonical_form(seq[j])
+                        return ChainResult(tuple(seq), CycleOutcome(i, last - i), codes)
         if last == max_steps:
             return ChainResult(tuple(seq), StepCap(max_steps), codes)
         # partner masks are symmetric and loop-free, so the image is trusted

@@ -42,6 +42,7 @@ from .graphs import (
     bits,
     build_named,
     emit_graph6,
+    graph6_record_text,
     graph6_records,
     parse_graph6,
     parse_graph6_record,
@@ -305,10 +306,13 @@ def _chain_summary(rec: dict, arrows: bool = False) -> str:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     # Workers decode the records (graph6 lines or canonical codes) and render
     # the output lines; this process writes the lines once all are back, so
-    # a malformed record leaves stdout empty.
+    # a malformed record leaves stdout empty. A file record's text is the
+    # graph6 its output carries.
+    graph6 = None
     if args.file:
         items = list(graph6_records(args.file))
         decode = partial(parse_graph6_record, args.file)
+        graph6 = graph6_record_text
     else:
         if args.max_order is None:
             raise CliInputError("sweep needs --max-order or --file")
@@ -321,7 +325,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         items = [code for n in range(args.min_order, args.max_order + 1) for code in _codes(n)]
         decode = graph_from_code
     render = _json_line if args.json else _chain_summary
-    lines = sweep_chains(items, args.jobs, decode=decode, render=render)
+    lines = sweep_chains(items, args.jobs, decode=decode, render=render, graph6=graph6)
     sys.stdout.writelines(line + "\n" for line in lines)
     return 0
 

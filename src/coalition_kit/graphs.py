@@ -367,6 +367,13 @@ def parse_graph6_record(path: str, record: tuple[int, str]) -> Graph:
         raise Graph6Error(f"{path}:{lineno}: {exc}") from exc
 
 
+def graph6_record_text(record: tuple[int, str]) -> str:
+    """The graph6 text of one ``graph6_records`` entry: its line without the
+    header. A record that parses is the one graph6 encoding of its graph,
+    since ``parse_graph6`` rejects set padding bits and stray bytes."""
+    return record[1].removeprefix(">>graph6<<")
+
+
 def read_graph6_file(path: str) -> Iterator[Graph]:
     """Parse every nonblank line of a graph6 file."""
     for record in graph6_records(path):

@@ -29,8 +29,8 @@ from .chains import (
     StepCap,
     TerminatedNonSp,
     classify_chain,
-    _chain_from,
     l_scc_of,
+    sc_chain,
 )
 from .domination import singleton_partners, sp_check
 from .families import (
@@ -55,7 +55,7 @@ from .graphs import (
     join,
     union,
 )
-from .limits import CANON_MAX, CHAIN_STEPS_DEFAULT, ENUM_MAX
+from .limits import CANON_MAX, ENUM_MAX
 
 SCHEMA_VERSION = 1
 
@@ -169,10 +169,9 @@ class _Facts:
         return Graph._trusted(self.g.n, tuple(self._scan[1]))
 
     def chain(self) -> ChainResult:
-        """The chain, from the held scan (taken here above minimum degree 2)."""
+        """The chain, from the held scan (which ``sc_chain`` takes above minimum degree 2)."""
         if self._chain is None:
-            scan = self._scan or singleton_partners(self.g)
-            self._chain = _chain_from(self.g, scan, CHAIN_STEPS_DEFAULT)
+            self._chain = sc_chain(self.g, scan=self._scan)
         return self._chain
 
     def template(self) -> ChainTemplate:
@@ -362,13 +361,16 @@ def _check_lemma_bucket(subfamily: int, g: Graph, f: _Facts) -> str | None:
         template = f.template()
     except ChainClassificationError as exc:
         return f"unclassified chain: {exc}"
-    # a chain under another lemma counts when the image is in that lemma's
-    # subfamily too; Lemma 18 takes its own chains only
-    lemma = template.lemma
-    ok = lemma == _LEMMAS[subfamily - 1] or (
+    # Lemmas 19 and H2.3 take each other's chains when the image is in both
+    # subfamilies. A Lemma 18 chain counts under its own lemma only: an H2.1
+    # member has two adjacent full vertices (y' and z' see x', each other and
+    # all of R1), while an H2.2 or H2.3 member has at most one, so no image
+    # is in H2.1 and in another subfamily.
+    other = 5 - subfamily  # H2.2 and H2.3 swap
+    ok = template.lemma == _LEMMAS[subfamily - 1] or (
         subfamily != 1
-        and lemma in _LEMMAS
-        and recognize_h2(image, _LEMMAS.index(lemma) + 1) is not None
+        and template.lemma == _LEMMAS[other - 1]
+        and recognize_h2(image, other) is not None
     )
     return None if ok else f"classified {template.label}, outside the lemma's chain list"
 
@@ -738,11 +740,16 @@ def _lscc_json(lv: LsccValue) -> dict:
     return out
 
 
-def chain_record(g: Graph) -> dict:
-    """One sweep record: chain, length, and template label (or a status)."""
+def chain_record(g: Graph, g6: str | None = None) -> dict:
+    """One sweep record: chain, length, and template label (or a status).
+
+    ``g6`` is the graph6 text of ``g`` when the caller holds it; it becomes
+    the record's ``graph6`` and first chain member, encoded afresh otherwise.
+    """
     f = _Facts(g) if g.n <= CANON_MAX else None
     stats = f.stats if f else degree_stats(g)
-    g6 = emit_graph6(g)
+    if g6 is None:
+        g6 = emit_graph6(g)
     rec: dict = {
         "schema_version": SCHEMA_VERSION,
         "graph6": g6,
@@ -779,8 +786,14 @@ def chain_record(g: Graph) -> dict:
     return rec
 
 
-def _sweep_record(render: Callable[[dict], object], g: Graph) -> object:
-    return render(chain_record(g))
+def _decode_with_graph6(
+    decode: Callable[..., Graph], graph6: Callable[..., str] | None, item
+) -> tuple[Graph, str | None]:
+    return decode(item), graph6(item) if graph6 else None
+
+
+def _sweep_record(render: Callable[[dict], object], decoded: tuple[Graph, str | None]) -> object:
+    return render(chain_record(*decoded))
 
 
 def sweep_chains(
@@ -789,15 +802,20 @@ def sweep_chains(
     *,
     decode: Callable[..., Graph] = _itself,
     render: Callable[[dict], object] = _itself,
+    graph6: Callable[..., str] | None = None,
 ) -> list:
     """Chain records for a batch of graphs, input order preserved.
 
     ``decode`` turns each item into its graph (the items are graphs by
     default) and ``render`` turns each record into the result (the record
-    dict by default). Both run where the chain is built, in the worker
-    under ``jobs`` > 1, so that workers can take graph6 text and return
-    finished output lines. An error in ``decode`` is raised as it is, and
-    no result is returned.
+    dict by default). ``graph6``, when given, maps each item to its graph's
+    graph6 text, which the record carries instead of encoding the graph
+    again. All three run where the chain is built, in the worker under
+    ``jobs`` > 1, so that workers can take graph6 text and return finished
+    output lines. An error in ``decode`` is raised as it is, and no result
+    is returned.
     """
-    per_graph = partial(_sweep_record, render)
-    return list(_pmap(partial(_run_chunk, decode, per_graph), list(items), jobs))
+    chunk_fn = partial(
+        _run_chunk, partial(_decode_with_graph6, decode, graph6), partial(_sweep_record, render)
+    )
+    return list(_pmap(chunk_fn, list(items), jobs))

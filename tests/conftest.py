@@ -1,18 +1,72 @@
-"""Shared strategies and independent oracles for the test suite.
+"""Shared strategies, independent oracles and the compiled kernel for the
+test suite.
 
 The oracles here deliberately avoid the library's own code paths: the
 isomorphism oracle searches permutations, the partition oracle enumerates
 set partitions with a from-scratch validity predicate, and the canonical
 oracle minimizes over all permutations.
+
+The ``fastkernel`` fixture builds the C extension once per session into a
+temporary directory and loads it from there, so both backends are tested
+while ``canon`` keeps the backend it imported.
 """
 
 from __future__ import annotations
 
+import importlib.util
+import os
+import shutil
+import subprocess
+import sys
+import sysconfig
 from itertools import permutations
+from pathlib import Path
 
+import pytest
 from hypothesis import strategies as st
 
 from coalition_kit.graphs import Graph
+
+_KERNEL_SOURCE = Path(__file__).parent.parent / "src" / "coalition_kit" / "_fastkernel.c"
+
+# run in a fresh interpreter: builds the extension with setuptools into
+# argv[2] and prints the built file's path
+_BUILD = """
+import sys
+from setuptools import Distribution, Extension
+
+source, out = sys.argv[1:]
+dist = Distribution({"ext_modules": [Extension("coalition_kit._fastkernel", [source])]})
+cmd = dist.get_command_obj("build_ext")
+cmd.build_lib, cmd.build_temp = out, out + "/temp"
+dist.run_command("build_ext")
+print(cmd.get_ext_fullpath("coalition_kit._fastkernel"))
+"""
+
+
+@pytest.fixture(scope="session")
+def fastkernel(tmp_path_factory):
+    """The compiled kernel module, built from the source tree, which it
+    leaves untouched; skips only when no C compiler is found."""
+    compiler = (os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc").split()[0]
+    if shutil.which(compiler) is None:
+        pytest.skip(f"no C compiler found (looked for {compiler!r})")
+    out = tmp_path_factory.mktemp("fastkernel")
+    package, src = _KERNEL_SOURCE.parents[:2]
+    tree = {*package.iterdir(), *src.iterdir()}
+    build = subprocess.run(
+        [sys.executable, "-c", _BUILD, str(_KERNEL_SOURCE), str(out)],
+        capture_output=True,
+        text=True,
+    )
+    assert build.returncode == 0, build.stdout + build.stderr
+    assert {*package.iterdir(), *src.iterdir()} == tree, "the build wrote into the source tree"
+    spec = importlib.util.spec_from_file_location(
+        "coalition_kit._fastkernel", build.stdout.splitlines()[-1]
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def graph_from_mask(n: int, mask: int) -> Graph:

@@ -143,6 +143,25 @@ def test_chains_that_reach_a_non_sp_graph_compute_no_code(canon_calls):
     assert canon_calls == []
 
 
+def test_members_with_distinct_degree_sequences_compute_no_code(canon_calls):
+    # path(4) -> C4 -> K4 -> 4 isolated vertices: no two SP members can repeat
+    assert sc_chain(path(4)).outcome == TerminatedNonSp(3)
+    assert canon_calls == []
+    # of the 108 chains of orders 1-7 with two SP members or more, 60 have
+    # pairwise distinct degree sequences
+    distinct = 0
+    for n in range(1, 8):
+        for g in enumerate_graphs(n):
+            canon_calls.clear()
+            chain = sc_chain(g)
+            sp_count = len(chain.sequence) - isinstance(chain.outcome, TerminatedNonSp)
+            degrees = {tuple(sorted(h.degrees())) for h in chain.sequence[:sp_count]}
+            if sp_count >= 2 and len(degrees) == sp_count:
+                distinct += 1
+                assert canon_calls == [], emit_graph6(g)
+    assert distinct == 60
+
+
 def test_cycle_is_found_with_lazy_codes(canon_calls):
     chain = sc_chain(path(3))
     assert chain.outcome == CycleOutcome(0, 2)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from coalition_kit import are_isomorphic, build_named, enumerate_graphs, parse_graph6
+from coalition_kit import are_isomorphic, build_named, cli, enumerate_graphs, parse_graph6
 from coalition_kit.graphs import emit_graph6, path
 from coalition_kit.limits import ENUM_MAX
 
@@ -184,6 +184,57 @@ def test_verify_file_output_is_the_same_at_every_job_count(tmp_path):
         outputs.append(reports)
     assert len(outputs[0]) == 16
     assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
+def _random_graph6(rng: random.Random, n: int) -> str:
+    """A graph6 record of order ``n`` drawn byte by byte, padding bits clear."""
+    pairs = n * (n - 1) // 2
+    width = -(-pairs // 6)
+    x = rng.getrandbits(pairs) << (6 * width - pairs) if pairs else 0
+    body = [63 + (x >> (6 * (width - 1 - k)) & 63) for k in range(width)]
+    return bytes([63 + n, *body]).decode("ascii")
+
+
+def test_a_file_sweep_record_carries_its_line_as_the_graph6_of_the_parsed_graph(
+    tmp_path, capsys
+):
+    rng = random.Random(16)
+    lines = []
+    for n in range(1, 8):
+        for g in enumerate_graphs(n):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            lines.append(emit_graph6(g.relabel(perm)))
+    lines += [_random_graph6(rng, rng.randint(1, 32)) for _ in range(300)]
+    f = tmp_path / "mixed.g6"
+    f.write_text("\n".join(lines) + "\n")
+    assert cli.main(["sweep", "--file", str(f), "--json", "--jobs", "1"]) == 0
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert len(records) == len(lines) == 1252 + 300
+    assert any(rec["order"] > 16 for rec in records)
+    for line, rec in zip(lines, records):
+        expected = emit_graph6(parse_graph6(line))
+        assert rec["graph6"] == expected == line
+        assert rec.get("chain", [expected])[0] == expected
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_file_output_ignores_headers_and_surrounding_spaces(tmp_path, jobs):
+    plain = _relabeled_order_six_file(tmp_path)
+    lines = plain.read_text().split("\n")
+    for k, line in enumerate(lines):
+        if line:
+            header = ">>graph6<<" if k % 3 else ""
+            lines[k] = " " * (k % 2) + header + line + " " * (k % 4)
+    decorated = tmp_path / "decorated.g6"
+    decorated.write_text("\n".join(lines))
+    outputs = [
+        run_cli("sweep", "--file", str(path), "--json", "--jobs", jobs)
+        for path in (plain, decorated)
+    ]
+    assert [result.returncode for result in outputs] == [0, 0]
+    assert len(outputs[0].stdout.splitlines()) == 156
+    assert outputs[1].stdout == outputs[0].stdout
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

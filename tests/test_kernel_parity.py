@@ -1,4 +1,8 @@
-"""Pure and compiled kernels must emit byte-identical codes."""
+"""Pure and compiled kernels must emit byte-identical codes.
+
+The compiled kernel is the ``fastkernel`` fixture's build; the backend that
+``canon`` imported stays the active one.
+"""
 
 from __future__ import annotations
 
@@ -10,53 +14,50 @@ from coalition_kit import kernel as pure
 from coalition_kit.canon import _extend_codes
 from coalition_kit.limits import CANON_MAX
 
-fast = pytest.importorskip(
-    "coalition_kit._fastkernel", reason="build with: python setup.py build_ext --inplace"
-)
-
 
 @settings(max_examples=400)
-@given(graphs(max_n=12))
-def test_codes_agree(g):
-    assert pure.canonical_code(g.n, g.rows) == fast.canonical_code(g.n, g.rows)
+@given(g=graphs(max_n=12))
+def test_codes_agree(fastkernel, g):
+    assert pure.canonical_code(g.n, g.rows) == fastkernel.canonical_code(g.n, g.rows)
 
 
-def test_enumerations_agree():
+def test_enumerations_agree(fastkernel):
     pure_codes = fast_codes = [pure.canonical_code(1, (0,))]
     for n in range(2, 9):
         pure_codes = _extend_codes(pure_codes, n, pure.canonical_code)
-        fast_codes = _extend_codes(fast_codes, n, fast.canonical_code)
+        fast_codes = _extend_codes(fast_codes, n, fastkernel.canonical_code)
         assert pure_codes == fast_codes
 
 
-def test_compiled_enumeration_reaches_order_nine():
-    codes = [fast.canonical_code(1, (0,))]
+def test_compiled_enumeration_reaches_order_nine(fastkernel):
+    codes = [fastkernel.canonical_code(1, (0,))]
     for n in range(2, 10):
-        codes = _extend_codes(codes, n, fast.canonical_code)
+        codes = _extend_codes(codes, n, fastkernel.canonical_code)
     assert len(codes) == 274668  # OEIS A000088
 
 
 @pytest.mark.parametrize("n", [0, CANON_MAX + 1])
-def test_order_out_of_range_raises_the_same_error(n):
+def test_order_out_of_range_raises_the_same_error(fastkernel, n):
     rows = (0,) * (CANON_MAX + 1)
     messages = []
-    for kernel in (pure, fast):
+    for kernel in (pure, fastkernel):
         with pytest.raises(ValueError) as exc:
             kernel.canonical_code(n, rows)
         messages.append(str(exc.value))
     assert messages[0] == messages[1]
 
 
-def test_row_wider_than_a_word_raises():
+def test_row_wider_than_a_word_raises(fastkernel):
     with pytest.raises(OverflowError):
-        fast.canonical_code(3, (1 << 32, 0, 0))
+        fastkernel.canonical_code(3, (1 << 32, 0, 0))
 
 
-@pytest.mark.parametrize("kernel", [pure, fast])
-def test_short_rows_raise(kernel):
+@pytest.mark.parametrize("compiled", [False, True], ids=["pure", "compiled"])
+def test_short_rows_raise(fastkernel, compiled):
+    kernel = fastkernel if compiled else pure
     with pytest.raises(IndexError):
         kernel.canonical_code(3, (0, 0))
 
 
-def test_compiled_flag():
-    assert fast.IS_COMPILED and not pure.IS_COMPILED
+def test_compiled_flag(fastkernel):
+    assert fastkernel.IS_COMPILED and not pure.IS_COMPILED

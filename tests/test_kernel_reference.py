@@ -6,6 +6,8 @@ that counts every vertex against every cell each round, and
 ``unfiltered_extend_codes`` keeps the extension that canonicalizes every
 minimum-degree neighbourhood, twins or not. The current code must give the
 same codes while calling the kernel less and refining against fewer cells.
+The compiled kernel, the ``fastkernel`` fixture's build, is held to the
+same references.
 """
 
 from __future__ import annotations
@@ -146,8 +148,22 @@ def test_every_extension_candidate_gets_the_reference_code():
     assert len(codes) == 1044
 
 
+@settings(max_examples=300)
+@given(g=graphs(max_n=CANON_MAX))
+def test_compiled_codes_equal_the_reference_kernel(fastkernel, g):
+    assert fastkernel.canonical_code(g.n, g.rows) == reference_canonical_code(g.n, g.rows)
+
+
 def test_order_eight_codes_keep_their_digest():
     assert hashlib.sha256(b"".join(canon._codes(8))).hexdigest() == ORDER_EIGHT_SHA256
+
+
+def test_compiled_order_eight_codes_keep_their_digest(fastkernel):
+    codes = [fastkernel.canonical_code(1, (0,))]
+    for n in range(2, 9):
+        parents, codes = codes, _extend_codes(codes, n, fastkernel.canonical_code)
+        assert codes == unfiltered_extend_codes(parents, n, fastkernel.canonical_code)
+    assert hashlib.sha256(b"".join(codes)).hexdigest() == ORDER_EIGHT_SHA256
 
 
 @pytest.mark.parametrize("n", range(2, 8))

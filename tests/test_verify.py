@@ -25,7 +25,7 @@ from coalition_kit import chains, coalition_graph
 from coalition_kit.canon import enumerate_graphs
 from coalition_kit.chains import TerminatedNonSp, sc_chain
 from coalition_kit.coalition_graph import sc_graph
-from coalition_kit.families import FamilySpec
+from coalition_kit.families import FamilySpec, recognize_h2
 from coalition_kit.graphs import (
     DegreeStats,
     complete,
@@ -364,13 +364,13 @@ def test_a_pass_scans_each_start_once_and_each_chain_member_once(scans, monkeypa
     # every graph with minimum degree <= 2 is scanned once for its facts;
     # a chain continues from that scan and scans each member it adds
     built = []
-    real_chain_from = verify_mod._chain_from
+    real_sc_chain = verify_mod.sc_chain
 
-    def recording(g, scan, max_steps):
-        built.append(real_chain_from(g, scan, max_steps))
+    def recording(*args, **kwargs):
+        built.append(real_sc_chain(*args, **kwargs))
         return built[-1]
 
-    monkeypatch.setattr(verify_mod, "_chain_from", recording)
+    monkeypatch.setattr(verify_mod, "sc_chain", recording)
     graphs = _relabeled_classes(6, 613)
     pool_ids = [t for t in all_theorem_ids() if t != "obs7"]
     assert all(report.passed for report in verify_claims(pool_ids, graphs=graphs))
@@ -589,12 +589,12 @@ def test_each_distinct_seeded_generation_is_checked_once(monkeypatch):
 
 
 # Which chains each lemma check accepts: its own lemma's, and for Lemmas 19
-# and H2.3 another lemma's when the image is also in that lemma's subfamily
+# and H2.3 the other one's when the image is also in that lemma's subfamily
 # (the value; None for the own lemma).
 _LEMMA_CHAIN_LISTS = {
     1: {"Lem18": None},
-    2: {"Lem19": None, "Lem18": 1, "LemH23": 3},
-    3: {"LemH23": None, "Lem18": 1, "Lem19": 2},
+    2: {"Lem19": None, "LemH23": 3},
+    3: {"LemH23": None, "Lem19": 2},
 }
 
 
@@ -615,3 +615,11 @@ def test_lemma_checks_accept_the_chains_their_lemmas_list(monkeypatch, subfamily
             )
             expected = None if ok else f"classified {label}, outside the lemma's chain list"
             assert verify_mod._check_lemma_bucket(subfamily, g, facts) == expected, (subs, label)
+
+
+def test_no_image_is_in_h21_and_another_subfamily():
+    # why a Lemma 18 chain counts under no other lemma: an H2.1 member has
+    # two adjacent full vertices, an H2.2 or H2.3 member at most one
+    h21 = [g for n in range(4, 9) for g in enumerate_graphs(n) if recognize_h2(g, 1)]
+    assert len(h21) == 20
+    assert not [g for g in h21 if recognize_h2(g, 2) or recognize_h2(g, 3)]
