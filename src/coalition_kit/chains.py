@@ -23,7 +23,6 @@ graph's graph6.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
@@ -51,38 +50,70 @@ from .limits import CHAIN_STEPS_DEFAULT
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TerminatedNonSp:
+def _same_type_eq(self, other: object) -> bool:
+    return other.__class__ is self.__class__ and tuple.__eq__(self, other)
+
+
+def _same_type_ne(self, other: object) -> bool:
+    return not _same_type_eq(self, other)
+
+
+# Outcomes are tuples that equal only outcomes of their own type, so that
+# TerminatedNonSp(k) != StepCap(k).
+
+
+class TerminatedNonSp(NamedTuple):
     last_index: int
+    __eq__, __ne__, __hash__ = _same_type_eq, _same_type_ne, tuple.__hash__
 
 
-@dataclass(frozen=True)
-class CycleOutcome:
+class CycleOutcome(NamedTuple):
     entry_index: int
     period: int
+    __eq__, __ne__, __hash__ = _same_type_eq, _same_type_ne, tuple.__hash__
 
 
-@dataclass(frozen=True)
-class StepCap:
+class StepCap(NamedTuple):
     cap: int
+    __eq__, __ne__, __hash__ = _same_type_eq, _same_type_ne, tuple.__hash__
 
 
 ChainOutcome = TerminatedNonSp | CycleOutcome | StepCap
 
 
-@dataclass(frozen=True)
 class ChainResult:
     """The members of a chain and how it ended.
 
     Canonical codes are computed on first read and cached: ``code(i)`` for
     one member, ``codes`` for all of them. A chain that ends at a non-SP
     member carries that member's blocking vertex, as ``sp_check`` reports it.
+    Equality and hash read ``(sequence, outcome)`` only.
     """
 
-    sequence: tuple[Graph, ...]
-    outcome: ChainOutcome
-    _code_cache: dict[int, bytes] = field(default_factory=dict, compare=False, repr=False)
-    blocking_vertex: int | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("sequence", "outcome", "_code_cache", "blocking_vertex")
+
+    def __init__(
+        self,
+        sequence: tuple[Graph, ...],
+        outcome: ChainOutcome,
+        _code_cache: dict[int, bytes] | None = None,
+        blocking_vertex: int | None = None,
+    ) -> None:
+        self.sequence = sequence
+        self.outcome = outcome
+        self._code_cache = {} if _code_cache is None else _code_cache
+        self.blocking_vertex = blocking_vertex
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.sequence == other.sequence and self.outcome == other.outcome
+
+    def __hash__(self) -> int:
+        return hash((self.sequence, self.outcome))
+
+    def __repr__(self) -> str:
+        return f"ChainResult(sequence={self.sequence!r}, outcome={self.outcome!r})"
 
     def code(self, i: int) -> bytes:
         """Canonical code of member ``i``."""
@@ -107,8 +138,9 @@ def sc_chain(
     member's scan tests it and gives the next member's rows. Only an SP
     member can repeat an earlier one, and only one with the same sorted
     degree sequence, so a member and such an earlier one are canonicalized
-    only then. A cycling chain ends with every member's code; other codes
-    are computed on first read."""
+    only then, and a member with the rows of such an earlier one takes its
+    code. A cycling chain ends with every member's code; other codes are
+    computed on first read."""
     if max_steps < 1:
         raise ValueError("max_steps must be at least 1")
     if scan is None:
@@ -128,7 +160,11 @@ def sc_chain(
             ties = [i for i, d in enumerate(degrees) if d == member]
             degrees.append(member)
             if ties:
-                code = codes[last] = canonical_form(seq[last])
+                # a member with the exact rows of an earlier tie shares its code
+                twin = next((i for i in ties if seq[i].rows == seq[last].rows), last)
+                if twin not in codes:
+                    codes[twin] = canonical_form(seq[twin])
+                code = codes[last] = codes[twin]
                 for i in ties:
                     if i not in codes:
                         codes[i] = canonical_form(seq[i])
@@ -145,8 +181,7 @@ def sc_chain(
         scan = singleton_partners(seq[-1])
 
 
-@dataclass(frozen=True)
-class LsccValue:
+class LsccValue(NamedTuple):
     """Chain length: finite arrow count, infinite, or unknown at the cap.
 
     ``start_not_sp`` marks starting graphs outside the construction's
@@ -229,8 +264,7 @@ def _triangle_with_pendants_plus_edge(n: int) -> Graph:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ChainTemplate:
+class ChainTemplate(NamedTuple):
     label: str
     notes: tuple[str, ...] = ()
 

@@ -83,8 +83,8 @@ def _mask_list(mask: int) -> list[int]:
     return list(bits(mask))
 
 
-def _json_line(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True)
+# one encoder for every line: json.dumps with an option builds a new one per call
+_json_line = json.JSONEncoder(sort_keys=True).encode
 
 
 def _print_json(obj: dict) -> None:
@@ -223,7 +223,7 @@ _RECOGNIZE = {
 
 def _witness_json(wit) -> dict:
     out = {}
-    for key, value in vars(wit).items():
+    for key, value in wit._asdict().items():
         if key.endswith("_set") or key in {"l1", "r1", "r2", "l2", "p_set", "q_set"}:
             out[key] = _mask_list(value)
         else:

@@ -13,7 +13,7 @@ graph, and that holds exactly when the coalition number equals the order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graphs import Graph, bits, mask_of
 from .limits import CNUM_MAX
@@ -51,23 +51,22 @@ def forms_coalition(g: Graph, a: int, b: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(NamedTuple("_Parts", [("n", int), ("parts", tuple[int, ...])])):
     """Ordered partition of the vertices into nonempty disjoint parts."""
 
-    n: int
-    parts: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, n: int, parts: tuple[int, ...]) -> "Partition":
         seen = 0
-        for part in self.parts:
+        for part in parts:
             if part == 0:
                 raise ValueError("empty part")
             if part & seen:
                 raise ValueError("overlapping parts")
             seen |= part
-        if seen != (1 << self.n) - 1:
+        if seen != (1 << n) - 1:
             raise ValueError("parts do not cover the vertex set")
+        return super().__new__(cls, n, parts)
 
     @property
     def k(self) -> int:
@@ -83,16 +82,14 @@ def singleton_partition(g: Graph) -> Partition:
     return Partition(g.n, tuple(1 << v for v in range(g.n)))
 
 
-@dataclass(frozen=True)
-class PartVerdict:
+class PartVerdict(NamedTuple):
     index: int
     status: str  # "singleton-dominating" | "coalition" | "invalid"
     partner: int | None = None  # least valid partner part index
     reason: str | None = None
 
 
-@dataclass(frozen=True)
-class PartitionVerdict:
+class PartitionVerdict(NamedTuple):
     valid: bool
     per_part: tuple[PartVerdict, ...]
 
@@ -129,8 +126,7 @@ def is_coalition_partition(g: Graph, p: Partition) -> PartitionVerdict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SpVerdict:
+class SpVerdict(NamedTuple):
     """Whether the all-singletons partition is a coalition partition.
 
     For a non-full vertex v, a partner is a non-full u with N[u] and N[v]
@@ -194,8 +190,7 @@ def sp_check(g: Graph) -> SpVerdict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CoalitionNumberResult:
+class CoalitionNumberResult(NamedTuple):
     value: int
     witness: Partition | None
 

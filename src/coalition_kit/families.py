@@ -19,8 +19,8 @@ re-recognize what they built.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 from .graphs import DegreeStats, Graph, bits, degree_stats, mask_of
 
@@ -60,8 +60,7 @@ def _covers(row: int, mask: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class F1Witness:
+class F1Witness(NamedTuple):
     x: int
     y: int
     w: int
@@ -133,8 +132,7 @@ def f1_violations(g: Graph, wit: F1Witness, stats: DegreeStats | None = None) ->
     return out
 
 
-@dataclass(frozen=True)
-class H1Witness:
+class H1Witness(NamedTuple):
     x1: int
     y1: int
     w1: int
@@ -194,8 +192,7 @@ def h1_violations(g: Graph, wit: H1Witness) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class F2Witness:
+class F2Witness(NamedTuple):
     subfamily: int
     x: int
     y: int
@@ -364,8 +361,7 @@ def f2_violations(g: Graph, wit: F2Witness, stats: DegreeStats | None = None) ->
     return out
 
 
-@dataclass(frozen=True)
-class H2Witness:
+class H2Witness(NamedTuple):
     subfamily: int
     x: int
     y: int
@@ -527,8 +523,7 @@ def h2_violations(g: Graph, wit: H2Witness) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(NamedTuple):
     family: str
     sizes: dict[str, int]
     seed: int

@@ -26,10 +26,9 @@ order 32 in graph6 takes under 1 MB.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import getitem
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .limits import ORDER_MAX
 
@@ -68,19 +67,20 @@ def _first_asymmetric_pair(rows: tuple[int, ...]) -> tuple[int, int] | None:
     return None
 
 
-@dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph as a symmetric adjacency bit-matrix."""
+    """Simple undirected graph as a symmetric adjacency bit-matrix.
 
+    A value: equal and hashed by ``(n, rows)``, fields read-only."""
+
+    __slots__ = ("n", "rows")
     n: int
     rows: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        _check_order(self.n)
-        rows = self.rows
-        if len(rows) != self.n:
+    def __init__(self, n: int, rows: tuple[int, ...]) -> None:
+        _check_order(n)
+        if len(rows) != n:
             raise ValueError("row count does not match order")
-        full = (1 << self.n) - 1
+        full = (1 << n) - 1
         for u, row in enumerate(rows):
             if row & ~full:
                 raise ValueError(f"row {u} has bits at or above the order")
@@ -89,6 +89,8 @@ class Graph:
         pair = _first_asymmetric_pair(rows)
         if pair is not None:
             raise ValueError(f"asymmetric adjacency at ({pair[0]},{pair[1]})")
+        _set_n(self, n)
+        _set_rows(self, rows)
 
     @classmethod
     def _trusted(cls, n: int, rows: tuple[int, ...]) -> "Graph":
@@ -96,11 +98,29 @@ class Graph:
         range; only the order is checked."""
         _check_order(n)
         g = object.__new__(cls)
-        # object.__setattr__ keeps the instance's inline attribute values;
-        # touching g.__dict__ would materialize a dict per graph
-        object.__setattr__(g, "n", n)
-        object.__setattr__(g, "rows", rows)
+        # the slot descriptors write past the read-only __setattr__
+        _set_n(g, n)
+        _set_rows(g, rows)
         return g
+
+    def __setattr__(self, name: str, *_: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n and self.rows == other.rows
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.rows))
+
+    def __repr__(self) -> str:
+        return f"Graph(n={self.n!r}, rows={self.rows!r})"
+
+    def __reduce__(self) -> tuple:
+        return Graph, (self.n, self.rows)
 
     # -- construction ------------------------------------------------------
 
@@ -187,8 +207,11 @@ class Graph:
         return self.induced(self.vertex_mask ^ (1 << v))
 
 
-@dataclass(frozen=True)
-class DegreeStats:
+_set_n = Graph.n.__set__
+_set_rows = Graph.rows.__set__
+
+
+class DegreeStats(NamedTuple):
     """Minimum degree plus the set of full vertices."""
 
     min_degree: int

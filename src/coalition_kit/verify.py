@@ -15,9 +15,8 @@ reproduces it.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .canon import _codes, are_isomorphic, graph_from_code
 from .chains import (
@@ -60,16 +59,33 @@ from .limits import CANON_MAX, ENUM_MAX
 SCHEMA_VERSION = 1
 
 
-@dataclass
 class TheoremReport:
-    theorem_id: str
-    order_range: tuple[int, int]
-    graphs_checked: int
-    passed: bool
-    counterexamples: list[dict]
-    elapsed: float
-    notes: tuple[str, ...] = ()
-    extras: dict = field(default_factory=dict)
+    """One claim's result; the run fills it in as graphs are checked."""
+
+    __slots__ = (
+        "theorem_id", "order_range", "graphs_checked", "passed",
+        "counterexamples", "elapsed", "notes", "extras",
+    )
+
+    def __init__(
+        self,
+        theorem_id: str,
+        order_range: tuple[int, int],
+        graphs_checked: int,
+        passed: bool,
+        counterexamples: list[dict],
+        elapsed: float,
+        notes: tuple[str, ...] = (),
+        extras: dict | None = None,
+    ) -> None:
+        self.theorem_id = theorem_id
+        self.order_range = order_range
+        self.graphs_checked = graphs_checked
+        self.passed = passed
+        self.counterexamples = counterexamples
+        self.elapsed = elapsed
+        self.notes = notes
+        self.extras = {} if extras is None else extras
 
     def to_json(self) -> dict:
         out = {
@@ -417,16 +433,16 @@ def _seeded_specs(combos: list[tuple[str, dict]], count: int) -> list[FamilySpec
 
 
 def _check_generation(
-    recognize: Callable[[Graph], object],
     check: Callable[[Graph], str | None],
     verdicts: dict[Graph, str | None],
     spec: FamilySpec,
 ) -> tuple[Graph, str] | None:
     """Check the graph ``spec`` generates, once per distinct graph: a graph
-    already in ``verdicts`` takes its verdict from there."""
+    already in ``verdicts`` takes its verdict from there. ``generate_family``
+    re-recognizes what it builds, so the graph is a family member."""
     g = generate_family(spec)
     if g not in verdicts:
-        verdicts[g] = "generated graph not recognized" if recognize(g) is None else check(g)
+        verdicts[g] = check(g)
     detail = verdicts[g]
     if detail:
         return g, f"{spec}: {detail}"
@@ -438,8 +454,7 @@ def _check_generation(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _TheoremDef:
+class _TheoremDef(NamedTuple):
     """A claim, its per-graph check and its hypothesis as data.
 
     A graph is in the hypothesis class when its order is at least
@@ -615,12 +630,12 @@ def _run_own_checks(report: TheoremReport, n_max: int, enumerated: bool) -> None
         report.order_range = (3, top)
         check, items = _check_obs7_cycle, range(3, top + 1)
     elif enumerated and report.theorem_id in ("thm6", "thm13"):
-        # built per run, so the recognizers are the module's current bindings
-        recognize, family_check, combos = {
-            "thm6": (recognize_f1, _check_thm6, _f1_combos),
-            "thm13": (recognize_f2, _check_thm13, _f2_combos),
+        # built per run, so the checks are the module's current bindings
+        family_check, combos = {
+            "thm6": (_check_thm6, _f1_combos),
+            "thm13": (_check_thm13, _f2_combos),
         }[report.theorem_id]
-        check = partial(_check_generation, recognize, family_check, {})
+        check = partial(_check_generation, family_check, {})
         items = _seeded_specs(combos(), 500)
         report.extras["seeded_generations"] = 500
     else:

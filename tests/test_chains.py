@@ -34,6 +34,7 @@ from coalition_kit.graphs import (
     degree_stats,
     empty_graph,
     join,
+    parse_graph6,
     path,
     union,
 )
@@ -170,6 +171,25 @@ def test_cycle_is_found_with_lazy_codes(canon_calls):
     assert len(canon_calls) == computed  # a cycling chain holds every code
 
 
+def test_labelled_equal_members_share_one_code(canon_calls):
+    # EJaG -> Es\o -> Es\o: the repeat has the exact rows of the member
+    # before it, so it takes that member's code
+    chain = sc_chain(parse_graph6("EJaG"))
+    assert chain.outcome == CycleOutcome(1, 1)
+    assert chain.sequence[2] == chain.sequence[1]
+    assert len(canon_calls) == 2
+    assert chain.codes[2] == chain.codes[1] != chain.codes[0]
+    assert len(canon_calls) == 2  # a cycling chain holds every code
+
+
+def test_outcomes_equal_only_outcomes_of_their_own_type():
+    assert TerminatedNonSp(3) != StepCap(3) and not TerminatedNonSp(3) == StepCap(3)
+    assert CycleOutcome(0, 1) != (0, 1)
+    assert TerminatedNonSp(3) == TerminatedNonSp(3) and not TerminatedNonSp(3) != TerminatedNonSp(3)
+    assert hash(CycleOutcome(1, 2)) == hash(CycleOutcome(1, 2))
+    assert pickle.loads(pickle.dumps(StepCap(4))) == StepCap(4)
+
+
 def test_chain_result_equality_and_pickling_ignore_the_code_cache():
     fresh = sc_chain(cycle(4))
     read = sc_chain(cycle(4))
@@ -270,8 +290,6 @@ def test_every_small_sp_chain_classifies():
 
 
 def test_corrected_and_added_catalog_entries():
-    from coalition_kit import parse_graph6
-
     # the recursion of the independent-hub case can stop after two arrows;
     # these two graphs realize the added entry at orders 6 and 7
     for g6 in ("ELpw", "FLpzw"):

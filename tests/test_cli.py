@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from coalition_kit import are_isomorphic, build_named, cli, enumerate_graphs, parse_graph6
+from coalition_kit.families import generate_family
 from coalition_kit.graphs import emit_graph6, path
 from coalition_kit.limits import ENUM_MAX
 
@@ -96,6 +97,28 @@ def test_family_commands():
     assert payload["member"] is True
     result = run_cli("family", "recognize", "--family", "f2", "--named", "C(7)")
     assert result.returncode == 1
+
+
+_WITNESS_KEYS = {
+    "f1": ("f1:P=1,Q=2,seed=3", {"x", "y", "w", "p_set", "q_set"}),
+    "h1": ("h1:P1=1,Q1=2,seed=3", {"x1", "y1", "w1", "p1_set", "q1_set"}),
+    "f2": ("f2.3:L1=1,R1=1,R2=1,W=1", {"subfamily", "x", "y", "z", "l1", "r1", "r2", "l2", "w_set"}),
+    "h2": ("h2.3:L1=1,R1=1,R2=1,W=1", {"subfamily", "x", "y", "z", "l1", "r1", "r2", "w_set"}),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_WITNESS_KEYS))
+def test_family_recognize_json_lists_every_witness_field(family):
+    spec, keys = _WITNESS_KEYS[family]
+    g6 = emit_graph6(generate_family(spec))
+    result = run_cli("family", "recognize", "--family", family, "--g6", g6, "--json")
+    assert result.returncode == 0, result.stderr
+    witness = json.loads(result.stdout)["witness"]
+    assert set(witness) == keys
+    # vertex sets are listed, roles are single vertices
+    for key, value in witness.items():
+        is_set = key.endswith("_set") or key in {"l1", "r1", "r2", "l2"}
+        assert isinstance(value, list) == is_set, key
 
 
 def test_verify_command():

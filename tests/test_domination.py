@@ -82,6 +82,11 @@ def test_partition_validation():
         Partition(3, (0b001,))  # gap
     with pytest.raises(ValueError):
         Partition(3, (0b111, 0))  # empty part
+    with pytest.raises(ValueError, match="overlapping parts"):
+        Partition.from_blocks(4, [[0, 1], [1, 2, 3]])
+    p = Partition.from_blocks(3, [[0, 2], [1]])
+    assert p == Partition(3, (0b101, 0b010)) and hash(p) == hash(Partition(3, (5, 2)))
+    assert p.k == 2 and repr(p) == "Partition(n=3, parts=(5, 2))"
 
 
 def test_is_coalition_partition_examples():

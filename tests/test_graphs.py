@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pickle
 import random
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
@@ -235,4 +237,24 @@ def test_trusted_graph_compares_hashes_and_pickles_like_a_validated_one():
     trusted, validated = Graph._trusted(3, rows), Graph(3, rows)
     assert trusted == validated and hash(trusted) == hash(validated)
     assert pickle.dumps(trusted) == pickle.dumps(validated)
-    assert pickle.loads(pickle.dumps(trusted)) == validated
+    restored = pickle.loads(pickle.dumps(trusted))
+    assert restored == validated and hash(restored) == hash(validated)
+
+
+def test_graph_fields_are_read_only():
+    g = Graph(3, (0b110, 0b101, 0b011))
+    for name, value in (("n", 4), ("rows", (0, 0, 0)), ("extra", 1)):
+        with pytest.raises(AttributeError):
+            setattr(g, name, value)
+    with pytest.raises(AttributeError):
+        del g.n
+    assert g == Graph(3, (0b110, 0b101, 0b011))
+    assert repr(g) == "Graph(n=3, rows=(6, 5, 3))"
+
+
+def test_importing_the_package_loads_no_dataclasses():
+    # the records are slotted classes and NamedTuples, so every run is
+    # spared the import of dataclasses and of the inspect it pulls in
+    code = "import sys, coalition_kit; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import concurrent.futures
-import dataclasses
 import random
 import time
 from functools import partial
@@ -114,7 +113,7 @@ def test_record_fed_counterexamples_carry_each_records_own_graph6(tmp_path, monk
     lines = [emit_graph6(g) for g in _relabeled_classes(6, 615)]
     path = tmp_path / "order6.g6"
     path.write_text("\n".join(lines) + "\n")
-    failing = dataclasses.replace(verify_mod.THEOREMS["thm8"], check=lambda g, f: "forced")
+    failing = verify_mod.THEOREMS["thm8"]._replace(check=lambda g, f: "forced")
     monkeypatch.setitem(verify_mod.THEOREMS, "thm8", failing)
     records = list(graph6_records(str(path)))
     decode = partial(parse_graph6_record, str(path))
@@ -561,31 +560,41 @@ def test_seeded_generations_use_the_reference_specs(monkeypatch):
 
 
 def test_each_distinct_seeded_generation_is_checked_once(monkeypatch):
-    # a recognizer that rejects the graphs with an even edge count fails
-    # those generations: each failing spec still reports its own detail,
-    # though a graph generated twice is recognized once
-    generated, recognized = [], []
-    real_generate, real_recognize = verify_mod.generate_family, verify_mod.recognize_f2
+    # a check that fails the graphs with an even edge count fails those
+    # generations: each failing spec still reports its own detail, though a
+    # graph generated twice is checked once
+    generated, checked = [], []
+    real_generate = verify_mod.generate_family
 
     def recording(spec):
         generated.append(real_generate(spec))
         return generated[-1]
 
-    def rejecting_even(g):
-        recognized.append(g)
-        return None if g.edge_count() % 2 == 0 else real_recognize(g)
+    def failing_even(g):
+        checked.append(g)
+        return "even edge count" if g.edge_count() % 2 == 0 else None
 
     monkeypatch.setattr(verify_mod, "generate_family", recording)
-    monkeypatch.setattr(verify_mod, "recognize_f2", rejecting_even)
+    monkeypatch.setattr(verify_mod, "_check_thm13", failing_even)
     report = next(verify_claims(["thm13"], 4))
     expected = [
-        f"{spec}: generated graph not recognized"
+        f"{spec}: even edge count"
         for spec, g in zip(_reference_f2_specs(500), generated)
         if g.edge_count() % 2 == 0
     ]
     assert 0 < len(expected) < 500
     assert [cex["detail"] for cex in report.counterexamples] == expected
-    assert len(recognized) == len(set(generated)) < len(generated) == 500
+    assert len(checked) == len(set(generated)) < len(generated) == 500
+
+
+def test_seeded_generations_are_not_recognized_again(monkeypatch):
+    # generate_family re-recognizes what it builds, so the claim makes no
+    # second recognition of a generated graph
+    recognized = []
+    monkeypatch.setattr(verify_mod, "recognize_f2", recognized.append)
+    thm13 = next(verify_claims(["thm13"], 4))
+    assert thm13.passed and thm13.extras["seeded_generations"] == 500
+    assert recognized == []
 
 
 # Which chains each lemma check accepts: its own lemma's, and for Lemmas 19
