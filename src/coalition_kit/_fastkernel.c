@@ -181,7 +181,8 @@ canonical_code(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         return NULL;
     if (overflow || order < 1 || order > MAXN)
         return PyErr_Format(PyExc_ValueError,
-                            "canonical labeling supports order 1..%d, got %R", MAXN, args[0]);
+                            "canonical labeling supports order 1..CANON_MAX = %d, got %R", MAXN,
+                            args[0]);
     n = (int)order;
     full[0] = (unsigned char)n;
     if (n == 1)

@@ -36,7 +36,7 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
     if g.n != h.n:
         return False
     if g.n > CANON_MAX:
-        raise ValueError(f"isomorphism supports order 1..{CANON_MAX}, got {g.n}")
+        raise ValueError(f"isomorphism supports order 1..CANON_MAX = {CANON_MAX}, got {g.n}")
     if sorted(g.degrees()) != sorted(h.degrees()):
         return False
     return canonical_form(g) == canonical_form(h)
@@ -53,7 +53,7 @@ def graph_from_code(code: bytes) -> Graph:
         raise ValueError("empty code")
     n = code[0]
     if not 1 <= n <= CANON_MAX:
-        raise ValueError(f"code order must be in 1..{CANON_MAX}, got {n}")
+        raise ValueError(f"code order must be in 1..CANON_MAX = {CANON_MAX}, got {n}")
     need = (n * (n - 1) // 2 + 7) // 8
     if len(code) - 1 != need:
         raise ValueError(f"order-{n} code needs {need} body bytes, got {len(code) - 1}")
@@ -131,20 +131,28 @@ def _codes(n: int) -> tuple[bytes, ...]:
     return tuple(_extend_codes(_codes(n - 1), n))
 
 
-def enumerate_graphs(n: int) -> Iterator[Graph]:
-    """One representative per isomorphism class of order n (n <= ENUM_MAX),
-    in canonical-code order, so runs are deterministic."""
-    if not 1 <= n <= ENUM_MAX:
+def class_codes(lo: int, hi: int) -> list[bytes]:
+    """Canonical codes of every isomorphism class of orders lo..hi, by order
+    and then in code order, so runs are deterministic; empty when lo > hi.
+
+    Orders outside 1..ENUM_MAX raise ValueError before anything is
+    enumerated. Larger orders arrive as graph6 files instead.
+    """
+    if lo < 1 or hi > ENUM_MAX:
         raise ValueError(
-            f"built-in enumeration supports order 1..ENUM_MAX = {ENUM_MAX}; "
+            f"built-in enumeration supports order 1..ENUM_MAX = {ENUM_MAX}, got {lo}..{hi}; "
             "larger orders must arrive via graph6 files"
         )
-    for code in _codes(n):
+    return [code for n in range(lo, hi + 1) for code in _codes(n)]
+
+
+def enumerate_graphs(n: int) -> Iterator[Graph]:
+    """One representative per isomorphism class of order n (n <= ENUM_MAX),
+    in canonical-code order."""
+    for code in class_codes(n, n):
         yield graph_from_code(code)
 
 
 def class_count(n: int) -> int:
     """Number of isomorphism classes of order n (n <= ENUM_MAX)."""
-    if not 1 <= n <= ENUM_MAX:
-        raise ValueError(f"built-in enumeration supports order 1..ENUM_MAX = {ENUM_MAX}")
-    return len(_codes(n))
+    return len(class_codes(n, n))

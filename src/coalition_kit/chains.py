@@ -139,8 +139,7 @@ def sc_chain(
     member can repeat an earlier one, and only one with the same sorted
     degree sequence, so a member and such an earlier one are canonicalized
     only then, and a member with the rows of such an earlier one takes its
-    code. A cycling chain ends with every member's code; other codes are
-    computed on first read."""
+    code. Every other code is computed on first read."""
     if max_steps < 1:
         raise ValueError("max_steps must be at least 1")
     if scan is None:
@@ -169,10 +168,6 @@ def sc_chain(
                     if i not in codes:
                         codes[i] = canonical_form(seq[i])
                     if codes[i] == code:
-                        # a cycling chain ends holding every member's code
-                        for j in range(last):
-                            if j not in codes:
-                                codes[j] = canonical_form(seq[j])
                         return ChainResult(tuple(seq), CycleOutcome(i, last - i), codes)
         if last == max_steps:
             return ChainResult(tuple(seq), StepCap(max_steps), codes)

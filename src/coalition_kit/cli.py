@@ -17,9 +17,8 @@ import argparse
 import json
 import os
 import sys
-from functools import partial
 
-from .canon import _codes, are_isomorphic, graph_from_code
+from .canon import are_isomorphic, class_codes
 from .coalition_graph import coalition_graph
 from .domination import (
     Partition,
@@ -42,13 +41,10 @@ from .graphs import (
     bits,
     build_named,
     emit_graph6,
-    graph6_record_text,
     graph6_records,
     parse_graph6,
-    parse_graph6_record,
     read_graph6_file,
 )
-from .limits import ENUM_MAX
 from .verify import (
     SCHEMA_VERSION,
     all_theorem_ids,
@@ -273,10 +269,9 @@ def _cmd_family(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     ids = all_theorem_ids() if args.all or not args.theorem else [args.theorem]
-    records = list(graph6_records(args.file)) if args.file else None
-    decode = partial(parse_graph6_record, args.file)
+    records = graph6_records(args.file) if args.file else None
     failed = False
-    for report in verify_claims(ids, args.max_order, args.jobs, records, decode=decode):
+    for report in verify_claims(ids, args.max_order, args.jobs, records):
         if args.json:
             _print_json(report.to_json())
         else:
@@ -306,13 +301,9 @@ def _chain_summary(rec: dict, arrows: bool = False) -> str:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     # Workers decode the records (graph6 lines or canonical codes) and render
     # the output lines; this process writes the lines once all are back, so
-    # a malformed record leaves stdout empty. A file record's text is the
-    # graph6 its output carries.
-    graph6 = None
+    # a malformed record leaves stdout empty.
     if args.file:
-        items = list(graph6_records(args.file))
-        decode = partial(parse_graph6_record, args.file)
-        graph6 = graph6_record_text
+        items = graph6_records(args.file)
     else:
         if args.max_order is None:
             raise CliInputError("sweep needs --max-order or --file")
@@ -320,12 +311,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             raise CliInputError("--min-order must be at least 1")
         if args.max_order < args.min_order:
             raise CliInputError("--max-order must be at least --min-order")
-        if args.max_order > ENUM_MAX:
-            raise CliInputError(f"built-in enumeration stops at ENUM_MAX = {ENUM_MAX}")
-        items = [code for n in range(args.min_order, args.max_order + 1) for code in _codes(n)]
-        decode = graph_from_code
+        items = class_codes(args.min_order, args.max_order)
     render = _json_line if args.json else _chain_summary
-    lines = sweep_chains(items, args.jobs, decode=decode, render=render, graph6=graph6)
+    lines = sweep_chains(items, args.jobs, render=render)
     sys.stdout.writelines(line + "\n" for line in lines)
     return 0
 

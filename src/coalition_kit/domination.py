@@ -204,7 +204,7 @@ def coalition_number_exact(g: Graph) -> CoalitionNumberResult:
     coalition partition at all report value 0 with no witness.
     """
     if g.n > CNUM_MAX:
-        raise ValueError(f"exact search supports order 1..{CNUM_MAX}, got {g.n}")
+        raise ValueError(f"exact search supports order 1..CNUM_MAX = {CNUM_MAX}, got {g.n}")
     sp = sp_check(g)
     if sp.is_sp:
         return CoalitionNumberResult(g.n, singleton_partition(g))

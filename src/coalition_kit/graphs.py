@@ -51,7 +51,7 @@ def bits(mask: int) -> Iterator[int]:
 
 def _check_order(n: int) -> None:
     if not 1 <= n <= ORDER_MAX:
-        raise ValueError(f"order must be in 1..{ORDER_MAX}, got {n}")
+        raise ValueError(f"order must be in 1..ORDER_MAX = {ORDER_MAX}, got {n}")
 
 
 def _first_asymmetric_pair(rows: tuple[int, ...]) -> tuple[int, int] | None:
@@ -331,12 +331,12 @@ def parse_graph6(text: str) -> Graph:
         raise Graph6Error("graph6 record contains non-ASCII bytes")
     head = data[0]
     if head == 126:
-        raise Graph6Error("order above 32 is not supported")
+        raise Graph6Error(f"order above ORDER_MAX = {ORDER_MAX} is not supported")
     n = head - 63
     if n < 1:
         raise Graph6Error(f"order byte out of range: {head}")
     if n > ORDER_MAX:
-        raise Graph6Error(f"order {n} above the supported maximum {ORDER_MAX}")
+        raise Graph6Error(f"order {n} above ORDER_MAX = {ORDER_MAX} is not supported")
     need = (n * (n - 1) // 2 + 5) // 6
     if len(data) - 1 < need:
         raise Graph6Error(f"record too short: {len(data) - 1} body bytes, expected {need}")
@@ -367,8 +367,8 @@ def emit_graph6(g: Graph) -> str:
     return bytes(out).decode("ascii")
 
 
-def graph6_records(path: str) -> Iterator[tuple[int, str]]:
-    """(line number, record) for every nonblank line of a graph6 file.
+def graph6_records(path: str) -> Iterator[tuple[str, int, str]]:
+    """(path, line number, record) for every nonblank line of a graph6 file.
 
     Bytes outside ASCII are kept as lone surrogates, so ``parse_graph6``
     reports them as a malformed record.
@@ -377,30 +377,29 @@ def graph6_records(path: str) -> Iterator[tuple[int, str]]:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if line:
-                yield lineno, line
+                yield path, lineno, line
 
 
-def parse_graph6_record(path: str, record: tuple[int, str]) -> Graph:
-    """Decode one ``graph6_records(path)`` entry; a malformed record raises
+def parse_graph6_record(record: tuple[str, int, str]) -> Graph:
+    """Decode one ``graph6_records`` entry; a malformed record raises
     ``Graph6Error`` prefixed with its path and line number."""
-    lineno, text = record
+    path, lineno, text = record
     try:
         return parse_graph6(text)
     except Graph6Error as exc:
         raise Graph6Error(f"{path}:{lineno}: {exc}") from exc
 
 
-def graph6_record_text(record: tuple[int, str]) -> str:
+def graph6_record_text(record: tuple[str, int, str]) -> str:
     """The graph6 text of one ``graph6_records`` entry: its line without the
     header. A record that parses is the one graph6 encoding of its graph,
     since ``parse_graph6`` rejects set padding bits and stray bytes."""
-    return record[1].removeprefix(">>graph6<<")
+    return record[2].removeprefix(">>graph6<<")
 
 
 def read_graph6_file(path: str) -> Iterator[Graph]:
     """Parse every nonblank line of a graph6 file."""
-    for record in graph6_records(path):
-        yield parse_graph6_record(path, record)
+    return map(parse_graph6_record, graph6_records(path))
 
 
 # ---------------------------------------------------------------------------

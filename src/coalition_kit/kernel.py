@@ -107,7 +107,7 @@ def _branch_candidates(rows: Sequence[int], cell: list[int]) -> list[int]:
 def canonical_code(n: int, rows: Sequence[int]) -> bytes:
     """Canonical code of the graph given as adjacency bitmask rows."""
     if not 1 <= n <= CANON_MAX:
-        raise ValueError(f"canonical labeling supports order 1..{CANON_MAX}, got {n}")
+        raise ValueError(f"canonical labeling supports order 1..CANON_MAX = {CANON_MAX}, got {n}")
     if n == 1:
         return bytes([1])
     best: bytes | None = None

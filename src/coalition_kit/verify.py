@@ -18,7 +18,7 @@ import time
 from functools import lru_cache, partial
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .canon import _codes, are_isomorphic, graph_from_code
+from .canon import are_isomorphic, class_codes, graph_from_code
 from .chains import (
     ChainClassificationError,
     ChainResult,
@@ -51,10 +51,12 @@ from .graphs import (
     cycle,
     degree_stats,
     emit_graph6,
+    graph6_record_text,
     join,
+    parse_graph6_record,
     union,
 )
-from .limits import CANON_MAX, ENUM_MAX
+from .limits import CANON_MAX
 
 SCHEMA_VERSION = 1
 
@@ -136,12 +138,27 @@ def _itself(x):
     return x
 
 
-def _run_chunk(decode: Callable, per_graph: Callable[[Graph], object], chunk: list) -> list:
-    """Decode every item of ``chunk``, then map ``per_graph`` over the graphs."""
+def _decode(item) -> tuple[Graph, str | None]:
+    """A pool item's graph, and its graph6 text when the item carries it.
+
+    An item is a ``Graph``, a canonical code, or a ``graphs.graph6_records``
+    entry, whose malformed record raises ``Graph6Error`` prefixed with its
+    path and line number.
+    """
+    if isinstance(item, Graph):
+        return item, None
+    if isinstance(item, bytes):
+        return graph_from_code(item), None
+    return parse_graph6_record(item), graph6_record_text(item)
+
+
+def _run_chunk(per_graph: Callable[[Graph, str | None], object], chunk: list) -> list:
+    """Decode every item of ``chunk``, then map ``per_graph`` over the
+    (graph, graph6 text or None) pairs."""
     # decoding the whole chunk before building any chain measured about 10%
     # faster than interleaving the two graph by graph
-    graphs = [decode(item) for item in chunk]
-    return [per_graph(g) for g in graphs]
+    decoded = [_decode(item) for item in chunk]
+    return [per_graph(g, g6) for g, g6 in decoded]
 
 
 def _cex(g: Graph, detail: str) -> dict:
@@ -209,7 +226,7 @@ class _Facts:
 
 
 # ---------------------------------------------------------------------------
-# Per-graph checks: the graph and its facts (computed afresh when omitted)
+# Per-graph checks: the graph and its facts
 # ---------------------------------------------------------------------------
 
 
@@ -235,11 +252,8 @@ def _two_full_join(n: int) -> Graph:
 _TRIANGLE = complete(3)
 
 
-def _sp_iff_template(
-    template: Callable[[int], Graph], g: Graph, f: _Facts | None = None
-) -> str | None:
+def _sp_iff_template(template: Callable[[int], Graph], g: Graph, f: _Facts) -> str | None:
     """The graph is SP exactly when it is isomorphic to ``template(g.n)``."""
-    f = f or _Facts(g)
     extremal = are_isomorphic(g, template(g.n))
     if f.is_sp != extremal:
         return f"sp={f.is_sp} but isomorphic-to-extremal={extremal}"
@@ -260,8 +274,7 @@ def _check_thm4(g: Graph, f: _Facts) -> str | None:
     return None
 
 
-def _check_thm6(g: Graph, f: _Facts | None = None) -> str | None:
-    f = f or _Facts(g)
+def _check_thm6(g: Graph, f: _Facts) -> str | None:
     if not f.is_sp:
         return "family member is not a singleton-partition graph"
     image = f.image()
@@ -311,8 +324,7 @@ def _check_thm9(g: Graph, f: _Facts) -> str | None:
     return None
 
 
-def _check_thm13(g: Graph, f: _Facts | None = None) -> str | None:
-    f = f or _Facts(g)
+def _check_thm13(g: Graph, f: _Facts) -> str | None:
     if not f.is_sp:
         return None  # hypothesis is the SP side; thm8 covers the equivalence
     image = f.image()
@@ -433,7 +445,7 @@ def _seeded_specs(combos: list[tuple[str, dict]], count: int) -> list[FamilySpec
 
 
 def _check_generation(
-    check: Callable[[Graph], str | None],
+    check: Callable[[Graph, _Facts], str | None],
     verdicts: dict[Graph, str | None],
     spec: FamilySpec,
 ) -> tuple[Graph, str] | None:
@@ -442,7 +454,7 @@ def _check_generation(
     re-recognizes what it builds, so the graph is a family member."""
     g = generate_family(spec)
     if g not in verdicts:
-        verdicts[g] = check(g)
+        verdicts[g] = check(g, _Facts(g))
     detail = verdicts[g]
     if detail:
         return g, f"{spec}: {detail}"
@@ -590,17 +602,14 @@ def _id_error(theorem_id: str, n_max: int, enumerated: bool) -> Exception | None
     min_order = THEOREMS[theorem_id].min_order
     if enumerated and n_max < min_order:
         return ValueError(f"{theorem_id} needs order at least {min_order}, got n_max={n_max}")
-    if enumerated and n_max > ENUM_MAX:
-        return ValueError(
-            f"built-in enumeration stops at ENUM_MAX = {ENUM_MAX}; pass graphs from a file instead"
-        )
     return None
 
 
 def _check_graph(
-    claims: tuple[tuple[int, str], ...], f1_due: bool, due: dict, g: Graph
+    claims: tuple[tuple[int, str], ...], f1_due: bool, due: dict, g: Graph, g6: str | None
 ) -> tuple[int, list[tuple[int, object, float]]]:
-    """Run on ``g`` every claim whose hypothesis it meets.
+    """Run on ``g`` every claim whose hypothesis it meets; its graph6 text
+    ``g6`` is not read.
 
     ``claims`` holds (claim index, id) entries. The graph's claims are
     looked up by its ``_Facts.key`` in ``due``, a table the run fills as
@@ -652,14 +661,12 @@ def verify_claims(
     n_max: int = 6,
     jobs: int = 1,
     graphs: Iterable | None = None,
-    *,
-    decode: Callable[..., Graph] = _itself,
 ) -> Iterator[TheoremReport]:
     """Run claims in one pass over one pool, yielding one report per claim.
 
-    The pool is the supplied items, each turned into its graph by
-    ``decode`` (the items are graphs by default), or the canonical codes of
-    every class of orders 1..``n_max``, enumerated once; each claim takes
+    The pool is the supplied items (graphs, canonical codes or
+    ``graphs.graph6_records`` entries), or ``canon.class_codes(1, n_max)``,
+    enumerated once and only when a claim reads the pool; each claim takes
     the graphs of its hypothesis class, from its least order up. Each item
     is decoded and visited once, in one worker under ``jobs`` > 1: its
     facts are computed, and the claims whose hypothesis it meets are looked
@@ -667,8 +674,9 @@ def verify_claims(
     decoded even when no claim reads it, so a malformed item raises first.
     A report's ``elapsed`` is the time of its claim's own checks; the pool,
     its decoding and the facts are charged to no claim. The ids are taken up
-    to the first unknown id or unsupported order, whose error is raised
-    after the reports of the claims before it.
+    to the first unknown id or order below a claim's least order, whose
+    error is raised after the reports of the claims before it; an
+    enumeration above ``ENUM_MAX`` raises before any report.
     """
     enumerated = graphs is None
     ids: list[str] = []
@@ -694,13 +702,12 @@ def verify_claims(
     ]
     claims = tuple((k, t) for k, t in enumerate(ids) if THEOREMS[t].min_degree is not None)
     if enumerated:
-        decode = graph_from_code
-        items = [code for n in range(1, n_max + 1) for code in _codes(n)] if claims else []
+        items = class_codes(1, n_max) if claims else []
     else:
         items = list(graphs)
     f1_due = any(THEOREMS[t].f1_member for _, t in claims)
     check = partial(_check_graph, claims, f1_due, {})
-    for item, (n, results) in zip(items, _pmap(partial(_run_chunk, decode, check), items, jobs)):
+    for item, (n, results) in zip(items, _pmap(partial(_run_chunk, check), items, jobs)):
         for k, result, seconds in results:
             report = reports[k]
             if not enumerated:
@@ -714,7 +721,7 @@ def verify_claims(
                 histogram[key] = histogram.get(key, 0) + 1
             if result:
                 # failures are rare, so the parent decodes only their items
-                report.counterexamples.append(_cex(decode(item), result))
+                report.counterexamples.append(_cex(_decode(item)[0], result))
 
     for report in reports:
         _run_own_checks(report, n_max, enumerated)
@@ -801,36 +808,21 @@ def chain_record(g: Graph, g6: str | None = None) -> dict:
     return rec
 
 
-def _decode_with_graph6(
-    decode: Callable[..., Graph], graph6: Callable[..., str] | None, item
-) -> tuple[Graph, str | None]:
-    return decode(item), graph6(item) if graph6 else None
-
-
-def _sweep_record(render: Callable[[dict], object], decoded: tuple[Graph, str | None]) -> object:
-    return render(chain_record(*decoded))
+def _sweep_record(render: Callable[[dict], object], g: Graph, g6: str | None) -> object:
+    return render(chain_record(g, g6))
 
 
 def sweep_chains(
-    items: Iterable,
-    jobs: int = 1,
-    *,
-    decode: Callable[..., Graph] = _itself,
-    render: Callable[[dict], object] = _itself,
-    graph6: Callable[..., str] | None = None,
+    items: Iterable, jobs: int = 1, *, render: Callable[[dict], object] = _itself
 ) -> list:
-    """Chain records for a batch of graphs, input order preserved.
+    """Chain records for a pool of items, input order preserved.
 
-    ``decode`` turns each item into its graph (the items are graphs by
-    default) and ``render`` turns each record into the result (the record
-    dict by default). ``graph6``, when given, maps each item to its graph's
-    graph6 text, which the record carries instead of encoding the graph
-    again. All three run where the chain is built, in the worker under
-    ``jobs`` > 1, so that workers can take graph6 text and return finished
-    output lines. An error in ``decode`` is raised as it is, and no result
-    is returned.
+    The items are graphs, canonical codes or ``graphs.graph6_records``
+    entries, whose record text becomes the record's graph6 instead of
+    encoding the graph again. ``render`` turns each record into the result
+    (the record dict by default). Items are decoded and rendered where the
+    chain is built, in the worker under ``jobs`` > 1, so that workers can
+    take graph6 text and return finished output lines. A malformed item
+    raises, and no result is returned.
     """
-    chunk_fn = partial(
-        _run_chunk, partial(_decode_with_graph6, decode, graph6), partial(_sweep_record, render)
-    )
-    return list(_pmap(chunk_fn, list(items), jobs))
+    return list(_pmap(partial(_run_chunk, partial(_sweep_record, render)), list(items), jobs))

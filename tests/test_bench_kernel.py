@@ -1,0 +1,38 @@
+"""Smoke runs of ``benchmarks/bench_kernel.py``, which reads private names of
+the package (``canon._extend_codes``, ``verify._Facts``), so that a rename
+breaks a test rather than the script."""
+
+from __future__ import annotations
+
+import subprocess
+import sys
+from pathlib import Path
+
+from coalition_kit.graphs import cycle, emit_graph6, path
+
+BENCH = Path(__file__).parent.parent / "benchmarks" / "bench_kernel.py"
+
+
+def run_bench(*args: str) -> list[str]:
+    result = subprocess.run([sys.executable, str(BENCH), *args], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    return result.stdout.splitlines()
+
+
+def test_kernel_and_enumeration_timings_run():
+    lines = run_bench("--orders", "6", "--batch", "20", "--enum-order", "5")
+    # one row per backend and order 2..5, then the backend's total of 34 classes
+    assert any(line.split()[:3] == ["pure", "all", "34"] for line in lines)
+
+
+def test_layer_timings_run_over_a_file(tmp_path):
+    records = tmp_path / "three.g6"
+    records.write_text("".join(emit_graph6(g) + "\n" for g in (cycle(5), cycle(6), path(3))))
+    lines = run_bench("--layers", "--file", str(records))
+    calls = {}
+    for line in lines[2:]:
+        layer, count, _ = line.rsplit(maxsplit=2)
+        calls[layer] = int(count)
+    # all three are SP, and the cycles have minimum degree 2 and no full vertex
+    assert calls["parse_graph6"] == calls["chain_record"] == calls["chain"] == 3
+    assert calls["recognize_f2"] == calls["recognize_h2"] == 2

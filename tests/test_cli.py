@@ -343,6 +343,16 @@ def test_orders_above_the_enumeration_limit_name_it(command):
     assert "ENUM_MAX" in result.stderr
 
 
+def test_a_claim_that_reads_no_pool_runs_above_the_enumeration_limit():
+    # obs7 checks cycles of its own, so no class is enumerated for it
+    result = run_cli(
+        "verify", "--theorem", "obs7", "--max-order", str(ENUM_MAX + 1), "--jobs", "1", "--json"
+    )
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stdout)
+    assert report["passed"] and report["order_range"] == [3, 10]
+
+
 @pytest.mark.parametrize("jobs", ["0", "-1", "-2"])
 @pytest.mark.parametrize(
     "command",

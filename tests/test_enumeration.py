@@ -93,3 +93,15 @@ def test_enumeration_cap():
         list(enumerate_graphs(ENUM_MAX + 1))
     with pytest.raises(ValueError):
         class_count(0)
+
+
+def test_class_codes_run_from_the_least_order_to_the_greatest():
+    assert canon.class_codes(3, 5) == [*canon._codes(3), *canon._codes(4), *canon._codes(5)]
+    assert canon.class_codes(4, 3) == []
+
+
+@pytest.mark.parametrize("lo, hi", [(0, 3), (1, ENUM_MAX + 1)])
+def test_class_codes_check_the_limit_before_enumerating(monkeypatch, lo, hi):
+    monkeypatch.setattr(canon, "_codes", lambda n: pytest.fail(f"order {n} enumerated"))
+    with pytest.raises(ValueError, match=f"1..ENUM_MAX = {ENUM_MAX}, got {lo}..{hi}"):
+        canon.class_codes(lo, hi)

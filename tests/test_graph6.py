@@ -78,7 +78,7 @@ def test_emit_parse_emit_identity(g):
     "text,fragment",
     [
         ("", "empty"),
-        ("~~?", "order above 32"),
+        ("~~?", "order above ORDER_MAX = 32"),
         ("a", "order 34 above"),
         ("C", "too short"),
         ("C~~", "trailing garbage"),

@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coalition_kit import chains
+from coalition_kit import canon, chains, kernel, limits
 from coalition_kit.canon import enumerate_graphs
+from coalition_kit.domination import coalition_number_exact
 from coalition_kit.coalition_graph import NotSingletonPartitionGraph, sc_graph
 from coalition_kit.graphs import (
     Graph,
@@ -35,11 +36,11 @@ from coalition_kit.limits import ORDER_MAX
 @pytest.mark.parametrize(
     "n,rows,message",
     [
-        (0, (), f"order must be in 1..{ORDER_MAX}, got 0"),
+        (0, (), f"order must be in 1..ORDER_MAX = {ORDER_MAX}, got 0"),
         (
             ORDER_MAX + 1,
             (0,) * (ORDER_MAX + 1),
-            f"order must be in 1..{ORDER_MAX}, got {ORDER_MAX + 1}",
+            f"order must be in 1..ORDER_MAX = {ORDER_MAX}, got {ORDER_MAX + 1}",
         ),
         (3, (0, 0), "row count does not match order"),
         (2, (0b100, 0), "row 0 has bits at or above the order"),
@@ -163,11 +164,11 @@ def test_every_accepted_graph6_record_decodes_to_valid_rows(text):
 
 
 def test_trusted_constructions_keep_the_order_cap():
-    with pytest.raises(ValueError, match=f"order must be in 1..{ORDER_MAX}"):
+    with pytest.raises(ValueError, match=f"order must be in 1..ORDER_MAX = {ORDER_MAX}, got"):
         complete(ORDER_MAX + 1)
-    with pytest.raises(ValueError, match=f"order must be in 1..{ORDER_MAX}"):
+    with pytest.raises(ValueError, match=f"order must be in 1..ORDER_MAX = {ORDER_MAX}, got"):
         union(complete(ORDER_MAX), complete(1))
-    with pytest.raises(ValueError, match=f"order must be in 1..{ORDER_MAX}"):
+    with pytest.raises(ValueError, match=f"order must be in 1..ORDER_MAX = {ORDER_MAX}, got"):
         join(complete(ORDER_MAX - 1), complete(2))
 
 
@@ -258,3 +259,28 @@ def test_importing_the_package_loads_no_dataclasses():
     code = "import sys, coalition_kit; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+# Each size cap, a call just past it, and the limit its error must name.
+_LIMIT_ERRORS = {
+    "graph-order": ("ORDER_MAX", lambda _: complete(limits.ORDER_MAX + 1)),
+    "graph6-order": ("ORDER_MAX", lambda _: parse_graph6(chr(63 + limits.ORDER_MAX + 1))),
+    "graph6-long-order": ("ORDER_MAX", lambda _: parse_graph6("~~?")),
+    "isomorphism": ("CANON_MAX", lambda _: canon.are_isomorphic(cycle(17), cycle(17))),
+    "code-order": ("CANON_MAX", lambda _: canon.graph_from_code(bytes([17]) + bytes(17))),
+    "pure-kernel": ("CANON_MAX", lambda _: kernel.canonical_code(17, (0,) * 17)),
+    "compiled-kernel": ("CANON_MAX", lambda fast: fast.canonical_code(17, (0,) * 17)),
+    "coalition-number": ("CNUM_MAX", lambda _: coalition_number_exact(cycle(10))),
+    "class-codes": ("ENUM_MAX", lambda _: canon.class_codes(1, limits.ENUM_MAX + 1)),
+    "enumeration": ("ENUM_MAX", lambda _: list(enumerate_graphs(limits.ENUM_MAX + 1))),
+    "class-count": ("ENUM_MAX", lambda _: canon.class_count(limits.ENUM_MAX + 1)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_LIMIT_ERRORS))
+def test_every_limit_error_names_its_limit(request, case):
+    name, call = _LIMIT_ERRORS[case]
+    fast = request.getfixturevalue("fastkernel") if case == "compiled-kernel" else None
+    with pytest.raises(ValueError) as err:
+        call(fast)
+    assert f"{name} = {getattr(limits, name)}" in str(err.value)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import concurrent.futures
 import random
 import time
+from collections import Counter
 from functools import partial
 from types import SimpleNamespace
 
@@ -21,7 +22,7 @@ from coalition_kit import (
 )
 from coalition_kit import domination
 from coalition_kit import chains, coalition_graph
-from coalition_kit.canon import enumerate_graphs
+from coalition_kit.canon import class_codes, enumerate_graphs
 from coalition_kit.chains import TerminatedNonSp, sc_chain
 from coalition_kit.coalition_graph import sc_graph
 from coalition_kit.families import FamilySpec, recognize_h2
@@ -32,7 +33,6 @@ from coalition_kit.graphs import (
     degree_stats,
     emit_graph6,
     graph6_records,
-    parse_graph6_record,
     union,
 )
 from coalition_kit.limits import ENUM_MAX
@@ -103,7 +103,8 @@ def test_counterexamples_reproduce(monkeypatch):
     assert not report.passed
     for cex in report.counterexamples:
         g = parse_graph6(cex["graph6"])
-        assert verify_mod._check_thm1(g) is None  # the honest check passes
+        # the honest check passes
+        assert verify_mod._check_thm1(g, verify_mod._Facts(g)) is None
     assert report.to_json()["counterexamples"] == report.counterexamples
 
 
@@ -115,9 +116,7 @@ def test_record_fed_counterexamples_carry_each_records_own_graph6(tmp_path, monk
     path.write_text("\n".join(lines) + "\n")
     failing = verify_mod.THEOREMS["thm8"]._replace(check=lambda g, f: "forced")
     monkeypatch.setitem(verify_mod.THEOREMS, "thm8", failing)
-    records = list(graph6_records(str(path)))
-    decode = partial(parse_graph6_record, str(path))
-    (report,) = verify_claims(["thm8"], graphs=records, decode=decode)
+    (report,) = verify_claims(["thm8"], graphs=graph6_records(str(path)))
     stats = [degree_stats(parse_graph6(line)) for line in lines]
     expected = [
         line for line, s in zip(lines, stats) if s.min_degree == 2 and s.full_count == 0
@@ -131,9 +130,11 @@ def test_a_pool_no_claim_reads_is_decoded_but_not_checked(monkeypatch):
     # obs7 checks cycles of its own: the supplied items are decoded, so that
     # a malformed one raises, but no facts are computed for them
     decoded = []
+    real = verify_mod._decode
+    monkeypatch.setattr(verify_mod, "_decode", lambda item: decoded.append(item) or real(item))
     monkeypatch.setattr(verify_mod, "_Facts", lambda g: pytest.fail("facts computed"))
     graphs = _relabeled_classes(5, 616)
-    (report,) = verify_claims(["obs7"], graphs=graphs, decode=lambda g: decoded.append(g) or g)
+    (report,) = verify_claims(["obs7"], graphs=graphs)
     assert report.passed
     assert decoded == graphs
 
@@ -157,6 +158,32 @@ def test_sweep_order_five():
     assert pentagon["template"] == "LemH23(d)"
     assert all(rec["schema_version"] == 1 for rec in records)
     assert not any(rec.get("status") == "unclassified" for rec in records)
+
+
+# The template labels the chains of orders 1-8 reach, with their counts: 21
+# labels, 10 of them in the branch of minimum degree 2 and no full vertex.
+_LABELS_THROUGH_ORDER_EIGHT = {
+    "Thm14(a)": 1, "Thm14(b)": 1, "Thm14(c)": 5, "Thm14(d)": 1,
+    "Thm15(a)": 1, "Thm15(b)": 5, "Thm15(c)": 1,
+    "Thm16(a)": 66, "Thm16(b)": 2, "Thm16(c)": 18, "Thm17": 39,
+}
+_DEGREE_TWO_LABELS_THROUGH_ORDER_EIGHT = {
+    "H2-nonSP": 829, "Lem18(a)": 1, "Lem18(b)": 1, "Lem19(e)": 1, "Lem19(i)": 6,
+    "Lem19(j)": 3, "LemH23(d)": 1, "LemH23(v)": 41, "LemH23(w*)": 12, "LemH23(x*)": 3,
+}
+
+
+def test_chains_of_orders_one_to_eight_reach_the_pinned_labels():
+    records = sweep_chains(class_codes(1, 8))
+    labels, degree_two = Counter(), Counter()
+    for rec in records:
+        assert rec["status"] in {"classified", "not-sp", "out-of-characterized-range"}
+        if rec["status"] == "classified":
+            branch = rec["min_degree"] == 2 and rec["full_vertices"] == 0
+            (degree_two if branch else labels)[rec["template"]] += 1
+    assert labels == _LABELS_THROUGH_ORDER_EIGHT
+    assert degree_two == _DEGREE_TWO_LABELS_THROUGH_ORDER_EIGHT
+    assert len(labels) + len(degree_two) == 21
 
 
 def test_sweep_single_complete_graph():
@@ -269,27 +296,30 @@ def test_chunked_map_keeps_every_item_in_order(count, jobs):
 
 
 def test_elapsed_counts_only_the_claims_own_checks(monkeypatch):
-    real = verify_mod._codes
+    real = verify_mod.class_codes
 
-    def slow(n):
+    def slow(lo, hi):
         time.sleep(0.3)
-        return real(n)
+        return real(lo, hi)
 
-    monkeypatch.setattr(verify_mod, "_codes", slow)
+    monkeypatch.setattr(verify_mod, "class_codes", slow)
     reports = list(verify_claims(all_theorem_ids(), 4))
     assert len(reports) == 16
     assert all(r.elapsed < 0.3 for r in reports), [(r.theorem_id, r.elapsed) for r in reports]
 
 
-def test_elapsed_leaves_out_the_decoding_of_supplied_items():
+def test_elapsed_leaves_out_the_decoding_of_supplied_items(monkeypatch):
     # 0.05 s for each of the 18 classes of orders 1..4: charged to a claim,
     # it would put thm1, which checks the 8 with an isolated vertex, over 0.3 s
-    def slow_decode(g):
-        time.sleep(0.05)
-        return g
+    real = verify_mod._decode
 
+    def slow_decode(item):
+        time.sleep(0.05)
+        return real(item)
+
+    monkeypatch.setattr(verify_mod, "_decode", slow_decode)
     graphs = [g for n in range(1, 5) for g in enumerate_graphs(n)]
-    reports = list(verify_claims(all_theorem_ids(), graphs=graphs, decode=slow_decode))
+    reports = list(verify_claims(all_theorem_ids(), graphs=graphs))
     assert len(reports) == 16
     assert all(r.elapsed < 0.3 for r in reports), [(r.theorem_id, r.elapsed) for r in reports]
 
@@ -463,7 +493,7 @@ def test_claim_table_admits_what_the_filters_did(relabel):
         expected.append(admitted)
     # one claim table for the whole pool, as in a run
     check = partial(verify_mod._check_graph, tuple(enumerate(ids)), True, {})
-    results = verify_mod._run_chunk(verify_mod._itself, check, graphs)
+    results = verify_mod._run_chunk(check, graphs)
     assert [n for n, _ in results] == [g.n for g in graphs]
     assert [{ids[k] for k, _, _ in row} for _, row in results] == expected
 
@@ -570,7 +600,8 @@ def test_each_distinct_seeded_generation_is_checked_once(monkeypatch):
         generated.append(real_generate(spec))
         return generated[-1]
 
-    def failing_even(g):
+    def failing_even(g, f):
+        assert f.g is g
         checked.append(g)
         return "even edge count" if g.edge_count() % 2 == 0 else None
 
