@@ -119,8 +119,16 @@ def test_code_tables_match_the_pair_loop(case):
     "code, fragment",
     [
         (b"", "empty code"),
-        (bytes([0]), "order must be in 1..CANON_MAX = 16, got 0"),
-        (bytes([17]) + bytes(17), "order must be in 1..CANON_MAX = 16, got 17"),
+        pytest.param(
+            bytes([0]),
+            "order must be in 1..CANON_MAX = 16, got 0",
+            id="\x00-order must be in 1..16, got 0",
+        ),
+        pytest.param(
+            bytes([17]) + bytes(17),
+            "order must be in 1..CANON_MAX = 16, got 17",
+            id="\x11" + "\x00" * 17 + "-order must be in 1..16, got 17",
+        ),
         (bytes([8]), "needs 4 body bytes, got 0"),
         (bytes([4, 0, 0]), "needs 1 body bytes, got 2"),
         (bytes([4, 0, 0, 0]), "needs 1 body bytes, got 3"),

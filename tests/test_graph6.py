@@ -78,7 +78,7 @@ def test_emit_parse_emit_identity(g):
     "text,fragment",
     [
         ("", "empty"),
-        ("~~?", "order above ORDER_MAX = 32"),
+        pytest.param("~~?", "order above ORDER_MAX = 32", id="~~?-order above 32"),
         ("a", "order 34 above"),
         ("C", "too short"),
         ("C~~", "trailing garbage"),
