@@ -5,7 +5,9 @@ per-graph layers of a verify pass.
 Times canonical codes over a fixed random workload at several orders, and
 the exhaustive enumeration of orders 1..N (``--enum-order``, default 7) by
 ``canon._extend_codes`` (the minimum-degree vertex extension) driven by each
-backend's kernel, with the classes and kernel calls of each order.
+backend's kernel, with the classes and kernel calls of each order; then the
+same extensions capped at minimum degree 2, as ``verify`` builds its pool's
+top order.
 
 ``--layers`` instead times, in microseconds per call, the per-graph layers
 of ``verify`` and ``sweep``: graph6 decoding (the text checks and the
@@ -91,9 +93,18 @@ def bench_canonical(batch: int, orders: list[int]) -> None:
         print(f"{n:>6} {pure_ms:>14.4f} {fast_ms:>18.4f} {pure_ms / fast_ms:>7.1f}x")
 
 
-def enumerate_codes(canonical_code, n: int) -> tuple[list[bytes], list[tuple[int, int, float]]]:
-    """All order-n canonical codes, extended order by order with one kernel,
-    and for each order 2..n its class count, kernel calls and seconds."""
+# the largest minimum degree any claim reads, so verify's pool caps its
+# top order there
+POOL_MAX_DELTA = 2
+
+
+def enumerate_codes(
+    canonical_code, n: int
+) -> tuple[list[bytes], list[tuple[int, int, float]], list[tuple[int, int, float]]]:
+    """All order-n canonical codes, extended order by order with one kernel;
+    for each order 2..n the class count, kernel calls and seconds of that
+    extension, and of the extension of the same parents capped at minimum
+    degree POOL_MAX_DELTA."""
     calls = 0
 
     def counting(k: int, rows) -> bytes:
@@ -101,31 +112,44 @@ def enumerate_codes(canonical_code, n: int) -> tuple[list[bytes], list[tuple[int
         calls += 1
         return canonical_code(k, rows)
 
-    codes = [canonical_code(1, (0,))]
-    per_order = []
-    for k in range(2, n + 1):
+    def timed(parents: list[bytes], k: int, cap: int | None) -> tuple[list[bytes], tuple]:
+        nonlocal calls
         calls = 0
         t0 = time.perf_counter()
-        codes = _extend_codes(codes, k, counting)
-        per_order.append((len(codes), calls, time.perf_counter() - t0))
-    return codes, per_order
+        codes, _ = _extend_codes(parents, k, counting, max_delta=cap)
+        return codes, (len(codes), calls, time.perf_counter() - t0)
+
+    codes = [canonical_code(1, (0,))]
+    per_order, capped = [], []
+    for k in range(2, n + 1):
+        capped.append(timed(codes, k, POOL_MAX_DELTA)[1])
+        codes, row = timed(codes, k, None)
+        per_order.append(row)
+    return codes, per_order, capped
 
 
 def bench_enumeration(n: int) -> None:
-    print(f"\nenumeration of all order-{n} classes (orders 1..{n})")
-    print(f"{'backend':<9} {'order':>5} {'classes':>8} {'kernel calls':>13} {'seconds':>8}")
     kernels = [("pure", pure.canonical_code)]
     if fast is not None:
         kernels.append(("compiled", fast.canonical_code))
+    header = f"{'backend':<9} {'order':>5} {'classes':>8} {'kernel calls':>13} {'seconds':>8}"
     reference = None
+    capped_rows = []
+    print(f"\nenumeration of all order-{n} classes (orders 1..{n})")
+    print(header)
     for name, kernel in kernels:
-        codes, per_order = enumerate_codes(kernel, n)
+        codes, per_order, capped = enumerate_codes(kernel, n)
         for k, (classes, calls, seconds) in enumerate(per_order, start=2):
             print(f"{name:<9} {k:>5} {classes:>8} {calls:>13} {seconds:>8.2f}")
         total = sum(seconds for _, _, seconds in per_order)
         print(f"{name:<9} {'all':>5} {len(codes):>8} {'':>13} {total:>8.2f}")
         assert reference is None or codes == reference, "backend mismatch"
         reference = codes
+        capped_rows += [(name, k, *row) for k, row in enumerate(capped, start=2)]
+    print(f"\neach order capped at minimum degree {POOL_MAX_DELTA} (the verify pool's top order)")
+    print(header)
+    for name, k, classes, calls, seconds in capped_rows:
+        print(f"{name:<9} {k:>5} {classes:>8} {calls:>13} {seconds:>8.2f}")
 
 
 LAYER_PASSES = 5

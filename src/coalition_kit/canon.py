@@ -12,7 +12,7 @@ Both emit byte-identical codes; ``BACKEND_NAME`` says which one is active.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, compress
 from typing import Callable, Iterator, Sequence
 
 from .graphs import Graph, _byte_tables, _graph_from_body
@@ -63,18 +63,43 @@ def graph_from_code(code: bytes) -> Graph:
     return g
 
 
+def _isolated_child(code: bytes) -> bytes:
+    """Canonical code of P + K1, from the canonical code of P.
+
+    The new vertex's row is n - 1 zero bits and P's body follows it, so the
+    child's body is P's body bits behind those zeros, packed MSB-first. This
+    is the code the kernel would give: the degree-0 vertices form the first
+    cell of the child's partition; every vertex counts 0 neighbours in them,
+    so they never split another cell, and the rest refines as P does; they
+    are pairwise twins, so they are individualized in one branch. Every leaf
+    of the child's search is thus a leaf of P's search with the isolated
+    vertex in front, and the least code keeps that zero row first.
+    """
+    n = code[0] + 1
+    bits = n * (n - 1) // 2
+    body = (bits + 7) // 8
+    parent_bits = bits - (n - 1)
+    value = int.from_bytes(code[1:], "big") >> (-parent_bits % 8)
+    return bytes([n]) + (value << (-bits % 8)).to_bytes(body, "big")
+
+
 def _extend_codes(
     parent_codes: Sequence[bytes],
     n: int,
     kernel: Callable[[int, Sequence[int]], bytes] | None = None,
-) -> list[bytes]:
-    """Sorted canonical codes of every order-n class, from all order-(n-1) codes.
+    max_delta: int | None = None,
+) -> tuple[list[bytes], bytes]:
+    """Sorted canonical codes of every order-n class of minimum degree at
+    most ``max_delta`` (every class by default), from all order-(n-1) codes,
+    and each class's minimum degree, one byte per code.
 
     Every order-n graph has a minimum-degree vertex whose deletion leaves an
     order-(n-1) class, so it suffices to extend each parent P by the
     neighbourhoods that make the new vertex a minimum-degree vertex of the
     child: k neighbours for k <= min degree of P + 1, with every parent
-    vertex of degree k - 1 among them.
+    vertex of degree k - 1 among them. The child's minimum degree is then
+    k, so the classes above ``max_delta`` come only from larger k, which is
+    skipped. The k = 0 child, P + K1, is coded by ``_isolated_child``.
 
     Twins of P are vertices whose rows agree outside the pair. They fall
     into classes, and every permutation within a class is an automorphism
@@ -90,8 +115,10 @@ def _extend_codes(
     """
     code_of = canonical_code if kernel is None else kernel
     new_bit = 1 << (n - 1)
-    seen: set[bytes] = set()
+    top = n if max_delta is None else max_delta + 1
+    seen: dict[bytes, int] = {}
     for code in parent_codes:
+        seen[_isolated_child(code)] = 0
         rows = graph_from_code(code).rows
         degrees = [r.bit_count() for r in rows]
         previous_twin = [0] * len(rows)
@@ -101,7 +128,7 @@ def _extend_codes(
                 if rows[u] & outside == rows[v] & outside:
                     previous_twin[v] = 1 << u
                     break
-        for k in range(min(degrees) + 2):
+        for k in range(1, min(min(degrees) + 2, top)):
             forced = [v for v, d in enumerate(degrees) if d == k - 1]
             if len(forced) > k:
                 continue
@@ -120,20 +147,31 @@ def _extend_codes(
                 for v in extra:
                     cand[v] |= new_bit
                 cand.append(mask)
-                seen.add(code_of(n, cand))
-    return sorted(seen)
+                seen[code_of(n, cand)] = k
+    codes = sorted(seen)
+    return codes, bytes(map(seen.__getitem__, codes))
 
 
 @lru_cache(maxsize=None)
-def _codes(n: int) -> tuple[bytes, ...]:
+def _classes(n: int) -> tuple[tuple[bytes, ...], bytes]:
+    """Every order-n class's code, in code order, and its minimum degree."""
     if n == 1:
-        return (canonical_code(1, (0,)),)
-    return tuple(_extend_codes(_codes(n - 1), n))
+        return (canonical_code(1, (0,)),), bytes(1)
+    codes, deltas = _extend_codes(_codes(n - 1), n)
+    return tuple(codes), deltas
 
 
-def class_codes(lo: int, hi: int) -> list[bytes]:
+def _codes(n: int) -> tuple[bytes, ...]:
+    return _classes(n)[0]
+
+
+def class_codes(lo: int, hi: int, max_delta: int | None = None) -> list[bytes]:
     """Canonical codes of every isomorphism class of orders lo..hi, by order
     and then in code order, so runs are deterministic; empty when lo > hi.
+    With ``max_delta`` only the classes of minimum degree at most
+    ``max_delta`` are kept: the lower orders are filtered by their stored
+    minimum degree, and order hi is extended with that cap, so its classes
+    of larger minimum degree are never built.
 
     Orders outside 1..ENUM_MAX raise ValueError before anything is
     enumerated. Larger orders arrive as graph6 files instead.
@@ -143,7 +181,16 @@ def class_codes(lo: int, hi: int) -> list[bytes]:
             f"built-in enumeration supports order 1..ENUM_MAX = {ENUM_MAX}, got {lo}..{hi}; "
             "larger orders must arrive via graph6 files"
         )
-    return [code for n in range(lo, hi + 1) for code in _codes(n)]
+    if max_delta is None:
+        return [code for n in range(lo, hi + 1) for code in _codes(n)]
+    out = []
+    for n in range(lo, hi + 1):
+        if n == hi > 1:
+            out += _extend_codes(_codes(n - 1), n, max_delta=max_delta)[0]
+        else:
+            codes, deltas = _classes(n)
+            out += compress(codes, [d <= max_delta for d in deltas])
+    return out
 
 
 def enumerate_graphs(n: int) -> Iterator[Graph]:

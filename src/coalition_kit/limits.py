@@ -13,7 +13,7 @@ ORDER_MAX = 32
 CANON_MAX = 16
 
 # Built-in exhaustive enumeration cap; larger orders arrive via graph6 files.
-ENUM_MAX = 8
+ENUM_MAX = 9
 
 # Exact coalition-number search cap (Bell-number sized search).
 CNUM_MAX = 9

@@ -138,27 +138,27 @@ def _itself(x):
     return x
 
 
-def _decode(item) -> tuple[Graph, str | None]:
-    """A pool item's graph, and its graph6 text when the item carries it.
+def _decode(item) -> Graph:
+    """A pool item's graph.
 
     An item is a ``Graph``, a canonical code, or a ``graphs.graph6_records``
     entry, whose malformed record raises ``Graph6Error`` prefixed with its
     path and line number.
     """
     if isinstance(item, Graph):
-        return item, None
+        return item
     if isinstance(item, bytes):
-        return graph_from_code(item), None
-    return parse_graph6_record(item), graph6_record_text(item)
+        return graph_from_code(item)
+    return parse_graph6_record(item)
 
 
-def _run_chunk(per_graph: Callable[[Graph, str | None], object], chunk: list) -> list:
+def _run_chunk(per_graph: Callable[[Graph, object], object], chunk: list) -> list:
     """Decode every item of ``chunk``, then map ``per_graph`` over the
-    (graph, graph6 text or None) pairs."""
+    (graph, item) pairs."""
     # decoding the whole chunk before building any chain measured about 10%
     # faster than interleaving the two graph by graph
     decoded = [_decode(item) for item in chunk]
-    return [per_graph(g, g6) for g, g6 in decoded]
+    return [per_graph(g, item) for g, item in zip(decoded, chunk)]
 
 
 def _cex(g: Graph, detail: str) -> dict:
@@ -599,17 +599,19 @@ def all_theorem_ids() -> list[str]:
 def _id_error(theorem_id: str, n_max: int, enumerated: bool) -> Exception | None:
     if theorem_id not in THEOREMS:
         return KeyError(f"unknown theorem id {theorem_id!r}; known: {all_theorem_ids()}")
-    min_order = THEOREMS[theorem_id].min_order
-    if enumerated and n_max < min_order:
+    # a claim that reads no pool checks graphs of its own orders
+    claim = THEOREMS[theorem_id]
+    min_order = claim.min_order
+    if enumerated and claim.min_degree is not None and n_max < min_order:
         return ValueError(f"{theorem_id} needs order at least {min_order}, got n_max={n_max}")
     return None
 
 
 def _check_graph(
-    claims: tuple[tuple[int, str], ...], f1_due: bool, due: dict, g: Graph, g6: str | None
+    claims: tuple[tuple[int, str], ...], f1_due: bool, due: dict, g: Graph, item: object
 ) -> tuple[int, list[tuple[int, object, float]]]:
-    """Run on ``g`` every claim whose hypothesis it meets; its graph6 text
-    ``g6`` is not read.
+    """Run on ``g`` every claim whose hypothesis it meets; its pool
+    ``item`` is not read.
 
     ``claims`` holds (claim index, id) entries. The graph's claims are
     looked up by its ``_Facts.key`` in ``due``, a table the run fills as
@@ -665,18 +667,20 @@ def verify_claims(
     """Run claims in one pass over one pool, yielding one report per claim.
 
     The pool is the supplied items (graphs, canonical codes or
-    ``graphs.graph6_records`` entries), or ``canon.class_codes(1, n_max)``,
-    enumerated once and only when a claim reads the pool; each claim takes
-    the graphs of its hypothesis class, from its least order up. Each item
-    is decoded and visited once, in one worker under ``jobs`` > 1: its
-    facts are computed, and the claims whose hypothesis it meets are looked
-    up by its hypothesis key and checked against them. A supplied pool is
-    decoded even when no claim reads it, so a malformed item raises first.
-    A report's ``elapsed`` is the time of its claim's own checks; the pool,
-    its decoding and the facts are charged to no claim. The ids are taken up
-    to the first unknown id or order below a claim's least order, whose
-    error is raised after the reports of the claims before it; an
-    enumeration above ``ENUM_MAX`` raises before any report.
+    ``graphs.graph6_records`` entries), or the classes of orders 1..n_max
+    whose minimum degree is at most the largest ``min_degree`` of the run's
+    claims (``canon.class_codes``), enumerated once and only when a claim
+    reads the pool; each claim takes the graphs of its hypothesis class,
+    from its least order up. Each item is decoded and visited once, in one
+    worker under ``jobs`` > 1: its facts are computed, and the claims whose
+    hypothesis it meets are looked up by its hypothesis key and checked
+    against them. A supplied pool is decoded even when no claim reads it, so
+    a malformed item raises first. A report's ``elapsed`` is the time of its
+    claim's own checks; the pool, its decoding and the facts are charged to
+    no claim. The ids are taken up to the first unknown id or order below
+    the least order of a claim that reads the pool, whose error is raised
+    after the reports of the claims before it; an enumeration above
+    ``ENUM_MAX`` raises before any report.
     """
     enumerated = graphs is None
     ids: list[str] = []
@@ -701,10 +705,13 @@ def verify_claims(
         for t in ids
     ]
     claims = tuple((k, t) for k, t in enumerate(ids) if THEOREMS[t].min_degree is not None)
-    if enumerated:
-        items = class_codes(1, n_max) if claims else []
-    else:
+    if not enumerated:
         items = list(graphs)
+    elif claims:
+        # no claim reads a class above the largest minimum degree of the run
+        items = class_codes(1, n_max, max(THEOREMS[t].min_degree for _, t in claims))
+    else:
+        items = []
     f1_due = any(THEOREMS[t].f1_member for _, t in claims)
     check = partial(_check_graph, claims, f1_due, {})
     for item, (n, results) in zip(items, _pmap(partial(_run_chunk, check), items, jobs)):
@@ -721,7 +728,7 @@ def verify_claims(
                 histogram[key] = histogram.get(key, 0) + 1
             if result:
                 # failures are rare, so the parent decodes only their items
-                report.counterexamples.append(_cex(_decode(item)[0], result))
+                report.counterexamples.append(_cex(_decode(item), result))
 
     for report in reports:
         _run_own_checks(report, n_max, enumerated)
@@ -808,8 +815,10 @@ def chain_record(g: Graph, g6: str | None = None) -> dict:
     return rec
 
 
-def _sweep_record(render: Callable[[dict], object], g: Graph, g6: str | None) -> object:
-    return render(chain_record(g, g6))
+def _sweep_record(render: Callable[[dict], object], g: Graph, item: object) -> object:
+    """The rendered record of ``g``, whose graph6 is the text of its pool
+    ``item`` when that is a ``graphs.graph6_records`` entry."""
+    return render(chain_record(g, graph6_record_text(item) if isinstance(item, tuple) else None))
 
 
 def sweep_chains(

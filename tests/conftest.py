@@ -19,12 +19,14 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+from functools import lru_cache
 from itertools import permutations
 from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
 
+from coalition_kit import canon
 from coalition_kit.graphs import Graph
 
 _KERNEL_SOURCE = Path(__file__).parent.parent / "src" / "coalition_kit" / "_fastkernel.c"
@@ -67,6 +69,14 @@ def fastkernel(tmp_path_factory):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def enumerate_with(monkeypatch, kernel) -> None:
+    """Make ``canon`` enumerate with ``kernel``'s ``canonical_code`` into a
+    cache of its own, so that the session's cache is neither read nor
+    filled."""
+    monkeypatch.setattr(canon, "canonical_code", kernel.canonical_code)
+    monkeypatch.setattr(canon, "_classes", lru_cache(maxsize=None)(canon._classes.__wrapped__))
 
 
 def graph_from_mask(n: int, mask: int) -> Graph:

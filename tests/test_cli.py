@@ -353,6 +353,22 @@ def test_a_claim_that_reads_no_pool_runs_above_the_enumeration_limit():
     assert report["passed"] and report["order_range"] == [3, 10]
 
 
+def test_a_claim_that_reads_no_pool_runs_below_the_least_order_of_the_others():
+    # obs7 checks the cycles of orders 3..10 whatever the pool's top order
+    result = run_cli("verify", "--theorem", "obs7", "--max-order", "2", "--jobs", "1", "--json")
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stdout)
+    assert report["passed"] and report["order_range"] == [3, 10]
+
+
+def test_the_first_claim_above_the_top_order_stops_the_run():
+    # thm1 reads order 1 up; thm2, the next claim, needs order 3
+    result = run_cli("verify", "--all", "--max-order", "2", "--jobs", "1", "--json")
+    assert result.returncode == 2
+    assert [json.loads(line)["theorem_id"] for line in result.stdout.splitlines()] == ["thm1"]
+    assert "thm2 needs order at least 3, got n_max=2" in result.stderr
+
+
 @pytest.mark.parametrize("jobs", ["0", "-1", "-2"])
 @pytest.mark.parametrize(
     "command",

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import graph_from_mask, oracle_min_perm_code
+from conftest import enumerate_with, graph_from_mask, oracle_min_perm_code
 from coalition_kit import canon, class_count, enumerate_graphs
+from coalition_kit import kernel as pure
 from coalition_kit.canon import are_isomorphic, canonical_form, graph_from_code
 from coalition_kit.graphs import degree_stats
 from coalition_kit.kernel import canonical_code
@@ -105,3 +106,35 @@ def test_class_codes_check_the_limit_before_enumerating(monkeypatch, lo, hi):
     monkeypatch.setattr(canon, "_codes", lambda n: pytest.fail(f"order {n} enumerated"))
     with pytest.raises(ValueError, match=f"1..ENUM_MAX = {ENUM_MAX}, got {lo}..{hi}"):
         canon.class_codes(lo, hi)
+
+
+@pytest.mark.parametrize("compiled", [False, True], ids=["pure", "compiled"])
+def test_isolated_vertex_children_get_the_kernels_code(fastkernel, compiled):
+    kernel = fastkernel if compiled else pure
+    for n in range(1, 9):
+        for code in canon._codes(n):
+            rows = (*graph_from_code(code).rows, 0)
+            assert canon._isolated_child(code) == kernel.canonical_code(n + 1, rows)
+
+
+def test_stored_minimum_degrees_are_the_classes():
+    for n in range(1, 9):
+        codes, deltas = canon._classes(n)
+        assert list(deltas) == [degree_stats(graph_from_code(c)).min_degree for c in codes]
+
+
+@pytest.mark.parametrize("max_delta", range(4))
+@pytest.mark.parametrize("compiled", [False, True], ids=["pure", "compiled"])
+def test_capped_class_codes_keep_the_classes_up_to_the_cap(
+    fastkernel, monkeypatch, compiled, max_delta
+):
+    # the uncapped classes come from the session's cache, each kept or not
+    # by the minimum degree of its decoded graph
+    kept = {
+        n: [c for c in canon._codes(n) if degree_stats(graph_from_code(c)).min_degree <= max_delta]
+        for n in range(1, 9)
+    }
+    enumerate_with(monkeypatch, fastkernel if compiled else pure)
+    for lo, hi in [*((1, hi) for hi in range(1, 9)), (5, 7), (8, 8), (4, 3)]:
+        want = [c for n in range(lo, hi + 1) for c in kept[n]]
+        assert canon.class_codes(lo, hi, max_delta) == want, (lo, hi)

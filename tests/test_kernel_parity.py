@@ -9,10 +9,11 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 
-from conftest import graphs
+from conftest import enumerate_with, graphs
+from coalition_kit import canon
 from coalition_kit import kernel as pure
 from coalition_kit.canon import _extend_codes
-from coalition_kit.limits import CANON_MAX
+from coalition_kit.limits import CANON_MAX, ENUM_MAX
 
 
 @settings(max_examples=400)
@@ -24,16 +25,19 @@ def test_codes_agree(fastkernel, g):
 def test_enumerations_agree(fastkernel):
     pure_codes = fast_codes = [pure.canonical_code(1, (0,))]
     for n in range(2, 9):
-        pure_codes = _extend_codes(pure_codes, n, pure.canonical_code)
-        fast_codes = _extend_codes(fast_codes, n, fastkernel.canonical_code)
-        assert pure_codes == fast_codes
+        pure_codes, pure_deltas = _extend_codes(pure_codes, n, pure.canonical_code)
+        fast_codes, fast_deltas = _extend_codes(fast_codes, n, fastkernel.canonical_code)
+        assert (pure_codes, pure_deltas) == (fast_codes, fast_deltas)
 
 
-def test_compiled_enumeration_reaches_order_nine(fastkernel):
-    codes = [fastkernel.canonical_code(1, (0,))]
-    for n in range(2, 10):
-        codes = _extend_codes(codes, n, fastkernel.canonical_code)
-    assert len(codes) == 274668  # OEIS A000088
+def test_compiled_enumeration_reaches_order_nine(fastkernel, monkeypatch):
+    enumerate_with(monkeypatch, fastkernel)
+    assert ENUM_MAX == 9
+    assert canon.class_count(9) == 274668  # OEIS A000088
+    codes, deltas = canon._classes(9)
+    capped = canon.class_codes(9, 9, max_delta=2)
+    assert capped == [code for code, d in zip(codes, deltas) if d <= 2]
+    assert len(capped) == 190423
 
 
 @pytest.mark.parametrize("n", [0, CANON_MAX + 1])

@@ -161,7 +161,7 @@ def test_order_eight_codes_keep_their_digest():
 def test_compiled_order_eight_codes_keep_their_digest(fastkernel):
     codes = [fastkernel.canonical_code(1, (0,))]
     for n in range(2, 9):
-        parents, codes = codes, _extend_codes(codes, n, fastkernel.canonical_code)
+        parents, codes = codes, _extend_codes(codes, n, fastkernel.canonical_code)[0]
         assert codes == unfiltered_extend_codes(parents, n, fastkernel.canonical_code)
     assert hashlib.sha256(b"".join(codes)).hexdigest() == ORDER_EIGHT_SHA256
 
@@ -169,20 +169,31 @@ def test_compiled_order_eight_codes_keep_their_digest(fastkernel):
 @pytest.mark.parametrize("n", range(2, 8))
 def test_filtered_extension_equals_the_unfiltered_reference(n):
     parents = canon._codes(n - 1)
-    assert _extend_codes(parents, n) == unfiltered_extend_codes(parents, n, canon.canonical_code)
+    codes, _ = _extend_codes(parents, n)
+    assert codes == unfiltered_extend_codes(parents, n, canon.canonical_code)
 
 
-@pytest.mark.parametrize("n, calls", [(7, 1808), (8, 22194)])
+@pytest.mark.parametrize("n, calls", [(7, 1652), (8, 21150)])
 def test_twin_filter_kernel_calls(n, calls):
     counting = CountingKernel()
-    assert tuple(_extend_codes(canon._codes(n - 1), n, counting)) == canon._codes(n)
+    assert tuple(_extend_codes(canon._codes(n - 1), n, counting)[0]) == canon._codes(n)
+    assert counting.calls == calls
+
+
+@pytest.mark.parametrize("n, calls", [(7, 1291), (8, 14388)])
+def test_capped_extension_kernel_calls(n, calls):
+    # minimum degree at most 2: no neighbourhood of 3 or more is canonicalized
+    counting = CountingKernel()
+    codes, deltas = _extend_codes(canon._codes(n - 1), n, counting, max_delta=2)
+    assert codes == [code for code, d in zip(*canon._classes(n)) if d <= 2]
+    assert max(deltas) == 2
     assert counting.calls == calls
 
 
 def test_star_extension_skips_twin_leaves():
     # K(1,3): the new vertex of degree 1 goes to the centre or to one leaf,
-    # not to each of the three twin leaves
+    # not to each of the three twin leaves; the isolated one needs no kernel
     star = [canonical_form(Graph(4, (0b1110, 0b0001, 0b0001, 0b0001)))]
     filtered, unfiltered = CountingKernel(), CountingKernel()
-    assert _extend_codes(star, 5, filtered) == unfiltered_extend_codes(star, 5, unfiltered)
-    assert (filtered.calls, unfiltered.calls) == (3, 5)
+    assert _extend_codes(star, 5, filtered)[0] == unfiltered_extend_codes(star, 5, unfiltered)
+    assert (filtered.calls, unfiltered.calls) == (2, 5)

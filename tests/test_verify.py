@@ -295,12 +295,27 @@ def test_chunked_map_keeps_every_item_in_order(count, jobs):
     assert list(verify_mod._pmap(_negated_chunk, items, jobs)) == [-x for x in items]
 
 
+def test_the_capped_pool_gives_the_reports_of_the_full_pool(monkeypatch):
+    # every claim reads minimum degree at most 2, so the classes the pool
+    # leaves out change no report
+    def report_lines():
+        return [
+            {k: v for k, v in r.to_json().items() if k != "elapsed"}
+            for r in verify_claims(all_theorem_ids(), 8)
+        ]
+
+    capped = report_lines()
+    real = verify_mod.class_codes
+    monkeypatch.setattr(verify_mod, "class_codes", lambda lo, hi, max_delta: real(lo, hi))
+    assert report_lines() == capped
+
+
 def test_elapsed_counts_only_the_claims_own_checks(monkeypatch):
     real = verify_mod.class_codes
 
-    def slow(lo, hi):
+    def slow(*args):
         time.sleep(0.3)
-        return real(lo, hi)
+        return real(*args)
 
     monkeypatch.setattr(verify_mod, "class_codes", slow)
     reports = list(verify_claims(all_theorem_ids(), 4))
