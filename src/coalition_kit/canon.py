@@ -153,11 +153,12 @@ def _extend_codes(
 
 
 @lru_cache(maxsize=None)
-def _classes(n: int) -> tuple[tuple[bytes, ...], bytes]:
-    """Every order-n class's code, in code order, and its minimum degree."""
+def _classes(n: int, max_delta: int | None = None) -> tuple[tuple[bytes, ...], bytes]:
+    """Every order-n class's code of minimum degree at most ``max_delta``
+    (every class by default), in code order, and its minimum degree."""
     if n == 1:
         return (canonical_code(1, (0,)),), bytes(1)
-    codes, deltas = _extend_codes(_codes(n - 1), n)
+    codes, deltas = _extend_codes(_codes(n - 1), n, max_delta=max_delta)
     return tuple(codes), deltas
 
 
@@ -170,8 +171,8 @@ def class_codes(lo: int, hi: int, max_delta: int | None = None) -> list[bytes]:
     and then in code order, so runs are deterministic; empty when lo > hi.
     With ``max_delta`` only the classes of minimum degree at most
     ``max_delta`` are kept: the lower orders are filtered by their stored
-    minimum degree, and order hi is extended with that cap, so its classes
-    of larger minimum degree are never built.
+    minimum degree, and order hi is extended with that cap (once per process
+    and cap), so its classes of larger minimum degree are never built.
 
     Orders outside 1..ENUM_MAX raise ValueError before anything is
     enumerated. Larger orders arrive as graph6 files instead.
@@ -185,11 +186,8 @@ def class_codes(lo: int, hi: int, max_delta: int | None = None) -> list[bytes]:
         return [code for n in range(lo, hi + 1) for code in _codes(n)]
     out = []
     for n in range(lo, hi + 1):
-        if n == hi > 1:
-            out += _extend_codes(_codes(n - 1), n, max_delta=max_delta)[0]
-        else:
-            codes, deltas = _classes(n)
-            out += compress(codes, [d <= max_delta for d in deltas])
+        codes, deltas = _classes(n, max_delta) if n == hi else _classes(n)
+        out += compress(codes, [d <= max_delta for d in deltas])
     return out
 
 

@@ -268,6 +268,8 @@ def _cmd_family(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if args.max_order < 1:
+        raise CliInputError("--max-order must be at least 1")
     ids = all_theorem_ids() if args.all or not args.theorem else [args.theorem]
     records = graph6_records(args.file) if args.file else None
     failed = False

@@ -14,6 +14,7 @@ reproduces it.
 
 from __future__ import annotations
 
+import os
 import time
 from functools import lru_cache, partial
 from typing import Callable, Iterable, Iterator, NamedTuple
@@ -106,7 +107,7 @@ class TheoremReport:
         return out
 
 
-# Tasks per worker process: few enough that shipping a task costs little
+# Chunks per worker process: few enough that a chunk's frame costs little
 # next to its work, enough that the last ones finish close together.
 _CHUNKS_PER_WORKER = 8
 
@@ -116,22 +117,83 @@ def _pmap(chunk_fn: Callable[[list], list], items: list, jobs: int) -> Iterator:
 
     ``items`` is cut into contiguous chunks, about _CHUNKS_PER_WORKER per
     worker, and ``chunk_fn`` maps one chunk to the list of its items'
-    results. Each chunk is one task of a ``jobs``-process pool, or runs
-    in-process when ``jobs`` <= 1, chunk by chunk.
+    results. When ``jobs`` <= 1 the chunks run in-process, chunk by chunk.
+    Otherwise chunk i runs in forked worker i % ``jobs``: workers inherit
+    ``items`` and ``chunk_fn``, so nothing is sent to them, and each writes
+    every chunk's pickled results, or the exception of its first failing
+    chunk, as one length-prefixed frame to its own pipe. The parent reads
+    the frames in chunk order and raises that exception where its chunk's
+    results would have been. A worker that ends without sending its frames
+    fails the run. Every worker is reaped when the generator ends, fails or
+    is closed; one still running then is killed first. The caller must run
+    no other thread, which a forked child would not have.
     """
     workers = max(jobs, 1)
     size = max(1, -(-len(items) // (_CHUNKS_PER_WORKER * workers)))
-    chunks = (items[i : i + size] for i in range(0, len(items), size))
-    if workers == 1 or len(items) <= size:
-        for chunk in chunks:
-            yield from chunk_fn(chunk)
-    else:
-        # imported here, so that a serial run does not pay for the pool module
-        from concurrent.futures import ProcessPoolExecutor
+    starts = range(0, len(items), size)
+    if workers == 1 or len(starts) <= 1:
+        for start in starts:
+            yield from chunk_fn(items[start : start + size])
+        return
+    # imported here, so that a serial run does not pay for them
+    import pickle
+    import signal
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for results in pool.map(chunk_fn, chunks):
-                yield from results
+    workers = min(workers, len(starts))
+    pids: list[int] = []
+    readers = []
+    finished = False
+    try:
+        for w in range(workers):
+            read_fd, write_fd = os.pipe()
+            readers.append(open(read_fd, "rb"))
+            with open(write_fd, "wb") as out:  # the parent's copy closes after the fork
+                pid = os.fork()
+                if pid == 0:
+                    # the worker leaves through os._exit, so it never flushes
+                    # the parent's stdio or runs its exit hooks
+                    try:
+                        for reader in readers:
+                            reader.close()
+                        for start in starts[w::workers]:
+                            try:
+                                frame = True, chunk_fn(items[start : start + size])
+                            except BaseException as exc:
+                                frame = False, exc
+                            data = pickle.dumps(frame, pickle.HIGHEST_PROTOCOL)
+                            out.write(len(data).to_bytes(8, "little"))
+                            out.write(data)
+                            out.flush()
+                            if not frame[0]:
+                                break
+                        os._exit(0)
+                    finally:
+                        os._exit(1)
+            pids.append(pid)
+        for i in range(len(starts)):
+            head = readers[i % workers].read(8)
+            length = int.from_bytes(head, "little")
+            data = readers[i % workers].read(length) if len(head) == 8 else b""
+            if len(head) < 8 or len(data) < length:
+                pid = pids.pop(i % workers)
+                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                raise RuntimeError(
+                    f"worker process {pid} ended before sending its results (exit status {status})"
+                )
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            # with the last frame in, the workers are exiting: a consumer
+            # that stops here (``zip`` does) has them reaped, not killed
+            finished = i == len(starts) - 1
+            yield from value
+    finally:
+        for reader in readers:
+            reader.close()
+        for pid in pids:
+            if not finished:
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def _itself(x):

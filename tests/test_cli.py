@@ -285,6 +285,38 @@ def test_sweep_file_with_a_malformed_record_writes_nothing(tmp_path, command, jo
     )
 
 
+@pytest.mark.parametrize("command", [["sweep"], ["verify", "--all"]], ids=["sweep", "verify"])
+def test_a_malformed_record_in_the_last_chunk_fails_alike_at_every_job_count(tmp_path, command):
+    f = _relabeled_order_six_file(tmp_path)
+    lines = f.read_text().split("\n")
+    lines[-2] = "E?"  # the last record; the text ends with a newline
+    f.write_text("\n".join(lines))
+    results = [
+        run_cli(*command, "--file", str(f), "--json", "--jobs", jobs) for jobs in ("1", "2", "3")
+    ]
+    assert {(r.returncode, r.stdout, r.stderr) for r in results} == {
+        (2, "", f"error: {f}:{len(lines) - 1}: record too short: 1 body bytes, expected 3\n")
+    }
+
+
+def test_serial_runs_load_no_parallel_machinery():
+    # the forked workers' modules are imported only on the parallel path
+    script = """
+import sys
+parallel = ("concurrent.futures", "multiprocessing", "pickle")
+import coalition_kit
+print(sorted(m for m in parallel if m in sys.modules))
+from coalition_kit import cli
+code = cli.main(["verify", "--all", "--max-order", "5", "--jobs", "1", "--json"])
+print(code, sorted(m for m in parallel if m in sys.modules))
+"""
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    lines = result.stdout.splitlines()
+    assert result.returncode == 0, result.stderr
+    assert lines[0] == "[]"
+    assert len(lines) == 18 and lines[-1] == "0 []"
+
+
 def test_file_input_processes_every_line(tmp_path):
     f = tmp_path / "two.g6"
     f.write_text("Cl\nBg\n")
@@ -331,6 +363,16 @@ def test_sweep_rejects_an_empty_or_invalid_order_range(orders, flag):
     assert result.returncode == 2
     assert result.stdout == ""
     assert result.stderr.startswith("error: " + flag)
+
+
+@pytest.mark.parametrize("order", ["0", "-3"])
+@pytest.mark.parametrize("theorem", ["obs7", "thm1"])
+def test_verify_rejects_a_max_order_below_one(theorem, order):
+    # obs7 reads no pool, so no claim's least order catches it
+    result = run_cli("verify", "--theorem", theorem, "--max-order", order, "--jobs", "1")
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == "error: --max-order must be at least 1\n"
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
 from conftest import enumerate_with, graph_from_mask, oracle_min_perm_code
@@ -138,3 +140,19 @@ def test_capped_class_codes_keep_the_classes_up_to_the_cap(
     for lo, hi in [*((1, hi) for hi in range(1, 9)), (5, 7), (8, 8), (4, 3)]:
         want = [c for n in range(lo, hi + 1) for c in kept[n]]
         assert canon.class_codes(lo, hi, max_delta) == want, (lo, hi)
+
+
+def test_a_second_capped_call_makes_no_kernel_call(monkeypatch):
+    calls = []
+    real = canon.canonical_code
+
+    def counting(n, rows):
+        calls.append(n)
+        return real(n, rows)
+
+    enumerate_with(monkeypatch, SimpleNamespace(canonical_code=counting))
+    first = canon.class_codes(1, 7, 2)
+    assert calls  # the first call enumerates
+    calls.clear()
+    assert canon.class_codes(1, 7, 2) == first
+    assert calls == []

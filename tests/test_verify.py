@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-import concurrent.futures
+import os
 import random
+import signal
 import time
 from collections import Counter
 from functools import partial
@@ -261,30 +262,104 @@ def test_shared_pool_reports_before_an_invalid_claim():
 
 
 @pytest.fixture
-def pools_built(monkeypatch) -> list:
-    built = []
+def forks(monkeypatch) -> list:
+    made = []
+    real = os.fork
 
-    class Counting(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            built.append(1)
-            super().__init__(*args, **kwargs)
+    def counting():
+        made.append(1)
+        return real()
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counting)
-    return built
+    monkeypatch.setattr(os, "fork", counting)
+    return made
 
 
+# a pool is the run's set of ``jobs`` forked workers
 @pytest.mark.parametrize("jobs, pools", [(1, 0), (2, 1)])
-def test_one_worker_pool_per_run(pools_built, jobs, pools):
+def test_one_worker_pool_per_run(forks, jobs, pools):
     reports = list(verify_claims(all_theorem_ids(), 6, jobs=jobs))
     assert all(r.passed for r in reports)
-    assert len(pools_built) == pools
+    assert len(forks) == pools * jobs
 
 
 @pytest.mark.parametrize("jobs, pools", [(1, 0), (2, 1)])
-def test_one_worker_pool_per_sweep(pools_built, jobs, pools):
+def test_one_worker_pool_per_sweep(forks, jobs, pools):
     records = sweep_chains(list(enumerate_graphs(6)), jobs=jobs)
     assert len(records) == 156
-    assert len(pools_built) == pools
+    assert len(forks) == pools * jobs
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_worker_that_dies_fails_the_map():
+    parent = os.getpid()
+
+    def dying(chunk: list) -> list:
+        if 50 in chunk and os.getpid() != parent:
+            os._exit(3)
+        return chunk
+
+    with pytest.raises(RuntimeError, match=r"ended before sending its results \(exit status 3\)"):
+        list(verify_mod._pmap(dying, list(range(100)), 2))
+    _assert_no_child_left()
+
+
+def test_a_worker_error_is_raised_after_the_earlier_chunks():
+    def failing(chunk: list) -> list:
+        if 50 in chunk:
+            raise ValueError("chunk holding 50")
+        return _negated_chunk(chunk)
+
+    items = list(range(100))
+    size = -(-len(items) // (verify_mod._CHUNKS_PER_WORKER * 2))
+    got = []
+    with pytest.raises(ValueError, match="chunk holding 50"):
+        for result in verify_mod._pmap(failing, items, 2):
+            got.append(result)
+    assert got == [-x for x in range(50 - 50 % size)]
+    _assert_no_child_left()
+
+
+def test_no_worker_outlives_a_normal_run_or_a_closed_map():
+    items = list(range(100))
+    assert list(verify_mod._pmap(_negated_chunk, items, 2)) == [-x for x in items]
+    _assert_no_child_left()
+
+    def stalling(chunk: list) -> list:
+        if chunk[0]:
+            time.sleep(60)  # still running when the map is closed
+        return chunk
+
+    results = verify_mod._pmap(stalling, items, 2)
+    start = time.perf_counter()
+    assert next(results) == 0
+    results.close()
+    assert time.perf_counter() - start < 30
+    _assert_no_child_left()
+
+
+def test_an_interrupt_reaps_every_worker():
+    def stalling(chunk: list) -> list:
+        time.sleep(60)
+        return chunk
+
+    def interrupt(signum, frame):
+        raise KeyboardInterrupt
+
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    start = time.perf_counter()
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 0.5)
+        with pytest.raises(KeyboardInterrupt):
+            list(verify_mod._pmap(stalling, list(range(100)), 2))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.perf_counter() - start < 30
+    _assert_no_child_left()
 
 
 @pytest.mark.parametrize("count", [0, 1, 15, 16, 17, 100])
