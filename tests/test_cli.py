@@ -441,3 +441,100 @@ def test_closed_stdout_ends_quietly_with_sigpipe_code():
     assert first["order"] == 1
     assert code == 141
     assert stderr == ""
+
+
+# ---------------------------------------------------------------------------
+# How graph6 files are read: line ends, blank lines, headers and bad bytes
+# ---------------------------------------------------------------------------
+
+_LINE_ENDS = (b"\n", b"\r", b"\r\n")
+# whitespace that str.strip removes; bytes.strip keeps \x1c..\x1f
+_BLANKS = (b"", b"  \t", b"\x1c\x1d\x1e\x1f", b"\x0b\x0c ")
+_PADS = (b"", b" ", b"\t\x1c", b"\x1f ")
+
+
+def _decorated_graph6(lines: list[str]) -> bytes:
+    """The records of ``lines`` in order, with every line end, blank and
+    whitespace-only lines, headers and surrounding whitespace, and no final
+    newline."""
+    out = []
+    for k, line in enumerate(lines):
+        pad = _PADS[k % 4]
+        header = b">>graph6<<" if k % 5 == 1 else b""
+        out.append(pad + header + line.encode("ascii") + pad[::-1] + _LINE_ENDS[k % 3])
+        if k % 7 == 0:
+            out.append(_BLANKS[k % 4] + _LINE_ENDS[k // 7 % 3])
+    return b"".join(out).rstrip(b"\r\n")
+
+
+def _line_number_at(data: bytes, offset: int) -> int:
+    """The number of the line that starts at byte ``offset``, counting a line
+    end as \\n, \\r or \\r\\n."""
+    head = data[:offset]
+    return head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+
+
+def _cli_run(capsys, *args: str) -> tuple[int, str, str]:
+    code = cli.main(list(args))
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def _order_six_lines() -> list[str]:
+    rng = random.Random(21)
+    lines = []
+    for g in enumerate_graphs(6):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        lines.append(emit_graph6(g.relabel(perm)))
+    return lines
+
+
+@pytest.mark.parametrize(
+    "command", [["sweep", "--json"], ["verify", "--all", "--json"]], ids=["sweep", "verify"]
+)
+def test_a_decorated_graph6_file_reads_as_its_plain_records(tmp_path, capsys, command):
+    lines = _order_six_lines()
+    plain, decorated = tmp_path / "plain.g6", tmp_path / "decorated.g6"
+    plain.write_text("\n".join(lines) + "\n")
+    decorated.write_bytes(_decorated_graph6(lines))
+    want = _cli_run(capsys, *command, "--file", str(plain), "--jobs", "1")
+    assert want[0] == 0 and want[2] == ""
+    if command[0] == "sweep":
+        assert [json.loads(rec)["graph6"] for rec in want[1].splitlines()] == lines
+    else:
+        want = (0, [_without_elapsed(rec) for rec in want[1].splitlines()], "")
+    for jobs in ("1", "2", "3"):
+        got = _cli_run(capsys, *command, "--file", str(decorated), "--jobs", jobs)
+        if command[0] == "verify":
+            got = (got[0], [_without_elapsed(rec) for rec in got[1].splitlines()], got[2])
+        assert got == want, jobs
+
+
+def _without_elapsed(line: str) -> dict:
+    report = json.loads(line)
+    report.pop("elapsed")
+    return report
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (b"E\xffx", "graph6 record contains non-ASCII bytes"),
+        (b"\r\n \r\x1c\n\r \x0bE?", "record too short: 1 body bytes, expected 3"),
+    ],
+    ids=["non-ascii", "short-after-blank-lines"],
+)
+@pytest.mark.parametrize("command", [["sweep"], ["verify", "--all"]], ids=["sweep", "verify"])
+def test_a_bad_record_in_a_decorated_graph6_file_is_named_by_its_line(
+    tmp_path, capsys, command, bad, message
+):
+    lines = _order_six_lines()
+    head = _decorated_graph6(lines[:120]) + b"\r\n"
+    data = head + bad + b"\r" + _decorated_graph6(lines[120:]) + b"\n"
+    line = _line_number_at(data, len(head) + bad.rindex(b"E"))
+    f = tmp_path / "bad.g6"
+    f.write_bytes(data)
+    for jobs in ("1", "2", "3"):
+        got = _cli_run(capsys, *command, "--file", str(f), "--json", "--jobs", jobs)
+        assert got == (2, "", f"error: {f}:{line}: {message}\n"), jobs
