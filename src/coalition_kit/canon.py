@@ -12,8 +12,8 @@ Both emit byte-identical codes; ``BACKEND_NAME`` says which one is active.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, compress
-from typing import Callable, Iterator, Sequence
+from itertools import combinations
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .graphs import Graph, _byte_tables, _graph_from_body
 from .limits import CANON_MAX, ENUM_MAX
@@ -84,7 +84,7 @@ def _isolated_child(code: bytes) -> bytes:
 
 
 def _extend_codes(
-    parent_codes: Sequence[bytes],
+    parent_codes: Iterable[bytes],
     n: int,
     kernel: Callable[[int, Sequence[int]], bytes] | None = None,
     max_delta: int | None = None,
@@ -153,26 +153,83 @@ def _extend_codes(
 
 
 @lru_cache(maxsize=None)
-def _classes(n: int, max_delta: int | None = None) -> tuple[tuple[bytes, ...], bytes]:
+def _classes(n: int, max_delta: int | None = None) -> tuple[bytes, bytes]:
     """Every order-n class's code of minimum degree at most ``max_delta``
-    (every class by default), in code order, and its minimum degree."""
+    (every class by default), in code order and packed back to back, and
+    each class's minimum degree, one byte per code. The codes of one order
+    have one width, so code i is the i-th slice of that width."""
     if n == 1:
-        return (canonical_code(1, (0,)),), bytes(1)
-    codes, deltas = _extend_codes(_codes(n - 1), n, max_delta=max_delta)
-    return tuple(codes), deltas
+        return canonical_code(1, (0,)), bytes(1)
+    # the parents are unpacked one at a time, so no order is held unpacked
+    codes, deltas = _extend_codes(_unpack(*_classes(n - 1)), n, max_delta=max_delta)
+    return b"".join(codes), deltas
+
+
+def _unpack(codes: bytes, deltas: bytes) -> Iterator[bytes]:
+    """The packed ``codes`` of one order, one ``bytes`` per class."""
+    width = len(codes) // len(deltas)
+    return (codes[i : i + width] for i in range(0, len(codes), width))
 
 
 def _codes(n: int) -> tuple[bytes, ...]:
-    return _classes(n)[0]
+    return tuple(_unpack(*_classes(n)))
 
 
-def class_codes(lo: int, hi: int, max_delta: int | None = None) -> list[bytes]:
-    """Canonical codes of every isomorphism class of orders lo..hi, by order
-    and then in code order, so runs are deterministic; empty when lo > hi.
-    With ``max_delta`` only the classes of minimum degree at most
-    ``max_delta`` are kept: the lower orders are filtered by their stored
-    minimum degree, and order hi is extended with that cap (once per process
-    and cap), so its classes of larger minimum degree are never built.
+class CodeRange:
+    """Codes ``start``..``stop`` of one order's packed codes, skipping those
+    whose minimum degree in ``deltas`` is above ``cap``: a chunk of a
+    ``CodePool``."""
+
+    __slots__ = ("codes", "deltas", "cap", "start", "stop")
+
+    def __init__(self, codes: bytes, deltas: bytes, cap: int, start: int, stop: int) -> None:
+        self.codes = codes
+        self.deltas = deltas
+        self.cap = cap
+        self.start = start
+        self.stop = stop
+
+    def parse(self) -> list[tuple[Graph, None]]:
+        """Each read code's graph, with no graph6 text."""
+        codes, deltas, cap = self.codes, self.deltas, self.cap
+        width = len(codes) // len(deltas)
+        return [
+            (graph_from_code(codes[i * width : (i + 1) * width]), None)
+            for i in range(self.start, self.stop)
+            if deltas[i] <= cap
+        ]
+
+
+class CodePool:
+    """The classes of some orders as packed codes: per order, its codes and
+    minimum degrees as ``_classes`` holds them. Only the classes of minimum
+    degree at most ``cap`` belong to the pool."""
+
+    __slots__ = ("orders", "cap")
+
+    def __init__(self, orders: tuple[tuple[bytes, bytes], ...], cap: int) -> None:
+        self.orders = orders
+        self.cap = cap
+
+    def cut(self, count: int) -> list[CodeRange]:
+        """Ranges of one size, about ``count`` of them, in pool order; an
+        order's last range is shorter, as no range spans two orders."""
+        size = max(1, -(-sum(len(deltas) for _, deltas in self.orders) // count))
+        return [
+            CodeRange(codes, deltas, self.cap, start, min(start + size, len(deltas)))
+            for codes, deltas in self.orders
+            for start in range(0, len(deltas), size)
+        ]
+
+
+def class_pool(lo: int, hi: int, max_delta: int | None = None) -> CodePool:
+    """The isomorphism classes of orders lo..hi, by order and then in code
+    order, so runs are deterministic; no order when lo > hi. With
+    ``max_delta`` only the classes of minimum degree at most ``max_delta``
+    belong to the pool: the lower orders are filtered by their stored
+    minimum degree as they are read, and order hi is extended with that cap
+    (once per process and cap), so its classes of larger minimum degree are
+    never built.
 
     Orders outside 1..ENUM_MAX raise ValueError before anything is
     enumerated. Larger orders arrive as graph6 files instead.
@@ -183,12 +240,24 @@ def class_codes(lo: int, hi: int, max_delta: int | None = None) -> list[bytes]:
             "larger orders must arrive via graph6 files"
         )
     if max_delta is None:
-        return [code for n in range(lo, hi + 1) for code in _codes(n)]
-    out = []
-    for n in range(lo, hi + 1):
-        codes, deltas = _classes(n, max_delta) if n == hi else _classes(n)
-        out += compress(codes, [d <= max_delta for d in deltas])
-    return out
+        # no class of order at most hi has minimum degree hi
+        return CodePool(tuple(_classes(n) for n in range(lo, hi + 1)), hi)
+    return CodePool(
+        tuple(_classes(n, max_delta) if n == hi else _classes(n) for n in range(lo, hi + 1)),
+        max_delta,
+    )
+
+
+def class_codes(lo: int, hi: int, max_delta: int | None = None) -> list[bytes]:
+    """The canonical codes of ``class_pool(lo, hi, max_delta)``, one
+    ``bytes`` per class, in pool order."""
+    pool = class_pool(lo, hi, max_delta)
+    return [
+        code
+        for codes, deltas in pool.orders
+        for code, delta in zip(_unpack(codes, deltas), deltas)
+        if delta <= pool.cap
+    ]
 
 
 def enumerate_graphs(n: int) -> Iterator[Graph]:
@@ -200,4 +269,4 @@ def enumerate_graphs(n: int) -> Iterator[Graph]:
 
 def class_count(n: int) -> int:
     """Number of isomorphism classes of order n (n <= ENUM_MAX)."""
-    return len(class_codes(n, n))
+    return len(class_pool(n, n).orders[0][1])

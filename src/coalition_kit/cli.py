@@ -18,7 +18,7 @@ import json
 import os
 import sys
 
-from .canon import are_isomorphic, class_codes
+from .canon import are_isomorphic, class_pool
 from .coalition_graph import coalition_graph
 from .domination import (
     Partition,
@@ -37,11 +37,11 @@ from .families import (
 from .graphs import (
     Graph,
     Graph6Error,
+    Graph6Lines,
     NamedGraphError,
     bits,
     build_named,
     emit_graph6,
-    graph6_records,
     parse_graph6,
     read_graph6_file,
 )
@@ -271,9 +271,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.max_order < 1:
         raise CliInputError("--max-order must be at least 1")
     ids = all_theorem_ids() if args.all or not args.theorem else [args.theorem]
-    records = graph6_records(args.file) if args.file else None
+    pool = Graph6Lines.read(args.file) if args.file else None
     failed = False
-    for report in verify_claims(ids, args.max_order, args.jobs, records):
+    for report in verify_claims(ids, args.max_order, args.jobs, pool):
         if args.json:
             _print_json(report.to_json())
         else:
@@ -301,11 +301,11 @@ def _chain_summary(rec: dict, arrows: bool = False) -> str:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    # Workers decode the records (graph6 lines or canonical codes) and render
-    # the output lines; this process writes the lines once all are back, so
-    # a malformed record leaves stdout empty.
+    # Workers read their ranges of the pool (a file's lines or packed
+    # canonical codes) and render the output lines; this process writes the
+    # lines once all are back, so a malformed record leaves stdout empty.
     if args.file:
-        items = graph6_records(args.file)
+        pool = Graph6Lines.read(args.file)
     else:
         if args.max_order is None:
             raise CliInputError("sweep needs --max-order or --file")
@@ -313,9 +313,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             raise CliInputError("--min-order must be at least 1")
         if args.max_order < args.min_order:
             raise CliInputError("--max-order must be at least --min-order")
-        items = class_codes(args.min_order, args.max_order)
+        pool = class_pool(args.min_order, args.max_order)
     render = _json_line if args.json else _chain_summary
-    lines = sweep_chains(items, args.jobs, render=render)
+    lines = sweep_chains(pool, args.jobs, render=render)
     sys.stdout.writelines(line + "\n" for line in lines)
     return 0
 

@@ -367,39 +367,74 @@ def emit_graph6(g: Graph) -> str:
     return bytes(out).decode("ascii")
 
 
-def graph6_records(path: str) -> Iterator[tuple[str, int, str]]:
-    """(path, line number, record) for every nonblank line of a graph6 file.
+class Graph6Lines:
+    """Bytes ``start``..``stop`` of a graph6 file, one record per line: the
+    pool of a ``--file`` run, or a chunk of one.
 
-    Bytes outside ASCII are kept as lone surrogates, so ``parse_graph6``
-    reports them as a malformed record.
+    ``data`` is the whole file, so a chunk can number its lines. A line
+    ends at \\n, \\r or \\r\\n, as in a text-mode read, and the ranges of
+    ``cut`` start and end on line ends.
     """
-    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if line:
-                yield path, lineno, line
+
+    __slots__ = ("path", "data", "start", "stop")
+
+    def __init__(self, path: str, data: bytes, start: int, stop: int) -> None:
+        self.path = path
+        self.data = data
+        self.start = start
+        self.stop = stop
+
+    @classmethod
+    def read(cls, path: str) -> "Graph6Lines":
+        with open(path, "rb") as fh:
+            data = fh.read()
+        return cls(path, data, 0, len(data))
+
+    def cut(self, count: int) -> list["Graph6Lines"]:
+        """At most ``count`` nonempty ranges that cover this one in order,
+        each ending where the line around its share of the bytes ends."""
+        data, cuts = self.data, [self.start]
+        for k in range(1, count):
+            at = max(self.start + k * (self.stop - self.start) // count, cuts[-1])
+            nl = data.find(b"\n", at, self.stop)
+            cr = data.find(b"\r", at, self.stop if nl < 0 else nl)
+            end = nl if cr < 0 else cr
+            if end < 0:
+                break  # the rest is one line
+            end += 2 if data[end : end + 2] == b"\r\n" else 1
+            if end < self.stop:
+                cuts.append(end)
+        cuts.append(self.stop)
+        return [Graph6Lines(self.path, data, a, b) for a, b in zip(cuts, cuts[1:]) if a < b]
+
+    def parse(self) -> list[tuple[Graph, str]]:
+        """Each nonblank line's graph and graph6 text, without the
+        surrounding whitespace and the header. A line that parses is the
+        one graph6 encoding of its graph, since ``parse_graph6`` rejects set
+        padding bits and stray bytes.
+
+        A malformed record raises ``Graph6Error`` prefixed with the path and
+        line number. Bytes outside ASCII are kept as lone surrogates, so
+        ``parse_graph6`` reports them as a malformed record.
+        """
+        out = []
+        for k, line in enumerate(self.data[self.start : self.stop].splitlines()):
+            # as text, so that str.strip removes what a text-mode read's would
+            text = line.decode("ascii", "surrogateescape").strip()
+            if not text:
+                continue
+            try:
+                out.append((parse_graph6(text), text.removeprefix(">>graph6<<")))
+            except Graph6Error as exc:
+                head = self.data[: self.start]
+                ends = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+                raise Graph6Error(f"{self.path}:{ends + k + 1}: {exc}") from exc
+        return out
 
 
-def parse_graph6_record(record: tuple[str, int, str]) -> Graph:
-    """Decode one ``graph6_records`` entry; a malformed record raises
-    ``Graph6Error`` prefixed with its path and line number."""
-    path, lineno, text = record
-    try:
-        return parse_graph6(text)
-    except Graph6Error as exc:
-        raise Graph6Error(f"{path}:{lineno}: {exc}") from exc
-
-
-def graph6_record_text(record: tuple[str, int, str]) -> str:
-    """The graph6 text of one ``graph6_records`` entry: its line without the
-    header. A record that parses is the one graph6 encoding of its graph,
-    since ``parse_graph6`` rejects set padding bits and stray bytes."""
-    return record[2].removeprefix(">>graph6<<")
-
-
-def read_graph6_file(path: str) -> Iterator[Graph]:
+def read_graph6_file(path: str) -> list[Graph]:
     """Parse every nonblank line of a graph6 file."""
-    return map(parse_graph6_record, graph6_records(path))
+    return [g for g, _ in Graph6Lines.read(path).parse()]
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ import time
 from functools import lru_cache, partial
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .canon import are_isomorphic, class_codes, graph_from_code
+from .canon import CodePool, are_isomorphic, class_pool, graph_from_code
 from .chains import (
     ChainClassificationError,
     ChainResult,
@@ -48,13 +48,12 @@ from .families import (
 )
 from .graphs import (
     Graph,
+    Graph6Lines,
     complete,
     cycle,
     degree_stats,
     emit_graph6,
-    graph6_record_text,
     join,
-    parse_graph6_record,
     union,
 )
 from .limits import CANON_MAX
@@ -112,34 +111,41 @@ class TheoremReport:
 _CHUNKS_PER_WORKER = 8
 
 
-def _pmap(chunk_fn: Callable[[list], list], items: list, jobs: int) -> Iterator:
-    """Per-item results of ``chunk_fn``, yielded in input order.
+def _pmap(chunk_fn: Callable[[object], list], pool, jobs: int) -> Iterator:
+    """The results of ``chunk_fn`` over the chunks of ``pool``, yielded in
+    pool order.
 
-    ``items`` is cut into contiguous chunks, about _CHUNKS_PER_WORKER per
-    worker, and ``chunk_fn`` maps one chunk to the list of its items'
-    results. When ``jobs`` <= 1 the chunks run in-process, chunk by chunk.
-    Otherwise chunk i runs in forked worker i % ``jobs``: workers inherit
-    ``items`` and ``chunk_fn``, so nothing is sent to them, and each writes
-    every chunk's pickled results, or the exception of its first failing
-    chunk, as one length-prefixed frame to its own pipe. The parent reads
-    the frames in chunk order and raises that exception where its chunk's
-    results would have been. A worker that ends without sending its frames
-    fails the run. Every worker is reaped when the generator ends, fails or
-    is closed; one still running then is killed first. The caller must run
-    no other thread, which a forked child would not have.
+    The pool is cut into about _CHUNKS_PER_WORKER contiguous chunks per
+    worker: a list into slices, and a packed pool (``canon.CodePool``,
+    ``graphs.Graph6Lines``) by its ``cut`` into ranges, which hold no item
+    and which each chunk reads itself. ``chunk_fn`` maps one chunk to a list
+    of results. When ``jobs`` <= 1 the chunks run in-process, chunk by
+    chunk. Otherwise chunk i runs in forked worker i % ``jobs``: workers
+    inherit the pool and ``chunk_fn``, so nothing is sent to them, and each
+    writes every chunk's pickled results, or the exception of its first
+    failing chunk, as one length-prefixed frame to its own pipe. The parent
+    reads the frames in chunk order and raises that exception where its
+    chunk's results would have been. A worker that ends without sending its
+    frames fails the run. Every worker is reaped when the generator ends,
+    fails or is closed; one still running then is killed first. The caller
+    must run no other thread, which a forked child would not have.
     """
     workers = max(jobs, 1)
-    size = max(1, -(-len(items) // (_CHUNKS_PER_WORKER * workers)))
-    starts = range(0, len(items), size)
-    if workers == 1 or len(starts) <= 1:
-        for start in starts:
-            yield from chunk_fn(items[start : start + size])
+    count = _CHUNKS_PER_WORKER * workers
+    if isinstance(pool, list):
+        size = max(1, -(-len(pool) // count))
+        chunks = [pool[start : start + size] for start in range(0, len(pool), size)]
+    else:
+        chunks = pool.cut(count)
+    if workers == 1 or len(chunks) <= 1:
+        for chunk in chunks:
+            yield from chunk_fn(chunk)
         return
     # imported here, so that a serial run does not pay for them
     import pickle
     import signal
 
-    workers = min(workers, len(starts))
+    workers = min(workers, len(chunks))
     pids: list[int] = []
     readers = []
     finished = False
@@ -155,9 +161,9 @@ def _pmap(chunk_fn: Callable[[list], list], items: list, jobs: int) -> Iterator:
                     try:
                         for reader in readers:
                             reader.close()
-                        for start in starts[w::workers]:
+                        for chunk in chunks[w::workers]:
                             try:
-                                frame = True, chunk_fn(items[start : start + size])
+                                frame = True, chunk_fn(chunk)
                             except BaseException as exc:
                                 frame = False, exc
                             data = pickle.dumps(frame, pickle.HIGHEST_PROTOCOL)
@@ -170,7 +176,7 @@ def _pmap(chunk_fn: Callable[[list], list], items: list, jobs: int) -> Iterator:
                     finally:
                         os._exit(1)
             pids.append(pid)
-        for i in range(len(starts)):
+        for i in range(len(chunks)):
             head = readers[i % workers].read(8)
             length = int.from_bytes(head, "little")
             data = readers[i % workers].read(length) if len(head) == 8 else b""
@@ -184,8 +190,8 @@ def _pmap(chunk_fn: Callable[[list], list], items: list, jobs: int) -> Iterator:
             if not ok:
                 raise value
             # with the last frame in, the workers are exiting: a consumer
-            # that stops here (``zip`` does) has them reaped, not killed
-            finished = i == len(starts) - 1
+            # that stops here has them reaped, not killed
+            finished = i == len(chunks) - 1
             yield from value
     finally:
         for reader in readers:
@@ -200,27 +206,22 @@ def _itself(x):
     return x
 
 
-def _decode(item) -> Graph:
-    """A pool item's graph.
-
-    An item is a ``Graph``, a canonical code, or a ``graphs.graph6_records``
-    entry, whose malformed record raises ``Graph6Error`` prefixed with its
-    path and line number.
-    """
-    if isinstance(item, Graph):
-        return item
-    if isinstance(item, bytes):
-        return graph_from_code(item)
-    return parse_graph6_record(item)
+def _pool(items: Iterable) -> list | CodePool | Graph6Lines:
+    """A packed pool as it is, and any other items as a list."""
+    return items if isinstance(items, (CodePool, Graph6Lines)) else list(items)
 
 
-def _run_chunk(per_graph: Callable[[Graph, object], object], chunk: list) -> list:
-    """Decode every item of ``chunk``, then map ``per_graph`` over the
-    (graph, item) pairs."""
-    # decoding the whole chunk before building any chain measured about 10%
-    # faster than interleaving the two graph by graph
-    decoded = [_decode(item) for item in chunk]
-    return [per_graph(g, item) for g, item in zip(decoded, chunk)]
+def _decode(item: Graph | bytes) -> Graph:
+    """A listed pool item's graph: the item itself, or a canonical code's."""
+    return item if isinstance(item, Graph) else graph_from_code(item)
+
+
+def _read(chunk) -> list[tuple[Graph, str | None]]:
+    """Every graph of a chunk, in pool order, with its graph6 text when the
+    chunk is a file's lines (None otherwise)."""
+    if isinstance(chunk, list):
+        return [(_decode(item), None) for item in chunk]
+    return chunk.parse()
 
 
 def _cex(g: Graph, detail: str) -> dict:
@@ -670,19 +671,16 @@ def _id_error(theorem_id: str, n_max: int, enumerated: bool) -> Exception | None
 
 
 def _check_graph(
-    claims: tuple[tuple[int, str], ...], f1_due: bool, due: dict, g: Graph, item: object
-) -> tuple[int, list[tuple[int, object, float]]]:
-    """Run on ``g`` every claim whose hypothesis it meets; its pool
-    ``item`` is not read.
+    claims: tuple[tuple[int, str], ...], f1_due: bool, due: dict, g: Graph
+) -> list[tuple[int, object, float]]:
+    """Run on ``g`` every claim whose hypothesis it meets.
 
     ``claims`` holds (claim index, id) entries. The graph's claims are
     looked up by its ``_Facts.key`` in ``due``, a table the run fills as
     keys first appear, and family membership enters the key only when
-    ``f1_due`` is set. Returns the graph's order and one (claim index,
-    check result, seconds) entry per claim run.
+    ``f1_due`` is set. Returns one (claim index, check result, seconds)
+    entry per claim run.
     """
-    if not claims:
-        return g.n, []  # a pool no claim reads is decoded only for its errors
     f = _Facts(g)
     key = f.key(f1_due)
     if key not in due:
@@ -692,7 +690,64 @@ def _check_graph(
         start = time.perf_counter()
         result = check(g, f)
         results.append((k, result, time.perf_counter() - start))
-    return g.n, results
+    return results
+
+
+class _Tally:
+    """One claim's results over the graphs of a chunk, or of a run once the
+    chunks' tallies are merged in pool order: the graphs checked, their
+    check seconds, least and greatest order, the histogram of the keys a
+    check returns with its verdict (thm20's chain lengths), and the
+    failures as counterexamples."""
+
+    __slots__ = ("count", "seconds", "lo", "hi", "histogram", "counterexamples")
+
+    def __init__(self) -> None:
+        self.count = 0
+        self.seconds = 0.0
+        self.lo = self.hi = 0
+        self.histogram: dict[str, int] = {}
+        self.counterexamples: list[dict] = []
+
+    def add(self, g: Graph, result: object, seconds: float) -> None:
+        if isinstance(result, tuple):
+            result, key = result
+            self.histogram[key] = self.histogram.get(key, 0) + 1
+        self.lo = min(self.lo, g.n) if self.count else g.n
+        self.hi = max(self.hi, g.n)
+        self.count += 1
+        self.seconds += seconds
+        if result:
+            self.counterexamples.append(_cex(g, result))
+
+    def merge(self, other: "_Tally") -> None:
+        if not other.count:
+            return
+        self.lo = min(self.lo, other.lo) if self.count else other.lo
+        self.hi = max(self.hi, other.hi)
+        self.count += other.count
+        self.seconds += other.seconds
+        for key, n in other.histogram.items():
+            self.histogram[key] = self.histogram.get(key, 0) + n
+        self.counterexamples += other.counterexamples
+
+
+def _run_chunk(
+    claims: tuple[tuple[int, str], ...], f1_due: bool, due: dict, n_ids: int, chunk
+) -> list[list[_Tally]]:
+    """The tallies of one chunk, one per claim of the run (``n_ids``), as
+    the one result of the chunk: no per-graph result leaves the chunk.
+
+    The whole chunk is decoded first, so a malformed item raises even when
+    no claim reads the pool; then each graph is checked (``_check_graph``).
+    """
+    tallies = [_Tally() for _ in range(n_ids)]
+    graphs = _read(chunk)
+    if claims:
+        for g, _ in graphs:
+            for k, result, seconds in _check_graph(claims, f1_due, due, g):
+                tallies[k].add(g, result, seconds)
+    return [tallies]
 
 
 def _run_own_checks(report: TheoremReport, n_max: int, enumerated: bool) -> None:
@@ -728,21 +783,23 @@ def verify_claims(
 ) -> Iterator[TheoremReport]:
     """Run claims in one pass over one pool, yielding one report per claim.
 
-    The pool is the supplied items (graphs, canonical codes or
-    ``graphs.graph6_records`` entries), or the classes of orders 1..n_max
-    whose minimum degree is at most the largest ``min_degree`` of the run's
-    claims (``canon.class_codes``), enumerated once and only when a claim
-    reads the pool; each claim takes the graphs of its hypothesis class,
-    from its least order up. Each item is decoded and visited once, in one
-    worker under ``jobs`` > 1: its facts are computed, and the claims whose
-    hypothesis it meets are looked up by its hypothesis key and checked
-    against them. A supplied pool is decoded even when no claim reads it, so
-    a malformed item raises first. A report's ``elapsed`` is the time of its
-    claim's own checks; the pool, its decoding and the facts are charged to
-    no claim. The ids are taken up to the first unknown id or order below
-    the least order of a claim that reads the pool, whose error is raised
-    after the reports of the claims before it; an enumeration above
-    ``ENUM_MAX`` raises before any report.
+    The pool is the supplied graphs or canonical codes, or a packed pool
+    (``graphs.Graph6Lines``, ``canon.CodePool``), or else the classes of
+    orders 1..n_max whose minimum degree is at most the largest
+    ``min_degree`` of the run's claims (``canon.class_pool``), enumerated
+    once and only when a claim reads the pool; each claim takes the graphs
+    of its hypothesis class, from its least order up. Each chunk of the pool
+    is decoded and checked in one worker under ``jobs`` > 1: every graph's
+    facts are computed, the claims whose hypothesis it meets are looked up
+    by its hypothesis key and checked, and the chunk returns one tally per
+    claim (``_run_chunk``), which the run merges in pool order, so the
+    counterexamples come in pool order. A supplied pool is decoded even when
+    no claim reads it, so a malformed item raises first. A report's
+    ``elapsed`` is the time of its claim's own checks; the pool, its
+    decoding and the facts are charged to no claim. The ids are taken up to
+    the first unknown id or order below the least order of a claim that
+    reads the pool, whose error is raised after the reports of the claims
+    before it; an enumeration above ``ENUM_MAX`` raises before any report.
     """
     enumerated = graphs is None
     ids: list[str] = []
@@ -753,49 +810,36 @@ def verify_claims(
             break
         ids.append(theorem_id)
 
-    reports = [
-        TheoremReport(
-            theorem_id=t,
-            order_range=(THEOREMS[t].min_order, n_max) if enumerated else (0, 0),
-            graphs_checked=0,
-            passed=True,
-            counterexamples=[],
-            elapsed=0.0,
-            notes=THEOREMS[t].notes,
-            extras={"lscc_histogram": {}} if t == "thm20" else {},
-        )
-        for t in ids
-    ]
     claims = tuple((k, t) for k, t in enumerate(ids) if THEOREMS[t].min_degree is not None)
     if not enumerated:
-        items = list(graphs)
+        pool = _pool(graphs)
     elif claims:
         # no claim reads a class above the largest minimum degree of the run
-        items = class_codes(1, n_max, max(THEOREMS[t].min_degree for _, t in claims))
+        pool = class_pool(1, n_max, max(THEOREMS[t].min_degree for _, t in claims))
     else:
-        items = []
+        pool = []
     f1_due = any(THEOREMS[t].f1_member for _, t in claims)
-    check = partial(_check_graph, claims, f1_due, {})
-    for item, (n, results) in zip(items, _pmap(partial(_run_chunk, check), items, jobs)):
-        for k, result, seconds in results:
-            report = reports[k]
-            if not enumerated:
-                lo, hi = report.order_range if report.graphs_checked else (n, n)
-                report.order_range = (min(lo, n), max(hi, n))
-            report.graphs_checked += 1
-            report.elapsed += seconds
-            if report.theorem_id == "thm20":
-                result, key = result
-                histogram = report.extras["lscc_histogram"]
-                histogram[key] = histogram.get(key, 0) + 1
-            if result:
-                # failures are rare, so the parent decodes only their items
-                report.counterexamples.append(_cex(_decode(item), result))
+    totals = [_Tally() for _ in ids]
+    for tallies in _pmap(partial(_run_chunk, claims, f1_due, {}, len(ids)), pool, jobs):
+        for total, tally in zip(totals, tallies):
+            total.merge(tally)
 
-    for report in reports:
+    for t, total in zip(ids, totals):
+        if enumerated:
+            order_range = (THEOREMS[t].min_order, n_max)
+        else:
+            order_range = (total.lo, total.hi)
+        report = TheoremReport(
+            theorem_id=t,
+            order_range=order_range,
+            graphs_checked=total.count,
+            passed=True,
+            counterexamples=total.counterexamples,
+            elapsed=total.seconds,
+            notes=THEOREMS[t].notes,
+            extras={"lscc_histogram": dict(sorted(total.histogram.items()))} if t == "thm20" else {},
+        )
         _run_own_checks(report, n_max, enumerated)
-        if "lscc_histogram" in report.extras:
-            report.extras["lscc_histogram"] = dict(sorted(report.extras["lscc_histogram"].items()))
         report.passed = not report.counterexamples
         yield report
     if error is not None:
@@ -877,23 +921,26 @@ def chain_record(g: Graph, g6: str | None = None) -> dict:
     return rec
 
 
-def _sweep_record(render: Callable[[dict], object], g: Graph, item: object) -> object:
-    """The rendered record of ``g``, whose graph6 is the text of its pool
-    ``item`` when that is a ``graphs.graph6_records`` entry."""
-    return render(chain_record(g, graph6_record_text(item) if isinstance(item, tuple) else None))
+def _sweep_chunk(render: Callable[[dict], object], chunk) -> list:
+    """The rendered records of a chunk's graphs; a graph6 line becomes its
+    record's graph6 instead of encoding the graph again."""
+    # decoding the whole chunk before building any chain measured about 10%
+    # faster than interleaving the two graph by graph
+    return [render(chain_record(g, g6)) for g, g6 in _read(chunk)]
 
 
 def sweep_chains(
     items: Iterable, jobs: int = 1, *, render: Callable[[dict], object] = _itself
 ) -> list:
-    """Chain records for a pool of items, input order preserved.
+    """Chain records for a pool, in pool order.
 
-    The items are graphs, canonical codes or ``graphs.graph6_records``
-    entries, whose record text becomes the record's graph6 instead of
-    encoding the graph again. ``render`` turns each record into the result
-    (the record dict by default). Items are decoded and rendered where the
-    chain is built, in the worker under ``jobs`` > 1, so that workers can
-    take graph6 text and return finished output lines. A malformed item
-    raises, and no result is returned.
+    The pool is graphs or canonical codes, or a packed pool
+    (``graphs.Graph6Lines``, ``canon.CodePool``); a file's lines become
+    their records' graph6 instead of encoding each graph again. ``render``
+    turns each record into the result (the record dict by default). A chunk
+    is decoded and rendered where its chains are built, in a worker under
+    ``jobs`` > 1, so that workers read the pool they inherit and return
+    finished output lines. A malformed item raises, and no result is
+    returned.
     """
-    return list(_pmap(partial(_run_chunk, partial(_sweep_record, render)), list(items), jobs))
+    return list(_pmap(partial(_sweep_chunk, render), _pool(items), jobs))

@@ -10,6 +10,7 @@ from conftest import graphs
 from coalition_kit.graphs import (
     Graph,
     Graph6Error,
+    Graph6Lines,
     complete,
     empty_graph,
     emit_graph6,
@@ -117,3 +118,35 @@ def test_read_graph6_file_reports_non_ascii_bytes(tmp_path):
     with pytest.raises(Graph6Error) as err:
         list(read_graph6_file(str(p)))
     assert str(err.value) == f"{p}:2: graph6 record contains non-ASCII bytes"
+
+
+# records with every line end, blank lines, a header and no final newline
+_MIXED = b"C~\r\n\r\n>>graph6<<C?\rBw\n \x1c\r\r\nDQc\r\n\rA_\n\nC~\r\r \t\nBW"
+
+
+@pytest.mark.parametrize("count", range(1, len(_MIXED) + 2))
+def test_cut_ranges_tile_a_file_on_line_ends(count):
+    whole = Graph6Lines("mixed.g6", _MIXED, 0, len(_MIXED))
+    ranges = whole.cut(count)
+    assert 1 <= len(ranges) <= count
+    assert ranges[0].start == 0 and ranges[-1].stop == len(_MIXED)
+    for before, after in zip(ranges, ranges[1:]):
+        assert before.stop == after.start
+        # a range starts after a line end, and never inside a \r\n
+        assert _MIXED[after.start - 1] in b"\r\n"
+        assert _MIXED[after.start - 1 : after.start + 1] != b"\r\n"
+    assert [pair for r in ranges for pair in r.parse()] == whole.parse()
+    assert [text for _, text in whole.parse()] == ["C~", "C?", "Bw", "DQc", "A_", "C~", "BW"]
+
+
+@pytest.mark.parametrize("count", range(1, 12))
+def test_a_range_numbers_the_lines_of_the_whole_file(count):
+    data = _MIXED.replace(b"A_", b"A?~")  # line 9 as a text-mode read counts
+    ranges = Graph6Lines("mixed.g6", data, 0, len(data)).cut(count)
+    errors = []
+    for r in ranges:
+        try:
+            r.parse()
+        except Graph6Error as exc:
+            errors.append(str(exc))
+    assert errors == ["mixed.g6:9: trailing garbage after 1 body bytes"]

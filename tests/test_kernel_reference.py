@@ -185,7 +185,7 @@ def test_capped_extension_kernel_calls(n, calls):
     # minimum degree at most 2: no neighbourhood of 3 or more is canonicalized
     counting = CountingKernel()
     codes, deltas = _extend_codes(canon._codes(n - 1), n, counting, max_delta=2)
-    assert codes == [code for code, d in zip(*canon._classes(n)) if d <= 2]
+    assert codes == [code for code, d in zip(canon._codes(n), canon._classes(n)[1]) if d <= 2]
     assert max(deltas) == 2
     assert counting.calls == calls
 

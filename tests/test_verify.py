@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import pickle
 import random
 import signal
 import time
@@ -29,11 +30,11 @@ from coalition_kit.coalition_graph import sc_graph
 from coalition_kit.families import FamilySpec, recognize_h2
 from coalition_kit.graphs import (
     DegreeStats,
+    Graph6Lines,
     complete,
     cycle,
     degree_stats,
     emit_graph6,
-    graph6_records,
     union,
 )
 from coalition_kit.limits import ENUM_MAX
@@ -110,14 +111,14 @@ def test_counterexamples_reproduce(monkeypatch):
 
 
 def test_record_fed_counterexamples_carry_each_records_own_graph6(tmp_path, monkeypatch):
-    # a failing check on records decoded in the pass: the parent decodes a
-    # failing record again, so each counterexample is that record's graph6
+    # a failing check on records decoded in the pass: the chunk encodes a
+    # failing graph again, so each counterexample is that record's graph6
     lines = [emit_graph6(g) for g in _relabeled_classes(6, 615)]
     path = tmp_path / "order6.g6"
     path.write_text("\n".join(lines) + "\n")
     failing = verify_mod.THEOREMS["thm8"]._replace(check=lambda g, f: "forced")
     monkeypatch.setitem(verify_mod.THEOREMS, "thm8", failing)
-    (report,) = verify_claims(["thm8"], graphs=graph6_records(str(path)))
+    (report,) = verify_claims(["thm8"], graphs=Graph6Lines.read(str(path)))
     stats = [degree_stats(parse_graph6(line)) for line in lines]
     expected = [
         line for line, s in zip(lines, stats) if s.min_degree == 2 and s.full_count == 0
@@ -125,6 +126,61 @@ def test_record_fed_counterexamples_carry_each_records_own_graph6(tmp_path, monk
     assert expected
     assert report.counterexamples == [{"graph6": line, "detail": "forced"} for line in expected]
     assert report.order_range == (4, 6)
+
+
+def _odd_edge_count(g, f):
+    return "odd edge count" if g.edge_count() % 2 else None
+
+
+@pytest.mark.parametrize("source", ["enumerated", "file"])
+def test_counterexamples_come_back_in_pool_order_at_every_job_count(
+    tmp_path, monkeypatch, source
+):
+    # thm8's check fails a fixed subset of its graphs; the chunks' tallies
+    # carry those failures back, and the run keeps them in pool order
+    monkeypatch.setitem(
+        verify_mod.THEOREMS, "thm8", verify_mod.THEOREMS["thm8"]._replace(check=_odd_edge_count)
+    )
+    if source == "file":
+        pool_graphs = _relabeled_classes(6, 617)
+        path = tmp_path / "order6.g6"
+        path.write_text("".join(emit_graph6(g) + "\n" for g in pool_graphs))
+        pool = Graph6Lines.read(str(path))
+    else:
+        pool_graphs = [g for n in range(1, 7) for g in enumerate_graphs(n)]
+        pool = None
+    expected = [
+        {"graph6": emit_graph6(g), "detail": "odd edge count"}
+        for g, s in zip(pool_graphs, map(degree_stats, pool_graphs))
+        if g.n >= 4 and s.min_degree == 2 and not s.full_count and g.edge_count() % 2
+    ]
+    reports = [
+        _without_elapsed(report)
+        for jobs in (1, 2, 3)
+        for report in verify_claims(["thm8", "thm20"], 6, jobs, pool)
+    ]
+    assert reports[0]["counterexamples"] == expected
+    assert 0 < len(expected) < reports[0]["graphs_checked"]
+    assert reports[2:4] == reports[4:6] == reports[:2]
+    assert reports[1]["passed"]
+    for cex in expected:
+        assert _odd_edge_count(parse_graph6(cex["graph6"]), None) == cex["detail"]
+
+
+@pytest.mark.parametrize("size", [10, 1000])
+def test_a_verify_chunk_returns_one_tally_per_claim(size):
+    # whatever a chunk holds, the parent gets back one tally per claim of
+    # the run: no per-graph result leaves the chunk
+    ids = all_theorem_ids()
+    claims = tuple((k, t) for k, t in enumerate(ids) if t != "obs7")
+    chunk = class_codes(1, 7, 2)[:size]
+    (tallies,) = verify_mod._run_chunk(claims, True, {}, len(ids), chunk)
+    assert len(tallies) == len(ids)
+    assert all(isinstance(t, verify_mod._Tally) for t in tallies)
+    assert tallies[ids.index("thm1")].count > 0
+    pickled = len(pickle.dumps(tallies, pickle.HIGHEST_PROTOCOL))
+    empty = len(pickle.dumps([verify_mod._Tally() for _ in ids], pickle.HIGHEST_PROTOCOL))
+    assert pickled < empty + 400, pickled
 
 
 def test_a_pool_no_claim_reads_is_decoded_but_not_checked(monkeypatch):
@@ -380,19 +436,19 @@ def test_the_capped_pool_gives_the_reports_of_the_full_pool(monkeypatch):
         ]
 
     capped = report_lines()
-    real = verify_mod.class_codes
-    monkeypatch.setattr(verify_mod, "class_codes", lambda lo, hi, max_delta: real(lo, hi))
+    real = verify_mod.class_pool
+    monkeypatch.setattr(verify_mod, "class_pool", lambda lo, hi, max_delta: real(lo, hi))
     assert report_lines() == capped
 
 
 def test_elapsed_counts_only_the_claims_own_checks(monkeypatch):
-    real = verify_mod.class_codes
+    real = verify_mod.class_pool
 
     def slow(*args):
         time.sleep(0.3)
         return real(*args)
 
-    monkeypatch.setattr(verify_mod, "class_codes", slow)
+    monkeypatch.setattr(verify_mod, "class_pool", slow)
     reports = list(verify_claims(all_theorem_ids(), 4))
     assert len(reports) == 16
     assert all(r.elapsed < 0.3 for r in reports), [(r.theorem_id, r.elapsed) for r in reports]
@@ -583,9 +639,8 @@ def test_claim_table_admits_what_the_filters_did(relabel):
         expected.append(admitted)
     # one claim table for the whole pool, as in a run
     check = partial(verify_mod._check_graph, tuple(enumerate(ids)), True, {})
-    results = verify_mod._run_chunk(check, graphs)
-    assert [n for n, _ in results] == [g.n for g in graphs]
-    assert [{ids[k] for k, _, _ in row} for _, row in results] == expected
+    results = [check(g) for g in graphs]
+    assert [{ids[k] for k, _, _ in row} for row in results] == expected
 
 
 @pytest.fixture
