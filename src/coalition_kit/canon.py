@@ -160,66 +160,56 @@ def _classes(n: int, max_delta: int | None = None) -> tuple[bytes, bytes]:
     have one width, so code i is the i-th slice of that width."""
     if n == 1:
         return canonical_code(1, (0,)), bytes(1)
-    # the parents are unpacked one at a time, so no order is held unpacked
-    codes, deltas = _extend_codes(_unpack(*_classes(n - 1)), n, max_delta=max_delta)
+    # the parents are read one at a time, so no order is held unpacked
+    codes, deltas = _extend_codes(class_pool(n - 1, n - 1).codes(), n, max_delta=max_delta)
     return b"".join(codes), deltas
 
 
-def _unpack(codes: bytes, deltas: bytes) -> Iterator[bytes]:
-    """The packed ``codes`` of one order, one ``bytes`` per class."""
-    width = len(codes) // len(deltas)
-    return (codes[i : i + width] for i in range(0, len(codes), width))
-
-
 def _codes(n: int) -> tuple[bytes, ...]:
-    return tuple(_unpack(*_classes(n)))
+    return tuple(class_pool(n, n).codes())
 
 
-class CodeRange:
-    """Codes ``start``..``stop`` of one order's packed codes, skipping those
-    whose minimum degree in ``deltas`` is above ``cap``: a chunk of a
-    ``CodePool``."""
+class CodePool:
+    """Classes ``start``..``stop`` of some orders' packed codes, counted
+    across the orders: per order, its codes and minimum degrees as
+    ``_classes`` holds them. Only the classes of minimum degree at most
+    ``cap`` belong to the pool. A built-in pool, or a chunk of one."""
 
-    __slots__ = ("codes", "deltas", "cap", "start", "stop")
+    __slots__ = ("orders", "cap", "start", "stop")
 
-    def __init__(self, codes: bytes, deltas: bytes, cap: int, start: int, stop: int) -> None:
-        self.codes = codes
-        self.deltas = deltas
+    def __init__(
+        self, orders: tuple[tuple[bytes, bytes], ...], cap: int, start: int, stop: int
+    ) -> None:
+        self.orders = orders
         self.cap = cap
         self.start = start
         self.stop = stop
 
+    def cut(self, count: int) -> list["CodePool"]:
+        """Ranges of one size, about ``count`` of them, that cover this one
+        in order; the last may be shorter, and a range may span two orders."""
+        size = max(1, -(-(self.stop - self.start) // count))
+        return [
+            CodePool(self.orders, self.cap, start, min(start + size, self.stop))
+            for start in range(self.start, self.stop, size)
+        ]
+
+    def codes(self) -> Iterator[bytes]:
+        """The codes of the range's classes of minimum degree at most
+        ``cap``, in pool order."""
+        first = 0  # the index of the order's first class in the pool
+        for codes, deltas in self.orders:
+            lo, hi = max(self.start - first, 0), min(self.stop - first, len(deltas))
+            first += len(deltas)
+            if lo < hi:
+                width = len(codes) // len(deltas)
+                for i in range(lo, hi):
+                    if deltas[i] <= self.cap:
+                        yield codes[i * width : (i + 1) * width]
+
     def parse(self) -> list[tuple[Graph, None]]:
         """Each read code's graph, with no graph6 text."""
-        codes, deltas, cap = self.codes, self.deltas, self.cap
-        width = len(codes) // len(deltas)
-        return [
-            (graph_from_code(codes[i * width : (i + 1) * width]), None)
-            for i in range(self.start, self.stop)
-            if deltas[i] <= cap
-        ]
-
-
-class CodePool:
-    """The classes of some orders as packed codes: per order, its codes and
-    minimum degrees as ``_classes`` holds them. Only the classes of minimum
-    degree at most ``cap`` belong to the pool."""
-
-    __slots__ = ("orders", "cap")
-
-    def __init__(self, orders: tuple[tuple[bytes, bytes], ...], cap: int) -> None:
-        self.orders = orders
-        self.cap = cap
-
-    def cut(self, count: int) -> list[CodeRange]:
-        """Ranges of one size, about ``count`` of them, in pool order; an
-        order's last range is shorter, as no range spans two orders."""
-        size = max(1, -(-sum(len(deltas) for _, deltas in self.orders) // count))
-        return [
-            CodeRange(codes, deltas, self.cap, start, min(start + size, len(deltas)))
-            for codes, deltas in self.orders
-            for start in range(0, len(deltas), size)
-        ]
+        return [(graph_from_code(code), None) for code in self.codes()]
 
 
 def class_pool(lo: int, hi: int, max_delta: int | None = None) -> CodePool:
@@ -241,32 +231,28 @@ def class_pool(lo: int, hi: int, max_delta: int | None = None) -> CodePool:
         )
     if max_delta is None:
         # no class of order at most hi has minimum degree hi
-        return CodePool(tuple(_classes(n) for n in range(lo, hi + 1)), hi)
-    return CodePool(
-        tuple(_classes(n, max_delta) if n == hi else _classes(n) for n in range(lo, hi + 1)),
-        max_delta,
-    )
+        orders, cap = tuple(_classes(n) for n in range(lo, hi + 1)), hi
+    else:
+        orders = tuple(
+            _classes(n, max_delta) if n == hi else _classes(n) for n in range(lo, hi + 1)
+        )
+        cap = max_delta
+    return CodePool(orders, cap, 0, sum(len(deltas) for _, deltas in orders))
 
 
 def class_codes(lo: int, hi: int, max_delta: int | None = None) -> list[bytes]:
     """The canonical codes of ``class_pool(lo, hi, max_delta)``, one
     ``bytes`` per class, in pool order."""
-    pool = class_pool(lo, hi, max_delta)
-    return [
-        code
-        for codes, deltas in pool.orders
-        for code, delta in zip(_unpack(codes, deltas), deltas)
-        if delta <= pool.cap
-    ]
+    return list(class_pool(lo, hi, max_delta).codes())
 
 
 def enumerate_graphs(n: int) -> Iterator[Graph]:
     """One representative per isomorphism class of order n (n <= ENUM_MAX),
     in canonical-code order."""
-    for code in class_codes(n, n):
+    for code in class_pool(n, n).codes():
         yield graph_from_code(code)
 
 
 def class_count(n: int) -> int:
     """Number of isomorphism classes of order n (n <= ENUM_MAX)."""
-    return len(class_pool(n, n).orders[0][1])
+    return class_pool(n, n).stop

@@ -111,32 +111,29 @@ class TheoremReport:
 _CHUNKS_PER_WORKER = 8
 
 
-def _pmap(chunk_fn: Callable[[object], list], pool, jobs: int) -> Iterator:
+def _pmap(
+    chunk_fn: Callable[[object], list], pool: CodePool | Graph6Lines, jobs: int
+) -> Iterator:
     """The results of ``chunk_fn`` over the chunks of ``pool``, yielded in
     pool order.
 
-    The pool is cut into about _CHUNKS_PER_WORKER contiguous chunks per
-    worker: a list into slices, and a packed pool (``canon.CodePool``,
-    ``graphs.Graph6Lines``) by its ``cut`` into ranges, which hold no item
-    and which each chunk reads itself. ``chunk_fn`` maps one chunk to a list
-    of results. When ``jobs`` <= 1 the chunks run in-process, chunk by
-    chunk. Otherwise chunk i runs in forked worker i % ``jobs``: workers
-    inherit the pool and ``chunk_fn``, so nothing is sent to them, and each
-    writes every chunk's pickled results, or the exception of its first
-    failing chunk, as one length-prefixed frame to its own pipe. The parent
-    reads the frames in chunk order and raises that exception where its
-    chunk's results would have been. A worker that ends without sending its
-    frames fails the run. Every worker is reaped when the generator ends,
-    fails or is closed; one still running then is killed first. The caller
-    must run no other thread, which a forked child would not have.
+    The packed pool (``canon.CodePool``, ``graphs.Graph6Lines``) is cut by
+    its ``cut`` into about _CHUNKS_PER_WORKER contiguous ranges per worker,
+    which hold no item and which each chunk reads itself. ``chunk_fn`` maps
+    one chunk to a list of results. When ``jobs`` <= 1 the chunks run
+    in-process, chunk by chunk. Otherwise chunk i runs in forked worker
+    i % ``jobs``: workers inherit the pool and ``chunk_fn``, so nothing is
+    sent to them, and each writes every chunk's pickled results, or the exception
+    of its first failing chunk, as one length-prefixed frame to its own
+    pipe. The parent reads the frames in chunk order and raises that
+    exception where its chunk's results would have been. A worker that ends
+    without sending its frames fails the run. Every worker is reaped when
+    the generator ends, fails or is closed; one still running then is killed
+    first. The caller must run no other thread, which a forked child would
+    not have.
     """
     workers = max(jobs, 1)
-    count = _CHUNKS_PER_WORKER * workers
-    if isinstance(pool, list):
-        size = max(1, -(-len(pool) // count))
-        chunks = [pool[start : start + size] for start in range(0, len(pool), size)]
-    else:
-        chunks = pool.cut(count)
+    chunks = pool.cut(_CHUNKS_PER_WORKER * workers)
     if workers == 1 or len(chunks) <= 1:
         for chunk in chunks:
             yield from chunk_fn(chunk)
@@ -206,22 +203,17 @@ def _itself(x):
     return x
 
 
-def _pool(items: Iterable) -> list | CodePool | Graph6Lines:
-    """A packed pool as it is, and any other items as a list."""
-    return items if isinstance(items, (CodePool, Graph6Lines)) else list(items)
-
-
-def _decode(item: Graph | bytes) -> Graph:
-    """A listed pool item's graph: the item itself, or a canonical code's."""
-    return item if isinstance(item, Graph) else graph_from_code(item)
-
-
-def _read(chunk) -> list[tuple[Graph, str | None]]:
-    """Every graph of a chunk, in pool order, with its graph6 text when the
-    chunk is a file's lines (None otherwise)."""
-    if isinstance(chunk, list):
-        return [(_decode(item), None) for item in chunk]
-    return chunk.parse()
+def _pool(items: Iterable) -> CodePool | Graph6Lines:
+    """A packed pool as it is; any other items, graphs or canonical codes,
+    packed once as the lines of an in-memory graph6 file. A malformed code
+    raises ``graph_from_code``'s ValueError here, before any chunk runs."""
+    if isinstance(items, (CodePool, Graph6Lines)):
+        return items
+    data = "".join(
+        emit_graph6(item if isinstance(item, Graph) else graph_from_code(item)) + "\n"
+        for item in items
+    ).encode()
+    return Graph6Lines("<graphs>", data, 0, len(data))
 
 
 def _cex(g: Graph, detail: str) -> dict:
@@ -742,7 +734,7 @@ def _run_chunk(
     no claim reads the pool; then each graph is checked (``_check_graph``).
     """
     tallies = [_Tally() for _ in range(n_ids)]
-    graphs = _read(chunk)
+    graphs = chunk.parse()
     if claims:
         for g, _ in graphs:
             for k, result, seconds in _check_graph(claims, f1_due, due, g):
@@ -783,18 +775,20 @@ def verify_claims(
 ) -> Iterator[TheoremReport]:
     """Run claims in one pass over one pool, yielding one report per claim.
 
-    The pool is the supplied graphs or canonical codes, or a packed pool
-    (``graphs.Graph6Lines``, ``canon.CodePool``), or else the classes of
-    orders 1..n_max whose minimum degree is at most the largest
-    ``min_degree`` of the run's claims (``canon.class_pool``), enumerated
-    once and only when a claim reads the pool; each claim takes the graphs
-    of its hypothesis class, from its least order up. Each chunk of the pool
+    The pool is a packed pool (``graphs.Graph6Lines``, ``canon.CodePool``),
+    or supplied graphs or canonical codes, packed as graph6 lines
+    (``_pool``), or else the classes of orders 1..n_max whose minimum
+    degree is at most the largest ``min_degree`` of the run's claims
+    (``canon.class_pool``), enumerated once and only when a claim reads the
+    pool; each claim takes the graphs of its hypothesis class, from its
+    least order up. Each chunk of the pool
     is decoded and checked in one worker under ``jobs`` > 1: every graph's
     facts are computed, the claims whose hypothesis it meets are looked up
     by its hypothesis key and checked, and the chunk returns one tally per
     claim (``_run_chunk``), which the run merges in pool order, so the
     counterexamples come in pool order. A supplied pool is decoded even when
-    no claim reads it, so a malformed item raises first. A report's
+    no claim reads it, so a malformed item raises first: a malformed listed
+    code as the pool is packed, before any chunk runs. A report's
     ``elapsed`` is the time of its claim's own checks; the pool, its
     decoding and the facts are charged to no claim. The ids are taken up to
     the first unknown id or order below the least order of a claim that
@@ -817,7 +811,7 @@ def verify_claims(
         # no claim reads a class above the largest minimum degree of the run
         pool = class_pool(1, n_max, max(THEOREMS[t].min_degree for _, t in claims))
     else:
-        pool = []
+        pool = class_pool(1, 0)  # no order
     f1_due = any(THEOREMS[t].f1_member for _, t in claims)
     totals = [_Tally() for _ in ids]
     for tallies in _pmap(partial(_run_chunk, claims, f1_due, {}, len(ids)), pool, jobs):
@@ -926,7 +920,7 @@ def _sweep_chunk(render: Callable[[dict], object], chunk) -> list:
     record's graph6 instead of encoding the graph again."""
     # decoding the whole chunk before building any chain measured about 10%
     # faster than interleaving the two graph by graph
-    return [render(chain_record(g, g6)) for g, g6 in _read(chunk)]
+    return [render(chain_record(g, g6)) for g, g6 in chunk.parse()]
 
 
 def sweep_chains(
@@ -934,13 +928,14 @@ def sweep_chains(
 ) -> list:
     """Chain records for a pool, in pool order.
 
-    The pool is graphs or canonical codes, or a packed pool
-    (``graphs.Graph6Lines``, ``canon.CodePool``); a file's lines become
-    their records' graph6 instead of encoding each graph again. ``render``
-    turns each record into the result (the record dict by default). A chunk
-    is decoded and rendered where its chains are built, in a worker under
-    ``jobs`` > 1, so that workers read the pool they inherit and return
-    finished output lines. A malformed item raises, and no result is
-    returned.
+    The pool is a packed pool (``graphs.Graph6Lines``, ``canon.CodePool``),
+    or graphs or canonical codes, packed as graph6 lines (``_pool``); a line
+    becomes its record's graph6 instead of encoding the graph again, and
+    equals that encoding. ``render`` turns each record into the result (the
+    record dict by default). A chunk is decoded and rendered where its
+    chains are built, in a worker under ``jobs`` > 1, so that workers read
+    the pool they inherit and return finished output lines. A malformed item
+    raises, and no result is returned; a malformed listed code raises as the
+    pool is packed, before any chunk runs.
     """
     return list(_pmap(partial(_sweep_chunk, render), _pool(items), jobs))

@@ -1,9 +1,9 @@
 """Spot checks above the exhaustive-enumeration range.
 
-The characterizations hold for every order; enumeration stops at 7, so
-these tests probe orders 8 through 12 with generated family members and a
-small random sample against the exact partition search (which reaches
-order 9).
+The characterizations hold for every order; enumeration stops at
+ENUM_MAX = 9. These tests probe orders 8 through 12 with generated family
+members, and orders 8 and 9 with a small random sample against the exact
+partition search (which reaches order 9).
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from itertools import accumulate
 from types import SimpleNamespace
 
 import pytest
@@ -105,9 +106,28 @@ def test_class_codes_run_from_the_least_order_to_the_greatest():
 
 @pytest.mark.parametrize("lo, hi", [(0, 3), (1, ENUM_MAX + 1)])
 def test_class_codes_check_the_limit_before_enumerating(monkeypatch, lo, hi):
-    monkeypatch.setattr(canon, "_codes", lambda n: pytest.fail(f"order {n} enumerated"))
+    # every enumeration reads _classes
+    monkeypatch.setattr(canon, "_classes", lambda *args: pytest.fail(f"enumerated {args}"))
     with pytest.raises(ValueError, match=f"1..ENUM_MAX = {ENUM_MAX}, got {lo}..{hi}"):
         canon.class_codes(lo, hi)
+
+
+@pytest.mark.parametrize("bounds", [(1, 6, 2), (4, 4)], ids=["orders-1-6-capped", "order-4"])
+def test_code_pool_cut_ranges_tile_the_pool(bounds):
+    pool = canon.class_pool(*bounds)
+    # the index in the pool of each order's first class but the lowest's
+    firsts = list(accumulate(len(deltas) for _, deltas in pool.orders))[:-1]
+    spanning = False
+    for count in range(1, pool.stop + 1):
+        ranges = pool.cut(count)
+        assert 1 <= len(ranges) <= count
+        assert ranges[0].start == 0 and ranges[-1].stop == pool.stop
+        for before, after in zip(ranges, ranges[1:]):
+            assert before.start < before.stop == after.start
+        assert [code for r in ranges for code in r.codes()] == canon.class_codes(*bounds)
+        spanning |= any(r.start < first < r.stop for r in ranges for first in firsts)
+    # a range crosses from one order into the next wherever the pool has two
+    assert spanning == (len(pool.orders) > 1)
 
 
 @pytest.mark.parametrize("compiled", [False, True], ids=["pure", "compiled"])

@@ -23,8 +23,9 @@ from coalition_kit import (
     verify_theorem,
 )
 from coalition_kit import domination
+from coalition_kit import graphs as graphs_mod
 from coalition_kit import chains, coalition_graph
-from coalition_kit.canon import class_codes, enumerate_graphs
+from coalition_kit.canon import CodePool, class_codes, class_pool, enumerate_graphs
 from coalition_kit.chains import TerminatedNonSp, sc_chain
 from coalition_kit.coalition_graph import sc_graph
 from coalition_kit.families import FamilySpec, recognize_h2
@@ -173,7 +174,8 @@ def test_a_verify_chunk_returns_one_tally_per_claim(size):
     # the run: no per-graph result leaves the chunk
     ids = all_theorem_ids()
     claims = tuple((k, t) for k, t in enumerate(ids) if t != "obs7")
-    chunk = class_codes(1, 7, 2)[:size]
+    pool = class_pool(1, 7, 2)
+    chunk = CodePool(pool.orders, pool.cap, 0, size)
     (tallies,) = verify_mod._run_chunk(claims, True, {}, len(ids), chunk)
     assert len(tallies) == len(ids)
     assert all(isinstance(t, verify_mod._Tally) for t in tallies)
@@ -187,8 +189,10 @@ def test_a_pool_no_claim_reads_is_decoded_but_not_checked(monkeypatch):
     # obs7 checks cycles of its own: the supplied items are decoded, so that
     # a malformed one raises, but no facts are computed for them
     decoded = []
-    real = verify_mod._decode
-    monkeypatch.setattr(verify_mod, "_decode", lambda item: decoded.append(item) or real(item))
+    real = graphs_mod.parse_graph6
+    monkeypatch.setattr(
+        graphs_mod, "parse_graph6", lambda text: decoded.append(real(text)) or decoded[-1]
+    )
     monkeypatch.setattr(verify_mod, "_Facts", lambda g: pytest.fail("facts computed"))
     graphs = _relabeled_classes(5, 616)
     (report,) = verify_claims(["obs7"], graphs=graphs)
@@ -275,8 +279,22 @@ def test_parallel_jobs_match_serial():
     assert serial == parallel
 
 
-def _negated_chunk(chunk: list) -> list:
-    return [-x for x in chunk]
+def _numbered_pool(count: int) -> CodePool:
+    """A packed pool of the first ``count`` of the 208 classes of orders
+    1..6, item i being class i; it is cut, as a list was sliced, into
+    ranges of one size."""
+    pool = class_pool(1, 6)
+    return CodePool(pool.orders, pool.cap, 0, count)
+
+
+def _numbers(chunk: CodePool) -> list[int]:
+    """The numbers of a chunk's items, as ``_numbered_pool`` numbers them."""
+    number = {code: i for i, code in enumerate(class_codes(1, 6))}
+    return [number[code] for code in chunk.codes()]
+
+
+def _negated_chunk(chunk: CodePool) -> list:
+    return [-x for x in _numbers(chunk)]
 
 
 def _without_elapsed(report) -> dict:
@@ -345,6 +363,27 @@ def test_one_worker_pool_per_sweep(forks, jobs, pools):
     assert len(forks) == pools * jobs
 
 
+# order 5 needs two body bytes; order 3 leaves five padding bits, here one set
+@pytest.mark.parametrize(
+    "bad, message",
+    [(b"\x05\x00", "needs 2 body bytes, got 1"), (b"\x03\xe1", "nonzero padding bits")],
+    ids=["body-length", "padding-bit"],
+)
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_malformed_listed_code_is_caught_in_the_parent(forks, jobs, bad, message):
+    # among enough valid codes that the pool is cut into several chunks
+    codes = class_codes(1, 6)
+    items = [*codes[:100], bad, *codes[100:]]
+    reports = []
+    with pytest.raises(ValueError, match=message):
+        for report in verify_claims(all_theorem_ids(), graphs=items, jobs=jobs):
+            reports.append(report)
+    assert reports == []
+    with pytest.raises(ValueError, match=message):
+        sweep_chains(items, jobs=jobs)
+    assert len(forks) == 0
+
+
 def _assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -353,19 +392,19 @@ def _assert_no_child_left():
 def test_a_worker_that_dies_fails_the_map():
     parent = os.getpid()
 
-    def dying(chunk: list) -> list:
-        if 50 in chunk and os.getpid() != parent:
+    def dying(chunk: CodePool) -> list:
+        if 50 in _numbers(chunk) and os.getpid() != parent:
             os._exit(3)
-        return chunk
+        return _numbers(chunk)
 
     with pytest.raises(RuntimeError, match=r"ended before sending its results \(exit status 3\)"):
-        list(verify_mod._pmap(dying, list(range(100)), 2))
+        list(verify_mod._pmap(dying, _numbered_pool(100), 2))
     _assert_no_child_left()
 
 
 def test_a_worker_error_is_raised_after_the_earlier_chunks():
-    def failing(chunk: list) -> list:
-        if 50 in chunk:
+    def failing(chunk: CodePool) -> list:
+        if 50 in _numbers(chunk):
             raise ValueError("chunk holding 50")
         return _negated_chunk(chunk)
 
@@ -373,7 +412,7 @@ def test_a_worker_error_is_raised_after_the_earlier_chunks():
     size = -(-len(items) // (verify_mod._CHUNKS_PER_WORKER * 2))
     got = []
     with pytest.raises(ValueError, match="chunk holding 50"):
-        for result in verify_mod._pmap(failing, items, 2):
+        for result in verify_mod._pmap(failing, _numbered_pool(len(items)), 2):
             got.append(result)
     assert got == [-x for x in range(50 - 50 % size)]
     _assert_no_child_left()
@@ -381,15 +420,16 @@ def test_a_worker_error_is_raised_after_the_earlier_chunks():
 
 def test_no_worker_outlives_a_normal_run_or_a_closed_map():
     items = list(range(100))
-    assert list(verify_mod._pmap(_negated_chunk, items, 2)) == [-x for x in items]
+    pool = _numbered_pool(len(items))
+    assert list(verify_mod._pmap(_negated_chunk, pool, 2)) == [-x for x in items]
     _assert_no_child_left()
 
-    def stalling(chunk: list) -> list:
-        if chunk[0]:
+    def stalling(chunk: CodePool) -> list:
+        if _numbers(chunk)[0]:
             time.sleep(60)  # still running when the map is closed
-        return chunk
+        return _numbers(chunk)
 
-    results = verify_mod._pmap(stalling, items, 2)
+    results = verify_mod._pmap(stalling, pool, 2)
     start = time.perf_counter()
     assert next(results) == 0
     results.close()
@@ -398,9 +438,9 @@ def test_no_worker_outlives_a_normal_run_or_a_closed_map():
 
 
 def test_an_interrupt_reaps_every_worker():
-    def stalling(chunk: list) -> list:
+    def stalling(chunk: CodePool) -> list:
         time.sleep(60)
-        return chunk
+        return _numbers(chunk)
 
     def interrupt(signum, frame):
         raise KeyboardInterrupt
@@ -410,7 +450,7 @@ def test_an_interrupt_reaps_every_worker():
     try:
         signal.setitimer(signal.ITIMER_REAL, 0.5)
         with pytest.raises(KeyboardInterrupt):
-            list(verify_mod._pmap(stalling, list(range(100)), 2))
+            list(verify_mod._pmap(stalling, _numbered_pool(100), 2))
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
@@ -423,7 +463,8 @@ def test_an_interrupt_reaps_every_worker():
 def test_chunked_map_keeps_every_item_in_order(count, jobs):
     # the chunks cover the items exactly once, in order, whatever the split
     items = list(range(count))
-    assert list(verify_mod._pmap(_negated_chunk, items, jobs)) == [-x for x in items]
+    pool = _numbered_pool(count)
+    assert list(verify_mod._pmap(_negated_chunk, pool, jobs)) == [-x for x in items]
 
 
 def test_the_capped_pool_gives_the_reports_of_the_full_pool(monkeypatch):
@@ -457,13 +498,13 @@ def test_elapsed_counts_only_the_claims_own_checks(monkeypatch):
 def test_elapsed_leaves_out_the_decoding_of_supplied_items(monkeypatch):
     # 0.05 s for each of the 18 classes of orders 1..4: charged to a claim,
     # it would put thm1, which checks the 8 with an isolated vertex, over 0.3 s
-    real = verify_mod._decode
+    real = graphs_mod.parse_graph6
 
-    def slow_decode(item):
+    def slow_decode(text):
         time.sleep(0.05)
-        return real(item)
+        return real(text)
 
-    monkeypatch.setattr(verify_mod, "_decode", slow_decode)
+    monkeypatch.setattr(graphs_mod, "parse_graph6", slow_decode)
     graphs = [g for n in range(1, 5) for g in enumerate_graphs(n)]
     reports = list(verify_claims(all_theorem_ids(), graphs=graphs))
     assert len(reports) == 16
