@@ -165,10 +165,6 @@ def _classes(n: int, max_delta: int | None = None) -> tuple[bytes, bytes]:
     return b"".join(codes), deltas
 
 
-def _codes(n: int) -> tuple[bytes, ...]:
-    return tuple(class_pool(n, n).codes())
-
-
 class CodePool:
     """Classes ``start``..``stop`` of some orders' packed codes, counted
     across the orders: per order, its codes and minimum degrees as
@@ -238,12 +234,6 @@ def class_pool(lo: int, hi: int, max_delta: int | None = None) -> CodePool:
         )
         cap = max_delta
     return CodePool(orders, cap, 0, sum(len(deltas) for _, deltas in orders))
-
-
-def class_codes(lo: int, hi: int, max_delta: int | None = None) -> list[bytes]:
-    """The canonical codes of ``class_pool(lo, hi, max_delta)``, one
-    ``bytes`` per class, in pool order."""
-    return list(class_pool(lo, hi, max_delta).codes())
 
 
 def enumerate_graphs(n: int) -> Iterator[Graph]:

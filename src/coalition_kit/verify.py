@@ -61,33 +61,17 @@ from .limits import CANON_MAX
 SCHEMA_VERSION = 1
 
 
-class TheoremReport:
-    """One claim's result; the run fills it in as graphs are checked."""
+class TheoremReport(NamedTuple):
+    """One claim's result, built once from its tally."""
 
-    __slots__ = (
-        "theorem_id", "order_range", "graphs_checked", "passed",
-        "counterexamples", "elapsed", "notes", "extras",
-    )
-
-    def __init__(
-        self,
-        theorem_id: str,
-        order_range: tuple[int, int],
-        graphs_checked: int,
-        passed: bool,
-        counterexamples: list[dict],
-        elapsed: float,
-        notes: tuple[str, ...] = (),
-        extras: dict | None = None,
-    ) -> None:
-        self.theorem_id = theorem_id
-        self.order_range = order_range
-        self.graphs_checked = graphs_checked
-        self.passed = passed
-        self.counterexamples = counterexamples
-        self.elapsed = elapsed
-        self.notes = notes
-        self.extras = {} if extras is None else extras
+    theorem_id: str
+    order_range: tuple[int, int]
+    graphs_checked: int
+    passed: bool
+    counterexamples: list[dict]
+    elapsed: float
+    notes: tuple[str, ...]
+    extras: dict
 
     def to_json(self) -> dict:
         out = {
@@ -216,10 +200,6 @@ def _pool(items: Iterable) -> CodePool | Graph6Lines:
     return Graph6Lines("<graphs>", data, 0, len(data))
 
 
-def _cex(g: Graph, detail: str) -> dict:
-    return {"graph6": emit_graph6(g), "detail": detail}
-
-
 # ---------------------------------------------------------------------------
 # Facts, computed once per graph
 # ---------------------------------------------------------------------------
@@ -342,14 +322,14 @@ def _check_thm6(g: Graph, f: _Facts) -> str | None:
     return None
 
 
-def _check_obs7_cycle(n: int) -> tuple[Graph, str] | None:
-    g = cycle(n)
+def _check_obs7_cycle(g: Graph) -> str | None:
+    n = g.n
     sp = sp_check(g).is_sp
     if sp != (n <= 6):
-        return g, f"C_{n}: sp={sp}"
+        return f"C_{n}: sp={sp}"
     f2 = recognize_f2(g) is not None
     if f2 != (4 <= n <= 6):
-        return g, f"C_{n}: family-recognizer={f2}"
+        return f"C_{n}: family-recognizer={f2}"
     return None
 
 
@@ -381,7 +361,7 @@ def _check_thm9(g: Graph, f: _Facts) -> str | None:
 
 def _check_thm13(g: Graph, f: _Facts) -> str | None:
     if not f.is_sp:
-        return None  # hypothesis is the SP side; thm8 covers the equivalence
+        return "family member is not a singleton-partition graph"
     image = f.image()
     wit = recognize_h2(image)
     if wit is None:
@@ -497,23 +477,6 @@ def _seeded_specs(combos: list[tuple[str, dict]], count: int) -> list[FamilySpec
         family, sizes = combos[i]
         specs.append(FamilySpec(family, dict(sizes), seed))
     return specs
-
-
-def _check_generation(
-    check: Callable[[Graph, _Facts], str | None],
-    verdicts: dict[Graph, str | None],
-    spec: FamilySpec,
-) -> tuple[Graph, str] | None:
-    """Check the graph ``spec`` generates, once per distinct graph: a graph
-    already in ``verdicts`` takes its verdict from there. ``generate_family``
-    re-recognizes what it builds, so the graph is a family member."""
-    g = generate_family(spec)
-    if g not in verdicts:
-        verdicts[g] = check(g, _Facts(g))
-    detail = verdicts[g]
-    if detail:
-        return g, f"{spec}: {detail}"
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -687,10 +650,11 @@ def _check_graph(
 
 class _Tally:
     """One claim's results over the graphs of a chunk, or of a run once the
-    chunks' tallies are merged in pool order: the graphs checked, their
-    check seconds, least and greatest order, the histogram of the keys a
-    check returns with its verdict (thm20's chain lengths), and the
-    failures as counterexamples."""
+    chunks' tallies are merged in pool order and the claim's own checks
+    after them (``_run_own_checks``): the graphs checked, their check
+    seconds, least and greatest order, the histogram of the keys a check
+    returns with its verdict (thm20's chain lengths), and the failures as
+    counterexamples."""
 
     __slots__ = ("count", "seconds", "lo", "hi", "histogram", "counterexamples")
 
@@ -710,7 +674,7 @@ class _Tally:
         self.count += 1
         self.seconds += seconds
         if result:
-            self.counterexamples.append(_cex(g, result))
+            self.counterexamples.append({"graph6": emit_graph6(g), "detail": result})
 
     def merge(self, other: "_Tally") -> None:
         if not other.count:
@@ -742,29 +706,33 @@ def _run_chunk(
     return [tallies]
 
 
-def _run_own_checks(report: TheoremReport, n_max: int, enumerated: bool) -> None:
-    """Add the checks a claim makes outside the pool: obs7's cycles, and the
-    seeded generations of thm6 and thm13 in enumerated runs."""
-    if report.theorem_id == "obs7":
-        top = max(n_max, 10)
-        report.order_range = (3, top)
-        check, items = _check_obs7_cycle, range(3, top + 1)
-    elif enumerated and report.theorem_id in ("thm6", "thm13"):
-        # built per run, so the checks are the module's current bindings
-        family_check, combos = {
+def _run_own_checks(theorem_id: str, n_max: int, enumerated: bool) -> _Tally:
+    """The tally of the checks a claim makes outside the pool: obs7's
+    cycles, and the seeded generations of thm6 and thm13 in enumerated
+    runs, each item timed with its construction."""
+    tally = _Tally()
+    if theorem_id == "obs7":
+        for n in range(3, max(n_max, 10) + 1):
+            start = time.perf_counter()
+            g = cycle(n)
+            tally.add(g, _check_obs7_cycle(g), time.perf_counter() - start)
+    elif enumerated and theorem_id in ("thm6", "thm13"):
+        # looked up per run, so the checks are the module's current bindings
+        check, combos = {
             "thm6": (_check_thm6, _f1_combos),
             "thm13": (_check_thm13, _f2_combos),
-        }[report.theorem_id]
-        check = partial(_check_generation, family_check, {})
-        items = _seeded_specs(combos(), 500)
-        report.extras["seeded_generations"] = 500
-    else:
-        return
-    start = time.perf_counter()
-    failures = [check(item) for item in items]
-    report.elapsed += time.perf_counter() - start
-    report.graphs_checked += len(items)
-    report.counterexamples += [_cex(*item) for item in failures if item is not None]
+        }[theorem_id]
+        verdicts: dict[Graph, str | None] = {}
+        for spec in _seeded_specs(combos(), 500):
+            start = time.perf_counter()
+            # generate_family re-recognizes what it builds, so the graph is a
+            # family member; a graph generated again takes its first verdict
+            g = generate_family(spec)
+            if g not in verdicts:
+                verdicts[g] = check(g, _Facts(g))
+            detail = verdicts[g]
+            tally.add(g, detail and f"{spec}: {detail}", time.perf_counter() - start)
+    return tally
 
 
 def verify_claims(
@@ -786,7 +754,9 @@ def verify_claims(
     facts are computed, the claims whose hypothesis it meets are looked up
     by its hypothesis key and checked, and the chunk returns one tally per
     claim (``_run_chunk``), which the run merges in pool order, so the
-    counterexamples come in pool order. A supplied pool is decoded even when
+    counterexamples come in pool order; the tally of a claim's own checks
+    (``_run_own_checks``) is merged last, and each report is built once
+    from its claim's tally. A supplied pool is decoded even when
     no claim reads it, so a malformed item raises first: a malformed listed
     code as the pool is packed, before any chunk runs. A report's
     ``elapsed`` is the time of its claim's own checks; the pool, its
@@ -819,23 +789,27 @@ def verify_claims(
             total.merge(tally)
 
     for t, total in zip(ids, totals):
-        if enumerated:
-            order_range = (THEOREMS[t].min_order, n_max)
+        total.merge(_run_own_checks(t, n_max, enumerated))
+        claim = THEOREMS[t]
+        if enumerated and claim.min_degree is not None:
+            order_range = (claim.min_order, n_max)
         else:
             order_range = (total.lo, total.hi)
-        report = TheoremReport(
+        extras: dict = {}
+        if t == "thm20":
+            extras["lscc_histogram"] = dict(sorted(total.histogram.items()))
+        elif enumerated and t in ("thm6", "thm13"):
+            extras["seeded_generations"] = 500
+        yield TheoremReport(
             theorem_id=t,
             order_range=order_range,
             graphs_checked=total.count,
-            passed=True,
+            passed=not total.counterexamples,
             counterexamples=total.counterexamples,
             elapsed=total.seconds,
-            notes=THEOREMS[t].notes,
-            extras={"lscc_histogram": dict(sorted(total.histogram.items()))} if t == "thm20" else {},
+            notes=claim.notes,
+            extras=extras,
         )
-        _run_own_checks(report, n_max, enumerated)
-        report.passed = not report.counterexamples
-        yield report
     if error is not None:
         raise error
 

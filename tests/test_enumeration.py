@@ -57,7 +57,7 @@ def test_census(n):
 
 @pytest.mark.parametrize("n", sorted(KNOWN_COUNTS))
 def test_codes_decode_to_their_class(n):
-    for code in canon._codes(n):
+    for code in canon.class_pool(n, n).codes():
         g = graph_from_code(code)
         assert g.rows == pair_loop_decode(code)
         assert canonical_form(g) == code
@@ -70,8 +70,8 @@ def test_census_against_brute_force_dedup(n):
 
 def test_min_degree_extension_matches_full_extension():
     for n in range(2, 8):
-        parents = canon._codes(n - 1)
-        assert canon._codes(n) == tuple(full_extension(parents, n))
+        parents = tuple(canon.class_pool(n - 1, n - 1).codes())
+        assert tuple(canon.class_pool(n, n).codes()) == tuple(full_extension(parents, n))
 
 
 def test_representatives_are_pairwise_nonisomorphic():
@@ -100,8 +100,12 @@ def test_enumeration_cap():
 
 
 def test_class_codes_run_from_the_least_order_to_the_greatest():
-    assert canon.class_codes(3, 5) == [*canon._codes(3), *canon._codes(4), *canon._codes(5)]
-    assert canon.class_codes(4, 3) == []
+    assert list(canon.class_pool(3, 5).codes()) == [
+        *canon.class_pool(3, 3).codes(),
+        *canon.class_pool(4, 4).codes(),
+        *canon.class_pool(5, 5).codes(),
+    ]
+    assert list(canon.class_pool(4, 3).codes()) == []
 
 
 @pytest.mark.parametrize("lo, hi", [(0, 3), (1, ENUM_MAX + 1)])
@@ -109,7 +113,7 @@ def test_class_codes_check_the_limit_before_enumerating(monkeypatch, lo, hi):
     # every enumeration reads _classes
     monkeypatch.setattr(canon, "_classes", lambda *args: pytest.fail(f"enumerated {args}"))
     with pytest.raises(ValueError, match=f"1..ENUM_MAX = {ENUM_MAX}, got {lo}..{hi}"):
-        canon.class_codes(lo, hi)
+        list(canon.class_pool(lo, hi).codes())
 
 
 @pytest.mark.parametrize("bounds", [(1, 6, 2), (4, 4)], ids=["orders-1-6-capped", "order-4"])
@@ -124,7 +128,8 @@ def test_code_pool_cut_ranges_tile_the_pool(bounds):
         assert ranges[0].start == 0 and ranges[-1].stop == pool.stop
         for before, after in zip(ranges, ranges[1:]):
             assert before.start < before.stop == after.start
-        assert [code for r in ranges for code in r.codes()] == canon.class_codes(*bounds)
+        want = list(canon.class_pool(*bounds).codes())
+        assert [code for r in ranges for code in r.codes()] == want
         spanning |= any(r.start < first < r.stop for r in ranges for first in firsts)
     # a range crosses from one order into the next wherever the pool has two
     assert spanning == (len(pool.orders) > 1)
@@ -134,14 +139,14 @@ def test_code_pool_cut_ranges_tile_the_pool(bounds):
 def test_isolated_vertex_children_get_the_kernels_code(fastkernel, compiled):
     kernel = fastkernel if compiled else pure
     for n in range(1, 9):
-        for code in canon._codes(n):
+        for code in canon.class_pool(n, n).codes():
             rows = (*graph_from_code(code).rows, 0)
             assert canon._isolated_child(code) == kernel.canonical_code(n + 1, rows)
 
 
 def test_stored_minimum_degrees_are_the_classes():
     for n in range(1, 9):
-        codes, deltas = canon._codes(n), canon._classes(n)[1]
+        codes, deltas = tuple(canon.class_pool(n, n).codes()), canon._classes(n)[1]
         assert list(deltas) == [degree_stats(graph_from_code(c)).min_degree for c in codes]
 
 
@@ -153,13 +158,17 @@ def test_capped_class_codes_keep_the_classes_up_to_the_cap(
     # the uncapped classes come from the session's cache, each kept or not
     # by the minimum degree of its decoded graph
     kept = {
-        n: [c for c in canon._codes(n) if degree_stats(graph_from_code(c)).min_degree <= max_delta]
+        n: [
+            c
+            for c in canon.class_pool(n, n).codes()
+            if degree_stats(graph_from_code(c)).min_degree <= max_delta
+        ]
         for n in range(1, 9)
     }
     enumerate_with(monkeypatch, fastkernel if compiled else pure)
     for lo, hi in [*((1, hi) for hi in range(1, 9)), (5, 7), (8, 8), (4, 3)]:
         want = [c for n in range(lo, hi + 1) for c in kept[n]]
-        assert canon.class_codes(lo, hi, max_delta) == want, (lo, hi)
+        assert list(canon.class_pool(lo, hi, max_delta).codes()) == want, (lo, hi)
 
 
 def test_a_second_capped_call_makes_no_kernel_call(monkeypatch):
@@ -171,8 +180,8 @@ def test_a_second_capped_call_makes_no_kernel_call(monkeypatch):
         return real(n, rows)
 
     enumerate_with(monkeypatch, SimpleNamespace(canonical_code=counting))
-    first = canon.class_codes(1, 7, 2)
+    first = list(canon.class_pool(1, 7, 2).codes())
     assert calls  # the first call enumerates
     calls.clear()
-    assert canon.class_codes(1, 7, 2) == first
+    assert list(canon.class_pool(1, 7, 2).codes()) == first
     assert calls == []

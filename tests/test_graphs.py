@@ -271,7 +271,7 @@ _LIMIT_ERRORS = {
     "pure-kernel": ("CANON_MAX", lambda _: kernel.canonical_code(17, (0,) * 17)),
     "compiled-kernel": ("CANON_MAX", lambda fast: fast.canonical_code(17, (0,) * 17)),
     "coalition-number": ("CNUM_MAX", lambda _: coalition_number_exact(cycle(10))),
-    "class-codes": ("ENUM_MAX", lambda _: canon.class_codes(1, limits.ENUM_MAX + 1)),
+    "class-codes": ("ENUM_MAX", lambda _: list(canon.class_pool(1, limits.ENUM_MAX + 1).codes())),
     "enumeration": ("ENUM_MAX", lambda _: list(enumerate_graphs(limits.ENUM_MAX + 1))),
     "class-count": ("ENUM_MAX", lambda _: canon.class_count(limits.ENUM_MAX + 1)),
 }

@@ -34,8 +34,8 @@ def test_compiled_enumeration_reaches_order_nine(fastkernel, monkeypatch):
     enumerate_with(monkeypatch, fastkernel)
     assert ENUM_MAX == 9
     assert canon.class_count(9) == 274668  # OEIS A000088
-    codes, deltas = canon._codes(9), canon._classes(9)[1]
-    capped = canon.class_codes(9, 9, max_delta=2)
+    codes, deltas = tuple(canon.class_pool(9, 9).codes()), canon._classes(9)[1]
+    capped = list(canon.class_pool(9, 9, max_delta=2).codes())
     assert capped == [code for code, d in zip(codes, deltas) if d <= 2]
     assert len(capped) == 190423
 

@@ -27,7 +27,7 @@ from coalition_kit.graphs import Graph
 from coalition_kit.kernel import _branch_candidates, _pack
 from coalition_kit.limits import CANON_MAX
 
-# SHA-256 of b"".join(canon._codes(8)), recorded with the reference kernel
+# SHA-256 of b"".join(canon.class_pool(8, 8).codes()), recorded with the reference kernel
 # and the unfiltered extension.
 ORDER_EIGHT_SHA256 = "805bd4d264cd249a7e6353c1689f11a8fd99015b86f6311ae38f3562cc4452eb"
 
@@ -155,7 +155,8 @@ def test_compiled_codes_equal_the_reference_kernel(fastkernel, g):
 
 
 def test_order_eight_codes_keep_their_digest():
-    assert hashlib.sha256(b"".join(canon._codes(8))).hexdigest() == ORDER_EIGHT_SHA256
+    digest = hashlib.sha256(b"".join(canon.class_pool(8, 8).codes())).hexdigest()
+    assert digest == ORDER_EIGHT_SHA256
 
 
 def test_compiled_order_eight_codes_keep_their_digest(fastkernel):
@@ -168,7 +169,7 @@ def test_compiled_order_eight_codes_keep_their_digest(fastkernel):
 
 @pytest.mark.parametrize("n", range(2, 8))
 def test_filtered_extension_equals_the_unfiltered_reference(n):
-    parents = canon._codes(n - 1)
+    parents = tuple(canon.class_pool(n - 1, n - 1).codes())
     codes, _ = _extend_codes(parents, n)
     assert codes == unfiltered_extend_codes(parents, n, canon.canonical_code)
 
@@ -176,7 +177,8 @@ def test_filtered_extension_equals_the_unfiltered_reference(n):
 @pytest.mark.parametrize("n, calls", [(7, 1652), (8, 21150)])
 def test_twin_filter_kernel_calls(n, calls):
     counting = CountingKernel()
-    assert tuple(_extend_codes(canon._codes(n - 1), n, counting)[0]) == canon._codes(n)
+    parents = tuple(canon.class_pool(n - 1, n - 1).codes())
+    assert tuple(_extend_codes(parents, n, counting)[0]) == tuple(canon.class_pool(n, n).codes())
     assert counting.calls == calls
 
 
@@ -184,8 +186,10 @@ def test_twin_filter_kernel_calls(n, calls):
 def test_capped_extension_kernel_calls(n, calls):
     # minimum degree at most 2: no neighbourhood of 3 or more is canonicalized
     counting = CountingKernel()
-    codes, deltas = _extend_codes(canon._codes(n - 1), n, counting, max_delta=2)
-    assert codes == [code for code, d in zip(canon._codes(n), canon._classes(n)[1]) if d <= 2]
+    parents = tuple(canon.class_pool(n - 1, n - 1).codes())
+    codes, deltas = _extend_codes(parents, n, counting, max_delta=2)
+    full = zip(canon.class_pool(n, n).codes(), canon._classes(n)[1])
+    assert codes == [code for code, d in full if d <= 2]
     assert max(deltas) == 2
     assert counting.calls == calls
 

@@ -25,7 +25,7 @@ from coalition_kit import (
 from coalition_kit import domination
 from coalition_kit import graphs as graphs_mod
 from coalition_kit import chains, coalition_graph
-from coalition_kit.canon import CodePool, class_codes, class_pool, enumerate_graphs
+from coalition_kit.canon import CodePool, class_pool, enumerate_graphs
 from coalition_kit.chains import TerminatedNonSp, sc_chain
 from coalition_kit.coalition_graph import sc_graph
 from coalition_kit.families import FamilySpec, recognize_h2
@@ -84,6 +84,53 @@ def test_reports_are_deterministic_modulo_elapsed():
     a.pop("elapsed")
     b.pop("elapsed")
     assert a == b
+
+
+# Each claim's report over the classes of orders 1..7, elapsed aside:
+# graphs checked, order range and extras.
+_ORDER_SEVEN_REPORTS = {
+    "thm1": (209, [1, 7], None),
+    "thm2": (52, [3, 7], None),
+    "thm4": (403, [2, 7], None),
+    "thm6": (533, [4, 7], {"seeded_generations": 500}),
+    "obs7": (8, [3, 10], None),
+    "thm8": (336, [4, 7], None),
+    "thm9": (78, [3, 7], None),
+    "thm13": (673, [4, 7], {"seeded_generations": 500}),
+    "thm14": (7, [1, 7], None),
+    "thm15": (6, [2, 7], None),
+    "thm16": (33, [4, 7], None),
+    "thm17": (19, [3, 7], None),
+    "thm20": (173, [4, 7], {"lscc_histogram": {"0": 1, "1": 137, "2": 9, "3": 7, "inf": 19}}),
+    "lem18": (173, [4, 7], None),
+    "lem19": (173, [4, 7], None),
+    "lem-h23": (173, [4, 7], None),
+}
+
+
+def test_enumerated_reports_at_order_seven_are_pinned():
+    got = {}
+    for report in verify_claims(all_theorem_ids(), 7):
+        payload = report.to_json()
+        payload.pop("elapsed")
+        got[report.theorem_id] = payload
+    want = {}
+    for t, (checked, order_range, extras) in _ORDER_SEVEN_REPORTS.items():
+        want[t] = {
+            "schema_version": 1,
+            "theorem_id": t,
+            "order_range": order_range,
+            "graphs_checked": checked,
+            "passed": True,
+            "counterexamples": [],
+        }
+        if verify_mod.THEOREMS[t].notes:
+            want[t]["notes"] = list(verify_mod.THEOREMS[t].notes)
+        if extras:
+            want[t]["extras"] = extras
+    assert list(got) == list(want)
+    assert got == want
+    assert list(got["thm20"]["extras"]["lscc_histogram"]) == ["0", "1", "2", "3", "inf"]
 
 
 def _flipped_partner_scan():
@@ -235,7 +282,7 @@ _DEGREE_TWO_LABELS_THROUGH_ORDER_EIGHT = {
 
 
 def test_chains_of_orders_one_to_eight_reach_the_pinned_labels():
-    records = sweep_chains(class_codes(1, 8))
+    records = sweep_chains(list(class_pool(1, 8).codes()))
     labels, degree_two = Counter(), Counter()
     for rec in records:
         assert rec["status"] in {"classified", "not-sp", "out-of-characterized-range"}
@@ -289,7 +336,7 @@ def _numbered_pool(count: int) -> CodePool:
 
 def _numbers(chunk: CodePool) -> list[int]:
     """The numbers of a chunk's items, as ``_numbered_pool`` numbers them."""
-    number = {code: i for i, code in enumerate(class_codes(1, 6))}
+    number = {code: i for i, code in enumerate(class_pool(1, 6).codes())}
     return [number[code] for code in chunk.codes()]
 
 
@@ -372,7 +419,7 @@ def test_one_worker_pool_per_sweep(forks, jobs, pools):
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_a_malformed_listed_code_is_caught_in_the_parent(forks, jobs, bad, message):
     # among enough valid codes that the pool is cut into several chunks
-    codes = class_codes(1, 6)
+    codes = list(class_pool(1, 6).codes())
     items = [*codes[:100], bad, *codes[100:]]
     reports = []
     with pytest.raises(ValueError, match=message):
@@ -812,6 +859,19 @@ def test_seeded_generations_are_not_recognized_again(monkeypatch):
     thm13 = next(verify_claims(["thm13"], 4))
     assert thm13.passed and thm13.extras["seeded_generations"] == 500
     assert recognized == []
+
+
+def test_seeded_thm13_members_that_are_not_sp_fail(monkeypatch):
+    # the pool's thm13 graphs are SP by hypothesis, but a generated F2
+    # member is checked whatever its verdict: a non-SP member is a failure,
+    # as it is for thm6
+    monkeypatch.setattr(verify_mod, "singleton_partners", _flipped_partner_scan())
+    report = next(verify_claims(["thm13"], 4))
+    assert not report.passed
+    assert [cex["detail"] for cex in report.counterexamples] == [
+        f"{spec}: family member is not a singleton-partition graph"
+        for spec in _reference_f2_specs(500)
+    ]
 
 
 # Which chains each lemma check accepts: its own lemma's, and for Lemmas 19
