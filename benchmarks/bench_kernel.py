@@ -15,9 +15,10 @@ trusted rows, no row validation), canonical-code decoding
 (``graph_from_code`` on each graph's code), ``Graph`` validation (the row
 checks ``Graph(n, rows)`` runs on a caller's rows), ``degree_stats``,
 ``sp_check``, ``_Facts`` (the facts the verify pass computes for every
-graph, plus its hypothesis key with family membership due, as under
-``verify --all``), ``recognize_f2`` (on the graphs with minimum degree 2 and
-no full vertex, the thm8 hypothesis), ``recognize_h2`` (on the
+graph, its hypothesis key, and the degree-1 family witness of the graphs
+whose key thm6 admits, as under ``verify --all``), ``recognize_f2`` (on
+the graphs with minimum degree 2 and no full vertex, the thm8
+hypothesis), ``recognize_h2`` (on the
 singleton-coalition images of the singleton-partition ones, as thm13 calls
 it), ``chain`` (``_Facts(g).chain()``: the facts and the chain continued
 from their partner scan, on the singleton-partition graphs with minimum
@@ -55,7 +56,7 @@ from coalition_kit.graphs import (
     parse_graph6,
     read_graph6_file,
 )
-from coalition_kit.verify import _Facts, chain_record
+from coalition_kit.verify import THEOREMS, _Facts, chain_record
 
 try:
     from coalition_kit import _fastkernel as fast
@@ -166,6 +167,13 @@ def _per_call_us(fn, args: list) -> float:
     return 1e6 * best / max(len(args), 1)
 
 
+def _facts_and_key(g: Graph) -> None:
+    """The per-graph work of the verify pass before its checks."""
+    f = _Facts(g)
+    if THEOREMS["thm6"].admits(f.key()):
+        f.f1()
+
+
 def bench_layers(path: str | None) -> None:
     graphs = list(read_graph6_file(path)) if path else list(enumerate_graphs(7))
     degree2 = [
@@ -181,7 +189,7 @@ def bench_layers(path: str | None) -> None:
         ("Graph validation", lambda g: Graph(g.n, g.rows), graphs),
         ("degree_stats", degree_stats, graphs),
         ("sp_check", sp_check, graphs),
-        ("_Facts", lambda g: _Facts(g).key(True), graphs),
+        ("_Facts", _facts_and_key, graphs),
         ("recognize_f2", recognize_f2, degree2),
         ("recognize_h2", recognize_h2, images),
         ("chain", lambda g: _Facts(g).chain(), sp_low),

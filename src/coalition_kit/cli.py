@@ -305,15 +305,20 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     # canonical codes) and render the output lines; this process writes the
     # lines once all are back, so a malformed record leaves stdout empty.
     if args.file:
+        given = {"--max-order": args.max_order, "--min-order": args.min_order}
+        conflict = " and ".join(flag for flag, value in given.items() if value is not None)
+        if conflict:
+            raise CliInputError(f"{conflict} cannot be combined with --file")
         pool = Graph6Lines.read(args.file)
     else:
+        min_order = 1 if args.min_order is None else args.min_order
         if args.max_order is None:
             raise CliInputError("sweep needs --max-order or --file")
-        if args.min_order < 1:
+        if min_order < 1:
             raise CliInputError("--min-order must be at least 1")
-        if args.max_order < args.min_order:
+        if args.max_order < min_order:
             raise CliInputError("--max-order must be at least --min-order")
-        pool = class_pool(args.min_order, args.max_order)
+        pool = class_pool(min_order, args.max_order)
     render = _json_line if args.json else _chain_summary
     lines = sweep_chains(pool, args.jobs, render=render)
     sys.stdout.writelines(line + "\n" for line in lines)
@@ -378,7 +383,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="chain records for enumerated or file graphs")
     p_sweep.add_argument("--max-order", type=int)
-    p_sweep.add_argument("--min-order", type=int, default=1)
+    p_sweep.add_argument("--min-order", type=int, help="least order (default 1)")
     p_sweep.add_argument("--file", help="graph6 file")
     p_sweep.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     p_sweep.add_argument("--json", action="store_true", help="one JSON object per graph")

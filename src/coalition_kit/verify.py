@@ -32,7 +32,7 @@ from .chains import (
     l_scc_of,
     sc_chain,
 )
-from .domination import singleton_partners, sp_check
+from .domination import singleton_partners
 from .families import (
     F1Witness,
     FamilySpec,
@@ -245,19 +245,10 @@ class _Facts:
     def template(self) -> ChainTemplate:
         return classify_chain(self.g, self.chain(), self.stats)
 
-    def label(self) -> str:
-        return self.template().label
-
-    def key(self, f1_due: bool) -> tuple[int, int, bool, bool, bool]:
+    def key(self) -> tuple[int, int, bool, bool]:
         """The hypothesis key: order, minimum degree capped at 3, a full
-        vertex present, SP, and degree-1 family membership, which is
-        recognized only when ``f1_due`` is set."""
-        min_degree = min(self.stats.min_degree, 3)
-        full = self.stats.full_count > 0
-        # x's one neighbour y misses the hub w, whose row is P | Q, so a
-        # member has no full vertex; and no isolated one, so minimum degree 1
-        member = f1_due and min_degree == 1 and not full and self.f1() is not None
-        return self.g.n, min_degree, full, self.is_sp, member
+        vertex present, and SP."""
+        return self.g.n, min(self.stats.min_degree, 3), self.stats.full_count > 0, self.is_sp
 
 
 # ---------------------------------------------------------------------------
@@ -322,15 +313,19 @@ def _check_thm6(g: Graph, f: _Facts) -> str | None:
     return None
 
 
-def _check_obs7_cycle(g: Graph) -> str | None:
+def _check_obs7_cycle(g: Graph, f: _Facts) -> str | None:
     n = g.n
-    sp = sp_check(g).is_sp
-    if sp != (n <= 6):
-        return f"C_{n}: sp={sp}"
-    f2 = recognize_f2(g) is not None
+    if f.is_sp != (n <= 6):
+        return f"C_{n}: sp={f.is_sp}"
+    f2 = recognize_f2(g, f.stats) is not None
     if f2 != (4 <= n <= 6):
         return f"C_{n}: family-recognizer={f2}"
     return None
+
+
+def _obs7_cycles(n_max: int, enumerated: bool) -> Iterator[tuple[None, Graph]]:
+    """The cycles of orders 3..max(n_max, 10), whose details name their order."""
+    return ((None, cycle(n)) for n in range(3, max(n_max, 10) + 1))
 
 
 def _check_thm8(g: Graph, f: _Facts) -> str | None:
@@ -375,13 +370,13 @@ def _check_thm13(g: Graph, f: _Facts) -> str | None:
 def _check_label_by_order(labels: dict[int, str], g: Graph, f: _Facts) -> str | None:
     """The chain's template is the label of the graph's order, the largest
     order in ``labels`` standing for every larger one."""
-    label = f.label()
+    label = f.template().label
     want = labels[min(g.n, max(labels))]
     return None if label == want else f"classified {label}, expected {want}"
 
 
 def _check_thm16(g: Graph, f: _Facts) -> str | None:
-    label = f.label()
+    label = f.template().label
     if label not in {"Thm16(a)", "Thm16(b)", "Thm16(c)"}:
         return f"classified {label}"
     return None
@@ -408,6 +403,11 @@ def _check_thm20(g: Graph, f: _Facts) -> tuple[str | None, str]:
     if lv.kind == "infinite" or (lv.kind == "finite" and lv.value is not None and lv.value <= 5):
         return None, key
     return f"chain length {key} outside the allowed range", key
+
+
+def _lscc_histogram(tally: _Tally, enumerated: bool) -> dict:
+    """The chain lengths the checks counted, present even when empty."""
+    return {"lscc_histogram": dict(sorted(tally.histogram.items()))}
 
 
 # the lemma of each image subfamily H2.1, H2.2 and H2.3
@@ -469,14 +469,28 @@ def _f2_combos() -> list[tuple[str, dict]]:
     return combos
 
 
-def _seeded_specs(combos: list[tuple[str, dict]], count: int) -> list[FamilySpec]:
-    """The first ``count`` specs of rounds through ``combos``, round k with seed k."""
-    specs = []
-    for k in range(count):
-        seed, i = divmod(k, len(combos))
-        family, sizes = combos[i]
-        specs.append(FamilySpec(family, dict(sizes), seed))
-    return specs
+_SEEDED = 500  # generations per claim in an enumerated run
+
+
+def _seeded(
+    combos: Callable[[], list[tuple[str, dict]]], n_max: int, enumerated: bool
+) -> Iterator[tuple[FamilySpec, Graph]]:
+    """In an enumerated run, the first _SEEDED generations of rounds through
+    ``combos()``, round k with seed k, each named by its spec.
+    ``generate_family`` re-recognizes what it builds, so each graph is a
+    family member."""
+    if not enumerated:
+        return
+    pairs = combos()
+    for k in range(_SEEDED):
+        seed, i = divmod(k, len(pairs))
+        family, sizes = pairs[i]
+        spec = FamilySpec(family, dict(sizes), seed)
+        yield spec, generate_family(spec)
+
+
+def _seeded_count(tally: _Tally, enumerated: bool) -> dict:
+    return {"seeded_generations": _SEEDED} if enumerated else {}
 
 
 # ---------------------------------------------------------------------------
@@ -485,33 +499,38 @@ def _seeded_specs(combos: list[tuple[str, dict]], count: int) -> list[FamilySpec
 
 
 class _TheoremDef(NamedTuple):
-    """A claim, its per-graph check and its hypothesis as data.
+    """A claim: its per-graph check, its hypothesis as data, its graphs
+    beyond the pool and its report extras.
 
     A graph is in the hypothesis class when its order is at least
     ``min_order``, its minimum degree is ``min_degree``, it has a full
     vertex (``full`` True) or none (False) or either (None), it is SP when
     ``sp`` is set and a degree-1 family member when ``f1_member`` is set.
-    A claim without ``min_degree`` checks no pool graph (obs7 checks cycles
-    of its own).
+    A claim without ``min_degree`` checks no pool graph. ``own(n_max,
+    enumerated)`` gives (name or None, graph) pairs checked after the pool,
+    a failure's detail starting with its name; ``extras(tally, enumerated)``
+    gives the report's extras.
     """
 
     min_order: int
-    check: Callable[[Graph, _Facts], object] | None = None
+    check: Callable[[Graph, _Facts], object]
     min_degree: int | None = None
     full: bool | None = None
     sp: bool = False
     f1_member: bool = False
     notes: tuple[str, ...] = ()
+    own: Callable[[int, bool], Iterable[tuple[object, Graph]]] = lambda n_max, enumerated: ()
+    extras: Callable[[_Tally, bool], dict] = lambda tally, enumerated: {}
 
-    def admits(self, key: tuple[int, int, bool, bool, bool]) -> bool:
-        """Whether a graph with this ``_Facts.key`` meets the hypothesis."""
-        n, min_degree, full, sp, f1_member = key
+    def admits(self, key: tuple[int, int, bool, bool]) -> bool:
+        """Whether a graph with this ``_Facts.key`` meets the hypothesis,
+        degree-1 family membership aside."""
+        n, min_degree, full, sp = key
         return (
             n >= self.min_order
             and min_degree == self.min_degree
             and self.full in (None, full)
             and (sp or not self.sp)
-            and (f1_member or not self.f1_member)
         )
 
 
@@ -537,9 +556,12 @@ THEOREMS: dict[str, _TheoremDef] = {
         4,
         _check_thm6,
         min_degree=1, full=False, f1_member=True,
+        own=partial(_seeded, _f1_combos), extras=_seeded_count,
     ),
     "obs7": _TheoremDef(
         3,
+        _check_obs7_cycle,
+        own=_obs7_cycles,
     ),
     "thm8": _TheoremDef(
         4,
@@ -555,6 +577,7 @@ THEOREMS: dict[str, _TheoremDef] = {
         4,
         _check_thm13,
         min_degree=2, full=False, sp=True,
+        own=partial(_seeded, _f2_combos), extras=_seeded_count,
     ),
     "thm14": _TheoremDef(
         1,
@@ -587,6 +610,7 @@ THEOREMS: dict[str, _TheoremDef] = {
         4,
         _check_thm20,
         min_degree=2, full=False, sp=True,
+        extras=_lscc_histogram,
     ),
     "lem18": _TheoremDef(
         4,
@@ -614,46 +638,12 @@ def all_theorem_ids() -> list[str]:
     return list(THEOREMS)
 
 
-def _id_error(theorem_id: str, n_max: int, enumerated: bool) -> Exception | None:
-    if theorem_id not in THEOREMS:
-        return KeyError(f"unknown theorem id {theorem_id!r}; known: {all_theorem_ids()}")
-    # a claim that reads no pool checks graphs of its own orders
-    claim = THEOREMS[theorem_id]
-    min_order = claim.min_order
-    if enumerated and claim.min_degree is not None and n_max < min_order:
-        return ValueError(f"{theorem_id} needs order at least {min_order}, got n_max={n_max}")
-    return None
-
-
-def _check_graph(
-    claims: tuple[tuple[int, str], ...], f1_due: bool, due: dict, g: Graph
-) -> list[tuple[int, object, float]]:
-    """Run on ``g`` every claim whose hypothesis it meets.
-
-    ``claims`` holds (claim index, id) entries. The graph's claims are
-    looked up by its ``_Facts.key`` in ``due``, a table the run fills as
-    keys first appear, and family membership enters the key only when
-    ``f1_due`` is set. Returns one (claim index, check result, seconds)
-    entry per claim run.
-    """
-    f = _Facts(g)
-    key = f.key(f1_due)
-    if key not in due:
-        due[key] = tuple((k, THEOREMS[t].check) for k, t in claims if THEOREMS[t].admits(key))
-    results = []
-    for k, check in due[key]:
-        start = time.perf_counter()
-        result = check(g, f)
-        results.append((k, result, time.perf_counter() - start))
-    return results
-
-
 class _Tally:
     """One claim's results over the graphs of a chunk, or of a run once the
-    chunks' tallies are merged in pool order and the claim's own checks
-    after them (``_run_own_checks``): the graphs checked, their check
+    chunks' tallies are merged in pool order and the tally of the claim's
+    own graphs (``_own_tally``) after them: the graphs checked, their check
     seconds, least and greatest order, the histogram of the keys a check
-    returns with its verdict (thm20's chain lengths), and the failures as
+    returns with its verdict as a (verdict, key) pair, and the failures as
     counterexamples."""
 
     __slots__ = ("count", "seconds", "lo", "hi", "histogram", "counterexamples")
@@ -665,7 +655,8 @@ class _Tally:
         self.histogram: dict[str, int] = {}
         self.counterexamples: list[dict] = []
 
-    def add(self, g: Graph, result: object, seconds: float) -> None:
+    def add(self, g: Graph, result: object, seconds: float, name: object = None) -> None:
+        """Count one check of ``g``; a failure's detail follows ``name``, if any."""
         if isinstance(result, tuple):
             result, key = result
             self.histogram[key] = self.histogram.get(key, 0) + 1
@@ -674,7 +665,8 @@ class _Tally:
         self.count += 1
         self.seconds += seconds
         if result:
-            self.counterexamples.append({"graph6": emit_graph6(g), "detail": result})
+            detail = result if name is None else f"{name}: {result}"
+            self.counterexamples.append({"graph6": emit_graph6(g), "detail": detail})
 
     def merge(self, other: "_Tally") -> None:
         if not other.count:
@@ -689,49 +681,50 @@ class _Tally:
 
 
 def _run_chunk(
-    claims: tuple[tuple[int, str], ...], f1_due: bool, due: dict, n_ids: int, chunk
+    claims: tuple[tuple[int, _TheoremDef], ...], due: dict, n_ids: int, chunk
 ) -> list[list[_Tally]]:
     """The tallies of one chunk, one per claim of the run (``n_ids``), as
     the one result of the chunk: no per-graph result leaves the chunk.
 
-    The whole chunk is decoded first, so a malformed item raises even when
-    no claim reads the pool; then each graph is checked (``_check_graph``).
+    ``claims`` holds the (claim index, row) entries of the claims that read
+    the pool. The whole chunk is decoded first, so a malformed item raises
+    even when no claim reads the pool. Then each graph's facts are
+    computed, and its claims are looked up by its ``_Facts.key`` in
+    ``due``, a table the run fills as keys first appear, and checked. A
+    claim that needs degree-1 family membership skips a non-member, so the
+    family is recognized only for graphs such a claim admits.
     """
     tallies = [_Tally() for _ in range(n_ids)]
     graphs = chunk.parse()
     if claims:
         for g, _ in graphs:
-            for k, result, seconds in _check_graph(claims, f1_due, due, g):
-                tallies[k].add(g, result, seconds)
+            f = _Facts(g)
+            key = f.key()
+            if key not in due:
+                due[key] = tuple((k, claim) for k, claim in claims if claim.admits(key))
+            for k, claim in due[key]:
+                if claim.f1_member and f.f1() is None:
+                    continue
+                start = time.perf_counter()
+                result = claim.check(g, f)
+                tallies[k].add(g, result, time.perf_counter() - start)
     return [tallies]
 
 
-def _run_own_checks(theorem_id: str, n_max: int, enumerated: bool) -> _Tally:
-    """The tally of the checks a claim makes outside the pool: obs7's
-    cycles, and the seeded generations of thm6 and thm13 in enumerated
-    runs, each item timed with its construction."""
+def _own_tally(claim: _TheoremDef, n_max: int, enumerated: bool) -> _Tally:
+    """The tally of a claim's own graphs, each checked through its facts
+    and timed by its check, like a pool graph; a graph that comes again
+    takes its first verdict."""
     tally = _Tally()
-    if theorem_id == "obs7":
-        for n in range(3, max(n_max, 10) + 1):
+    verdicts: dict[Graph, object] = {}
+    for name, g in claim.own(n_max, enumerated):
+        seconds = 0.0
+        if g not in verdicts:
+            f = _Facts(g)
             start = time.perf_counter()
-            g = cycle(n)
-            tally.add(g, _check_obs7_cycle(g), time.perf_counter() - start)
-    elif enumerated and theorem_id in ("thm6", "thm13"):
-        # looked up per run, so the checks are the module's current bindings
-        check, combos = {
-            "thm6": (_check_thm6, _f1_combos),
-            "thm13": (_check_thm13, _f2_combos),
-        }[theorem_id]
-        verdicts: dict[Graph, str | None] = {}
-        for spec in _seeded_specs(combos(), 500):
-            start = time.perf_counter()
-            # generate_family re-recognizes what it builds, so the graph is a
-            # family member; a graph generated again takes its first verdict
-            g = generate_family(spec)
-            if g not in verdicts:
-                verdicts[g] = check(g, _Facts(g))
-            detail = verdicts[g]
-            tally.add(g, detail and f"{spec}: {detail}", time.perf_counter() - start)
+            verdicts[g] = claim.check(g, f)
+            seconds = time.perf_counter() - start
+        tally.add(g, verdicts[g], seconds, name)
     return tally
 
 
@@ -754,11 +747,11 @@ def verify_claims(
     facts are computed, the claims whose hypothesis it meets are looked up
     by its hypothesis key and checked, and the chunk returns one tally per
     claim (``_run_chunk``), which the run merges in pool order, so the
-    counterexamples come in pool order; the tally of a claim's own checks
-    (``_run_own_checks``) is merged last, and each report is built once
-    from its claim's tally. A supplied pool is decoded even when
-    no claim reads it, so a malformed item raises first: a malformed listed
-    code as the pool is packed, before any chunk runs. A report's
+    counterexamples come in pool order; the tally of a claim's own graphs
+    (``_own_tally``) is merged last, and each report is built once from its
+    claim's tally, with its row's extras. A supplied pool is decoded even
+    when no claim reads it, so a malformed item raises first: a malformed
+    listed code as the pool is packed, before any chunk runs. A report's
     ``elapsed`` is the time of its claim's own checks; the pool, its
     decoding and the facts are charged to no claim. The ids are taken up to
     the first unknown id or order below the least order of a claim that
@@ -769,37 +762,38 @@ def verify_claims(
     ids: list[str] = []
     error = None
     for theorem_id in theorem_ids:
-        error = _id_error(theorem_id, n_max, enumerated)
-        if error is not None:
+        claim = THEOREMS.get(theorem_id)
+        if claim is None:
+            error = KeyError(f"unknown theorem id {theorem_id!r}; known: {all_theorem_ids()}")
+            break
+        # a claim that reads no pool checks graphs of its own orders
+        if enumerated and claim.min_degree is not None and n_max < claim.min_order:
+            error = ValueError(
+                f"{theorem_id} needs order at least {claim.min_order}, got n_max={n_max}"
+            )
             break
         ids.append(theorem_id)
 
-    claims = tuple((k, t) for k, t in enumerate(ids) if THEOREMS[t].min_degree is not None)
+    rows = [THEOREMS[t] for t in ids]
+    claims = tuple((k, claim) for k, claim in enumerate(rows) if claim.min_degree is not None)
     if not enumerated:
         pool = _pool(graphs)
     elif claims:
         # no claim reads a class above the largest minimum degree of the run
-        pool = class_pool(1, n_max, max(THEOREMS[t].min_degree for _, t in claims))
+        pool = class_pool(1, n_max, max(claim.min_degree for _, claim in claims))
     else:
         pool = class_pool(1, 0)  # no order
-    f1_due = any(THEOREMS[t].f1_member for _, t in claims)
     totals = [_Tally() for _ in ids]
-    for tallies in _pmap(partial(_run_chunk, claims, f1_due, {}, len(ids)), pool, jobs):
+    for tallies in _pmap(partial(_run_chunk, claims, {}, len(ids)), pool, jobs):
         for total, tally in zip(totals, tallies):
             total.merge(tally)
 
-    for t, total in zip(ids, totals):
-        total.merge(_run_own_checks(t, n_max, enumerated))
-        claim = THEOREMS[t]
+    for t, claim, total in zip(ids, rows, totals):
+        total.merge(_own_tally(claim, n_max, enumerated))
         if enumerated and claim.min_degree is not None:
             order_range = (claim.min_order, n_max)
         else:
             order_range = (total.lo, total.hi)
-        extras: dict = {}
-        if t == "thm20":
-            extras["lscc_histogram"] = dict(sorted(total.histogram.items()))
-        elif enumerated and t in ("thm6", "thm13"):
-            extras["seeded_generations"] = 500
         yield TheoremReport(
             theorem_id=t,
             order_range=order_range,
@@ -808,7 +802,7 @@ def verify_claims(
             counterexamples=total.counterexamples,
             elapsed=total.seconds,
             notes=claim.notes,
-            extras=extras,
+            extras=claim.extras(total, enumerated),
         )
     if error is not None:
         raise error

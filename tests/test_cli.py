@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import random
 import subprocess
 import sys
@@ -356,6 +357,13 @@ def test_usage_errors_exit_two():
         (["--min-order", "6", "--max-order", "3"], "--max-order"),
         (["--min-order", "0", "--max-order", "2"], "--min-order"),
         (["--min-order", "-1", "--max-order", "2"], "--min-order"),
+        # a file sweep takes every graph in the file, so order limits conflict
+        (["--file", os.devnull, "--max-order", "3"], "--max-order cannot be combined with --file"),
+        (["--file", os.devnull, "--min-order", "1"], "--min-order cannot be combined with --file"),
+        (
+            ["--file", os.devnull, "--max-order", "3", "--min-order", "9"],
+            "--max-order and --min-order cannot be combined with --file",
+        ),
     ],
 )
 def test_sweep_rejects_an_empty_or_invalid_order_range(orders, flag):

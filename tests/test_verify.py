@@ -108,14 +108,20 @@ _ORDER_SEVEN_REPORTS = {
 }
 
 
-def test_enumerated_reports_at_order_seven_are_pinned():
+def _reports_without_elapsed(reports) -> dict:
     got = {}
-    for report in verify_claims(all_theorem_ids(), 7):
+    for report in reports:
         payload = report.to_json()
         payload.pop("elapsed")
         got[report.theorem_id] = payload
+    return got
+
+
+def _passing_reports(table: dict) -> dict:
+    """The passing reports a table of (graphs checked, order range, extras)
+    per claim stands for, elapsed aside."""
     want = {}
-    for t, (checked, order_range, extras) in _ORDER_SEVEN_REPORTS.items():
+    for t, (checked, order_range, extras) in table.items():
         want[t] = {
             "schema_version": 1,
             "theorem_id": t,
@@ -128,9 +134,52 @@ def test_enumerated_reports_at_order_seven_are_pinned():
             want[t]["notes"] = list(verify_mod.THEOREMS[t].notes)
         if extras:
             want[t]["extras"] = extras
+    return want
+
+
+def test_enumerated_reports_at_order_seven_are_pinned():
+    got = _reports_without_elapsed(verify_claims(all_theorem_ids(), 7))
+    want = _passing_reports(_ORDER_SEVEN_REPORTS)
     assert list(got) == list(want)
     assert got == want
     assert list(got["thm20"]["extras"]["lscc_histogram"]) == ["0", "1", "2", "3", "inf"]
+
+
+# Each claim's report over supplied graphs, the classes of orders 1..6 under
+# a relabeling: no seeded generations, each order range from the graphs the
+# claim checked, and obs7 still on its own cycles.
+_SUPPLIED_ORDER_SIX_REPORTS = {
+    "thm1": (53, [1, 6], None),
+    "thm2": (18, [3, 6], None),
+    "thm4": (59, [4, 6], None),
+    "thm6": (14, [4, 6], None),
+    "obs7": (8, [3, 10], None),
+    "thm8": (36, [4, 6], None),
+    "thm9": (18, [3, 6], None),
+    "thm13": (34, [4, 6], None),
+    "thm14": (6, [1, 6], None),
+    "thm15": (5, [2, 6], None),
+    "thm16": (14, [4, 6], None),
+    "thm17": (10, [3, 6], None),
+    "thm20": (34, [4, 6], {"lscc_histogram": {"0": 1, "1": 19, "2": 5, "3": 3, "inf": 6}}),
+    "lem18": (34, [4, 6], None),
+    "lem19": (34, [4, 6], None),
+    "lem-h23": (34, [4, 6], None),
+}
+
+
+def test_supplied_graph_reports_at_order_six_are_pinned():
+    graphs = _relabeled_classes(6, 618)
+    got = _reports_without_elapsed(verify_claims(all_theorem_ids(), graphs=graphs))
+    want = _passing_reports(_SUPPLIED_ORDER_SIX_REPORTS)
+    assert list(got) == list(want)
+    assert got == want
+
+
+def test_the_obs7_report_at_order_twelve_is_pinned():
+    # the cycles run to the requested order once it passes 10
+    got = _reports_without_elapsed(verify_claims(["obs7"], 12))
+    assert got == _passing_reports({"obs7": (10, [3, 12], None)})
 
 
 def _flipped_partner_scan():
@@ -220,10 +269,10 @@ def test_a_verify_chunk_returns_one_tally_per_claim(size):
     # whatever a chunk holds, the parent gets back one tally per claim of
     # the run: no per-graph result leaves the chunk
     ids = all_theorem_ids()
-    claims = tuple((k, t) for k, t in enumerate(ids) if t != "obs7")
+    claims = tuple((k, verify_mod.THEOREMS[t]) for k, t in enumerate(ids) if t != "obs7")
     pool = class_pool(1, 7, 2)
     chunk = CodePool(pool.orders, pool.cap, 0, size)
-    (tallies,) = verify_mod._run_chunk(claims, True, {}, len(ids), chunk)
+    (tallies,) = verify_mod._run_chunk(claims, {}, len(ids), chunk)
     assert len(tallies) == len(ids)
     assert all(isinstance(t, verify_mod._Tally) for t in tallies)
     assert tallies[ids.index("thm1")].count > 0
@@ -234,17 +283,20 @@ def test_a_verify_chunk_returns_one_tally_per_claim(size):
 
 def test_a_pool_no_claim_reads_is_decoded_but_not_checked(monkeypatch):
     # obs7 checks cycles of its own: the supplied items are decoded, so that
-    # a malformed one raises, but no facts are computed for them
-    decoded = []
+    # a malformed one raises, but facts are computed only for the cycles
+    decoded, faced = [], []
     real = graphs_mod.parse_graph6
     monkeypatch.setattr(
         graphs_mod, "parse_graph6", lambda text: decoded.append(real(text)) or decoded[-1]
     )
-    monkeypatch.setattr(verify_mod, "_Facts", lambda g: pytest.fail("facts computed"))
+    real_facts = verify_mod._Facts
+    monkeypatch.setattr(verify_mod, "_Facts", lambda g: faced.append(g) or real_facts(g))
     graphs = _relabeled_classes(5, 616)
     (report,) = verify_claims(["obs7"], graphs=graphs)
     assert report.passed
     assert decoded == graphs
+    assert faced == [cycle(n) for n in range(3, 11)]
+    assert not any(g is h for g in faced for h in decoded)
 
 
 def test_verify_with_supplied_graphs():
@@ -310,7 +362,7 @@ def test_sweep_marks_non_sp():
 
 
 def test_chain_record_reads_the_blocking_vertex_from_the_chain(monkeypatch):
-    monkeypatch.setattr(verify_mod, "sp_check", lambda g: pytest.fail("sp_check called"))
+    monkeypatch.setattr(domination, "sp_check", lambda g: pytest.fail("sp_check called"))
     rec = chain_record(parse_graph6("CB"))
     assert rec["status"] == "not-sp"
     assert rec["blocking_vertex"] == 1
@@ -650,15 +702,16 @@ def test_a_sweep_scans_each_chain_member_once(scans):
 
 
 def test_a_pass_calls_sp_check_only_for_the_obs7_cycles(monkeypatch):
+    # the verdicts come from the facts' partner scans, obs7's cycles'
+    # included, so a run makes no sp_check call at all
     calls = []
-    for module in (verify_mod, domination):
-        real = module.sp_check
-        monkeypatch.setattr(module, "sp_check", lambda g, real=real: calls.append(g) or real(g))
+    real = domination.sp_check
+    monkeypatch.setattr(domination, "sp_check", lambda g: calls.append(g) or real(g))
     pool_ids = [t for t in all_theorem_ids() if t != "obs7"]
     assert all(report.passed for report in verify_claims(pool_ids, 6))
-    assert calls == []
     assert next(verify_claims(["obs7"], 6)).passed
-    assert [g.n for g in calls] == list(range(3, 11))
+    assert calls == []
+    assert not hasattr(verify_mod, "sp_check")
 
 
 # ---------------------------------------------------------------------------
@@ -725,10 +778,12 @@ def test_claim_table_admits_what_the_filters_did(relabel):
         # supplied graphs, which applied the filters alone, agree as well
         assert all(g.n >= verify_mod.THEOREMS[t].min_order for t in admitted)
         expected.append(admitted)
-    # one claim table for the whole pool, as in a run
-    check = partial(verify_mod._check_graph, tuple(enumerate(ids)), True, {})
-    results = [check(g) for g in graphs]
-    assert [{ids[k] for k, _, _ in row} for row in results] == expected
+    # one claim table for the whole pool, as in a run; each graph is its
+    # own chunk, so the claims that counted it are the ones it was checked by
+    claims = tuple((k, verify_mod.THEOREMS[t]) for k, t in enumerate(ids))
+    check = partial(verify_mod._run_chunk, claims, {}, len(ids))
+    results = [check(verify_mod._pool([g]))[0] for g in graphs]
+    assert [{ids[k] for k, tally in enumerate(row) if tally.count} for row in results] == expected
 
 
 @pytest.fixture
@@ -824,8 +879,8 @@ def test_seeded_generations_use_the_reference_specs(monkeypatch):
 
 def test_each_distinct_seeded_generation_is_checked_once(monkeypatch):
     # a check that fails the graphs with an even edge count fails those
-    # generations: each failing spec still reports its own detail, though a
-    # graph generated twice is checked once
+    # generations, after the pool's failures: each failing spec still
+    # reports its own detail, though a graph generated twice is checked once
     generated, checked = [], []
     real_generate = verify_mod.generate_family
 
@@ -839,16 +894,22 @@ def test_each_distinct_seeded_generation_is_checked_once(monkeypatch):
         return "even edge count" if g.edge_count() % 2 == 0 else None
 
     monkeypatch.setattr(verify_mod, "generate_family", recording)
-    monkeypatch.setattr(verify_mod, "_check_thm13", failing_even)
+    monkeypatch.setitem(
+        verify_mod.THEOREMS, "thm13", verify_mod.THEOREMS["thm13"]._replace(check=failing_even)
+    )
     report = next(verify_claims(["thm13"], 4))
+    pool = checked[: report.graphs_checked - 500]
     expected = [
         f"{spec}: even edge count"
         for spec, g in zip(_reference_f2_specs(500), generated)
         if g.edge_count() % 2 == 0
     ]
     assert 0 < len(expected) < 500
-    assert [cex["detail"] for cex in report.counterexamples] == expected
-    assert len(checked) == len(set(generated)) < len(generated) == 500
+    assert pool and all(g.n == 4 for g in pool)
+    assert [cex["detail"] for cex in report.counterexamples] == [
+        "even edge count" for g in pool if g.edge_count() % 2 == 0
+    ] + expected
+    assert len(checked) - len(pool) == len(set(generated)) < len(generated) == 500
 
 
 def test_seeded_generations_are_not_recognized_again(monkeypatch):
