@@ -2,7 +2,8 @@
 
 Subcommands: sp, cnum, cg, chain, family, verify, sweep, iso. Graph input
 comes from exactly one of ``--named`` (stock-graph expression), ``--g6``
-(literal graph6 record), or ``--file`` (graph6 file, one graph per line).
+(literal graph6 record), or ``--file`` (graph6 file, one graph per line,
+read by ``graphs.Graph6Lines`` for every subcommand).
 
 Exit codes: 0 for success or a true verdict; 1 for a false verdict (not a
 singleton-partition graph, claim failed, not isomorphic, not a family
@@ -17,6 +18,7 @@ import argparse
 import json
 import os
 import sys
+from functools import partial
 
 from .canon import are_isomorphic, class_pool
 from .coalition_graph import coalition_graph
@@ -43,7 +45,6 @@ from .graphs import (
     build_named,
     emit_graph6,
     parse_graph6,
-    read_graph6_file,
 )
 from .verify import (
     SCHEMA_VERSION,
@@ -64,15 +65,27 @@ def _add_input_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--file", help="graph6 file, one graph per line")
 
 
-def _input_graphs(args: argparse.Namespace) -> list[Graph]:
+def _input_graphs(args: argparse.Namespace) -> list[tuple[Graph, str]]:
+    """Each input graph with its graph6: a ``--file`` line's text, read as
+    ``verify`` and ``sweep`` read it, or else the built graph's encoding."""
     sources = [s for s in ("named", "g6", "file") if getattr(args, s, None)]
     if len(sources) != 1:
         raise CliInputError("provide exactly one of --named, --g6, --file")
-    if args.named:
-        return [build_named(args.named)]
-    if args.g6:
-        return [parse_graph6(args.g6)]
-    return list(read_graph6_file(args.file))
+    if args.file:
+        return Graph6Lines.read(args.file).parse()
+    g = build_named(args.named) if args.named else parse_graph6(args.g6)
+    return [(g, emit_graph6(g))]
+
+
+def _file_pool(args: argparse.Namespace, *flags: str) -> Graph6Lines | None:
+    """The ``--file`` pool, or None without ``--file``. A file run takes
+    every graph in the file, so none of the order ``flags`` may be given."""
+    if not args.file:
+        return None
+    given = [flag for flag in flags if getattr(args, flag[2:].replace("-", "_")) is not None]
+    if given:
+        raise CliInputError(f"{' and '.join(given)} cannot be combined with --file")
+    return Graph6Lines.read(args.file)
 
 
 def _mask_list(mask: int) -> list[int]:
@@ -81,10 +94,6 @@ def _mask_list(mask: int) -> list[int]:
 
 # one encoder for every line: json.dumps with an option builds a new one per call
 _json_line = json.JSONEncoder(sort_keys=True).encode
-
-
-def _print_json(obj: dict) -> None:
-    print(_json_line(obj))
 
 
 def _parse_partition(text: str, n: int) -> Partition:
@@ -107,106 +116,42 @@ def _parse_partition(text: str, n: int) -> Partition:
 # Subcommands
 # ---------------------------------------------------------------------------
 
-
-def _cmd_sp(args: argparse.Namespace) -> int:
-    code = 0
-    for g in _input_graphs(args):
-        verdict = sp_check(g)
-        if args.json:
-            _print_json(
-                {
-                    "schema_version": SCHEMA_VERSION,
-                    "graph6": emit_graph6(g),
-                    "is_sp": verdict.is_sp,
-                    "full_vertices": _mask_list(verdict.full_vertices),
-                    "partner": {str(k): v for k, v in sorted(verdict.partner.items())},
-                    "blocking_vertex": verdict.blocking_vertex,
-                }
-            )
-        elif verdict.is_sp:
-            print(f"{emit_graph6(g)}: singleton-partition graph")
-        else:
-            print(
-                f"{emit_graph6(g)}: not a singleton-partition graph "
-                f"(blocking vertex {verdict.blocking_vertex})"
-            )
-        if not verdict.is_sp:
-            code = 1
-    return code
+# A per-graph command maps (args, graph, graph6) to the graph's JSON fields
+# beyond schema_version and graph6, its text line, and its verdict.
 
 
-def _cmd_cnum(args: argparse.Namespace) -> int:
-    for g in _input_graphs(args):
-        result = coalition_number_exact(g)
-        if args.json:
-            _print_json(
-                {
-                    "schema_version": SCHEMA_VERSION,
-                    "graph6": emit_graph6(g),
-                    "value": result.value,
-                    "witness": None
-                    if result.witness is None
-                    else [_mask_list(p) for p in result.witness.parts],
-                }
-            )
-        else:
-            print(result.value)
-    return 0
+def _sp(args: argparse.Namespace, g: Graph, g6: str) -> tuple[dict, str, bool]:
+    verdict = sp_check(g)
+    fields = {
+        "is_sp": verdict.is_sp,
+        "full_vertices": _mask_list(verdict.full_vertices),
+        "partner": {str(k): v for k, v in sorted(verdict.partner.items())},
+        "blocking_vertex": verdict.blocking_vertex,
+    }
+    if verdict.is_sp:
+        return fields, f"{g6}: singleton-partition graph", True
+    line = f"{g6}: not a singleton-partition graph (blocking vertex {verdict.blocking_vertex})"
+    return fields, line, False
 
 
-def _cmd_cg(args: argparse.Namespace) -> int:
-    for g in _input_graphs(args):
-        partition = (
-            _parse_partition(args.partition, g.n) if args.partition else singleton_partition(g)
-        )
-        image = coalition_graph(g, partition)
-        if args.json:
-            _print_json(
-                {
-                    "schema_version": SCHEMA_VERSION,
-                    "graph6": emit_graph6(g),
-                    "partition": [_mask_list(p) for p in partition.parts],
-                    "coalition_graph6": emit_graph6(image),
-                }
-            )
-        else:
-            print(emit_graph6(image))
-    return 0
+def _cnum(args: argparse.Namespace, g: Graph, g6: str) -> tuple[dict, str, bool]:
+    result = coalition_number_exact(g)
+    witness = None if result.witness is None else [_mask_list(p) for p in result.witness.parts]
+    return {"value": result.value, "witness": witness}, str(result.value), True
 
 
-def _cmd_chain(args: argparse.Namespace) -> int:
-    for g in _input_graphs(args):
-        rec = chain_record(g)
-        if args.json:
-            _print_json(rec)
-        else:
-            print(_chain_summary(rec, arrows=True))
-    return 0
+def _cg(args: argparse.Namespace, g: Graph, g6: str) -> tuple[dict, str, bool]:
+    partition = (
+        _parse_partition(args.partition, g.n) if args.partition else singleton_partition(g)
+    )
+    image = emit_graph6(coalition_graph(g, partition))
+    fields = {"partition": [_mask_list(p) for p in partition.parts], "coalition_graph6": image}
+    return fields, image, True
 
 
-def _cmd_iso(args: argparse.Namespace) -> int:
-    def load(spec: str) -> Graph:
-        if spec.startswith("named:"):
-            return build_named(spec[len("named:"):])
-        if spec.startswith("g6:"):
-            return parse_graph6(spec[len("g6:"):])
-        return parse_graph6(spec)
-
-    g = load(args.first)
-    h = load(args.second)
-    same = are_isomorphic(g, h)
-    if args.json:
-        _print_json(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "first": emit_graph6(g),
-                "second": emit_graph6(h),
-                "isomorphic": same,
-            }
-        )
-    else:
-        print("isomorphic" if same else "not isomorphic")
-    return 0 if same else 1
+def _chain(args: argparse.Namespace, g: Graph, g6: str) -> tuple[dict, str, bool]:
+    rec = chain_record(g, g6)
+    return rec, _chain_summary(rec, arrows=True), True
 
 
 _RECOGNIZE = {
@@ -227,55 +172,75 @@ def _witness_json(wit) -> dict:
     return out
 
 
+def _recognize(args: argparse.Namespace, g: Graph, g6: str) -> tuple[dict, str, bool]:
+    wit = _RECOGNIZE[args.family](g)
+    fields = {"family": args.family, "member": wit is not None}
+    if wit is None:
+        return fields, f"{g6}: not a member of {args.family}", False
+    fields["witness"] = _witness_json(wit)
+    return fields, f"{g6}: member of {args.family} with {wit}", True
+
+
+def _each(one, args: argparse.Namespace) -> int:
+    """Run the per-graph command ``one`` on every input graph, printing its
+    record or text line as it goes; 1 if any verdict is false."""
+    failed = False
+    for g, g6 in _input_graphs(args):
+        fields, line, verdict = one(args, g, g6)
+        if args.json:
+            print(_json_line({"schema_version": SCHEMA_VERSION, "graph6": g6, **fields}))
+        else:
+            print(line)
+        failed = failed or not verdict
+    return 1 if failed else 0
+
+
+def _cmd_iso(args: argparse.Namespace) -> int:
+    def load(spec: str) -> Graph:
+        if spec.startswith("named:"):
+            return build_named(spec[len("named:"):])
+        if spec.startswith("g6:"):
+            return parse_graph6(spec[len("g6:"):])
+        return parse_graph6(spec)
+
+    g = load(args.first)
+    h = load(args.second)
+    same = are_isomorphic(g, h)
+    if args.json:
+        record = {"first": emit_graph6(g), "second": emit_graph6(h), "isomorphic": same}
+        print(_json_line({"schema_version": SCHEMA_VERSION, **record}))
+    else:
+        print("isomorphic" if same else "not isomorphic")
+    return 0 if same else 1
+
+
 def _cmd_family(args: argparse.Namespace) -> int:
     if args.action == "generate":
         if not args.spec:
             raise CliInputError("generate needs --spec, e.g. 'f2.1:R1=2,seed=7'")
-        g = generate_family(parse_family_spec(args.spec))
-        if args.json:
-            _print_json(
-                {"schema_version": SCHEMA_VERSION, "spec": args.spec, "graph6": emit_graph6(g)}
-            )
-        else:
-            print(emit_graph6(g))
+        g6 = emit_graph6(generate_family(parse_family_spec(args.spec)))
+        record = {"schema_version": SCHEMA_VERSION, "spec": args.spec, "graph6": g6}
+        print(_json_line(record) if args.json else g6)
         return 0
-    # recognize
     if not args.family:
         raise CliInputError("recognize needs --family (f1, h1, f2, h2)")
-    recognizer = _RECOGNIZE.get(args.family)
-    if recognizer is None:
+    if args.family not in _RECOGNIZE:
         raise CliInputError(f"unknown family {args.family!r}; expected f1, h1, f2, h2")
-    code = 0
-    for g in _input_graphs(args):
-        wit = recognizer(g)
-        if args.json:
-            payload = {
-                "schema_version": SCHEMA_VERSION,
-                "graph6": emit_graph6(g),
-                "family": args.family,
-                "member": wit is not None,
-            }
-            if wit is not None:
-                payload["witness"] = _witness_json(wit)
-            _print_json(payload)
-        elif wit is None:
-            print(f"{emit_graph6(g)}: not a member of {args.family}")
-        else:
-            print(f"{emit_graph6(g)}: member of {args.family} with {wit}")
-        if wit is None:
-            code = 1
-    return code
+    return _each(_recognize, args)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if args.max_order < 1:
+    if args.all and args.theorem:
+        raise CliInputError("--all cannot be combined with --theorem")
+    pool = _file_pool(args, "--max-order")
+    n_max = 6 if args.max_order is None else args.max_order
+    if n_max < 1:
         raise CliInputError("--max-order must be at least 1")
-    ids = all_theorem_ids() if args.all or not args.theorem else [args.theorem]
-    pool = Graph6Lines.read(args.file) if args.file else None
+    ids = [args.theorem] if args.theorem else all_theorem_ids()
     failed = False
-    for report in verify_claims(ids, args.max_order, args.jobs, pool):
+    for report in verify_claims(ids, n_max, args.jobs, pool):
         if args.json:
-            _print_json(report.to_json())
+            print(_json_line(report.to_json()))
         else:
             status = "PASS" if report.passed else "FAIL"
             print(
@@ -304,13 +269,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     # Workers read their ranges of the pool (a file's lines or packed
     # canonical codes) and render the output lines; this process writes the
     # lines once all are back, so a malformed record leaves stdout empty.
-    if args.file:
-        given = {"--max-order": args.max_order, "--min-order": args.min_order}
-        conflict = " and ".join(flag for flag, value in given.items() if value is not None)
-        if conflict:
-            raise CliInputError(f"{conflict} cannot be combined with --file")
-        pool = Graph6Lines.read(args.file)
-    else:
+    pool = _file_pool(args, "--max-order", "--min-order")
+    if pool is None:
         min_order = 1 if args.min_order is None else args.min_order
         if args.max_order is None:
             raise CliInputError("sweep needs --max-order or --file")
@@ -336,32 +296,21 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Coalition partitions, singleton-coalition graphs, and chains",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_sp = sub.add_parser("sp", help="singleton-partition verdict")
-    _add_input_flags(p_sp)
-    p_sp.add_argument("--json", action="store_true")
-    p_sp.set_defaults(fn=_cmd_sp)
-
-    p_cnum = sub.add_parser("cnum", help="exact coalition number")
-    _add_input_flags(p_cnum)
-    p_cnum.add_argument("--json", action="store_true")
-    p_cnum.set_defaults(fn=_cmd_cnum)
-
-    p_cg = sub.add_parser("cg", help="coalition graph of a partition (default: all singletons)")
-    _add_input_flags(p_cg)
-    p_cg.add_argument("--partition", help="parts as comma/semicolon list, e.g. '0,1;2;3'")
-    p_cg.add_argument("--json", action="store_true")
-    p_cg.set_defaults(fn=_cmd_cg)
-
-    p_chain = sub.add_parser("chain", help="singleton-coalition chain and its length")
-    _add_input_flags(p_chain)
-    p_chain.add_argument("--json", action="store_true")
-    p_chain.set_defaults(fn=_cmd_chain)
+    for name, about, one in (
+        ("sp", "singleton-partition verdict", _sp),
+        ("cnum", "exact coalition number", _cnum),
+        ("cg", "coalition graph of a partition (default: all singletons)", _cg),
+        ("chain", "singleton-coalition chain and its length", _chain),
+    ):
+        p = sub.add_parser(name, help=about)
+        _add_input_flags(p)
+        p.set_defaults(fn=partial(_each, one))
+    partition_help = "parts as comma/semicolon list, e.g. '0,1;2;3'"
+    sub.choices["cg"].add_argument("--partition", help=partition_help)
 
     p_iso = sub.add_parser("iso", help="isomorphism test for two graphs")
     p_iso.add_argument("first", help="graph6 record, or 'named:EXPR' / 'g6:RECORD'")
     p_iso.add_argument("second", help="same syntax as the first graph")
-    p_iso.add_argument("--json", action="store_true")
     p_iso.set_defaults(fn=_cmd_iso)
 
     p_family = sub.add_parser("family", help="recognize or generate family members")
@@ -369,26 +318,27 @@ def _build_parser() -> argparse.ArgumentParser:
     p_family.add_argument("--family", help="f1, h1, f2, h2 (recognize)")
     p_family.add_argument("--spec", help="generator spec, e.g. 'f2.3:L1=1,R2=1,seed=5'")
     _add_input_flags(p_family)
-    p_family.add_argument("--json", action="store_true")
     p_family.set_defaults(fn=_cmd_family)
 
     p_verify = sub.add_parser("verify", help="run claims from the catalog")
     p_verify.add_argument("--theorem", help="claim id, e.g. thm8")
     p_verify.add_argument("--all", action="store_true", help="run the whole catalog")
-    p_verify.add_argument("--max-order", type=int, default=6)
+    p_verify.add_argument("--max-order", type=int)  # None reads as 6
     p_verify.add_argument("--file", help="check the claims over graphs from a graph6 file")
-    p_verify.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
-    p_verify.add_argument("--json", action="store_true", help="one JSON object per claim")
     p_verify.set_defaults(fn=_cmd_verify)
 
     p_sweep = sub.add_parser("sweep", help="chain records for enumerated or file graphs")
     p_sweep.add_argument("--max-order", type=int)
     p_sweep.add_argument("--min-order", type=int, help="least order (default 1)")
     p_sweep.add_argument("--file", help="graph6 file")
-    p_sweep.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
-    p_sweep.add_argument("--json", action="store_true", help="one JSON object per graph")
     p_sweep.set_defaults(fn=_cmd_sweep)
 
+    # every subcommand ends with --json, and the pooled ones with --jobs before it
+    json_help = {"verify": "one JSON object per claim", "sweep": "one JSON object per graph"}
+    for name, p in sub.choices.items():
+        if name in json_help:
+            p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+        p.add_argument("--json", action="store_true", help=json_help.get(name))
     return parser
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import random
@@ -373,6 +374,54 @@ def test_sweep_rejects_an_empty_or_invalid_order_range(orders, flag):
     assert result.stderr.startswith("error: " + flag)
 
 
+@pytest.mark.parametrize("order", ["3", "6", "12"])
+@pytest.mark.parametrize("claims", [["--all"], ["--theorem", "obs7"]], ids=["all", "obs7"])
+def test_verify_rejects_a_max_order_with_a_file(claims, order):
+    # a file run checks every graph in the file; only obs7's cycles would move
+    result = run_cli("verify", *claims, "--file", os.devnull, "--max-order", order, "--jobs", "1")
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == "error: --max-order cannot be combined with --file\n"
+
+
+@pytest.mark.parametrize(
+    "orders, top", [(["--file", os.devnull], 10), (["--max-order", "12"], 12)], ids=["file", "12"]
+)
+def test_obs7_checks_cycles_up_to_ten_or_the_max_order(orders, top):
+    result = run_cli("verify", "--theorem", "obs7", *orders, "--json", "--jobs", "1")
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout)["order_range"] == [3, top]
+
+
+def test_verify_rejects_all_with_a_theorem():
+    result = run_cli("verify", "--all", "--theorem", "thm4", "--max-order", "4", "--jobs", "1")
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == "error: --all cannot be combined with --theorem\n"
+
+
+_INPUT = ["--named", "--g6", "--file"]
+_OPTIONS = {
+    "sp": [*_INPUT, "--json"],
+    "cnum": [*_INPUT, "--json"],
+    "cg": [*_INPUT, "--partition", "--json"],
+    "chain": [*_INPUT, "--json"],
+    "iso": ["first", "second", "--json"],
+    "family": ["action", "--family", "--spec", *_INPUT, "--json"],
+    "verify": ["--theorem", "--all", "--max-order", "--file", "--jobs", "--json"],
+    "sweep": ["--max-order", "--min-order", "--file", "--jobs", "--json"],
+}
+
+
+def test_every_subcommand_keeps_its_options_in_order():
+    parser = cli._build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(sub.choices) == list(_OPTIONS)
+    for name, p in sub.choices.items():
+        got = [a.option_strings[-1] if a.option_strings else a.dest for a in p._actions]
+        assert got == ["--help", *_OPTIONS[name]], name
+
+
 @pytest.mark.parametrize("order", ["0", "-3"])
 @pytest.mark.parametrize("theorem", ["obs7", "thm1"])
 def test_verify_rejects_a_max_order_below_one(theorem, order):
@@ -498,25 +547,38 @@ def _order_six_lines() -> list[str]:
     return lines
 
 
-@pytest.mark.parametrize(
-    "command", [["sweep", "--json"], ["verify", "--all", "--json"]], ids=["sweep", "verify"]
-)
-def test_a_decorated_graph6_file_reads_as_its_plain_records(tmp_path, capsys, command):
+# every command that reads --file, with the runs whose outputs must agree:
+# one per job count for the pooled ones, one without --jobs for the others
+_FILE_COMMANDS = {
+    "sweep": (["sweep"], [["--jobs", jobs] for jobs in ("1", "2", "3")]),
+    "verify": (["verify", "--all"], [["--jobs", jobs] for jobs in ("1", "2", "3")]),
+    "sp": (["sp"], [[]]),
+    "cnum": (["cnum"], [[]]),
+    "cg": (["cg"], [[]]),
+    "chain": (["chain"], [[]]),
+    "family": (["family", "recognize", "--family", "f2"], [[]]),
+}
+
+
+@pytest.mark.parametrize("name", list(_FILE_COMMANDS))
+def test_a_decorated_graph6_file_reads_as_its_plain_records(tmp_path, capsys, name):
+    command, runs = _FILE_COMMANDS[name]
     lines = _order_six_lines()
     plain, decorated = tmp_path / "plain.g6", tmp_path / "decorated.g6"
     plain.write_text("\n".join(lines) + "\n")
     decorated.write_bytes(_decorated_graph6(lines))
-    want = _cli_run(capsys, *command, "--file", str(plain), "--jobs", "1")
-    assert want[0] == 0 and want[2] == ""
-    if command[0] == "sweep":
-        assert [json.loads(rec)["graph6"] for rec in want[1].splitlines()] == lines
-    else:
+    want = _cli_run(capsys, *command, "--json", "--file", str(plain), *runs[0])
+    # some order-6 classes are not singleton-partition graphs, or not in f2
+    assert want[0] == (1 if name in ("sp", "family") else 0) and want[2] == ""
+    if name == "verify":
         want = (0, [_without_elapsed(rec) for rec in want[1].splitlines()], "")
-    for jobs in ("1", "2", "3"):
-        got = _cli_run(capsys, *command, "--file", str(decorated), "--jobs", jobs)
-        if command[0] == "verify":
+    else:
+        assert [json.loads(rec)["graph6"] for rec in want[1].splitlines()] == lines
+    for run in runs:
+        got = _cli_run(capsys, *command, "--json", "--file", str(decorated), *run)
+        if name == "verify":
             got = (got[0], [_without_elapsed(rec) for rec in got[1].splitlines()], got[2])
-        assert got == want, jobs
+        assert got == want, run
 
 
 def _without_elapsed(line: str) -> dict:
@@ -533,16 +595,17 @@ def _without_elapsed(line: str) -> dict:
     ],
     ids=["non-ascii", "short-after-blank-lines"],
 )
-@pytest.mark.parametrize("command", [["sweep"], ["verify", "--all"]], ids=["sweep", "verify"])
+@pytest.mark.parametrize("name", list(_FILE_COMMANDS))
 def test_a_bad_record_in_a_decorated_graph6_file_is_named_by_its_line(
-    tmp_path, capsys, command, bad, message
+    tmp_path, capsys, name, bad, message
 ):
+    command, runs = _FILE_COMMANDS[name]
     lines = _order_six_lines()
     head = _decorated_graph6(lines[:120]) + b"\r\n"
     data = head + bad + b"\r" + _decorated_graph6(lines[120:]) + b"\n"
     line = _line_number_at(data, len(head) + bad.rindex(b"E"))
     f = tmp_path / "bad.g6"
     f.write_bytes(data)
-    for jobs in ("1", "2", "3"):
-        got = _cli_run(capsys, *command, "--file", str(f), "--json", "--jobs", jobs)
-        assert got == (2, "", f"error: {f}:{line}: {message}\n"), jobs
+    for run in runs:
+        got = _cli_run(capsys, *command, "--file", str(f), "--json", *run)
+        assert got == (2, "", f"error: {f}:{line}: {message}\n"), run
