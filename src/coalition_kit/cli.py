@@ -18,6 +18,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import closing
 from functools import partial
 
 from .canon import are_isomorphic, class_pool
@@ -96,7 +97,7 @@ def _mask_list(mask: int) -> list[int]:
 _json_line = json.JSONEncoder(sort_keys=True).encode
 
 
-def _parse_partition(text: str, n: int) -> Partition:
+def _partition_blocks(text: str) -> list[list[int]]:
     blocks = []
     for chunk in text.split(";"):
         chunk = chunk.strip()
@@ -106,10 +107,7 @@ def _parse_partition(text: str, n: int) -> Partition:
             blocks.append([int(v) for v in chunk.split(",")])
         except ValueError as exc:
             raise CliInputError(f"bad partition part {chunk!r}") from exc
-    try:
-        return Partition.from_blocks(n, blocks)
-    except ValueError as exc:
-        raise CliInputError(f"invalid partition: {exc}") from exc
+    return blocks
 
 
 # ---------------------------------------------------------------------------
@@ -140,10 +138,10 @@ def _cnum(args: argparse.Namespace, g: Graph, g6: str) -> tuple[dict, str, bool]
     return {"value": result.value, "witness": witness}, str(result.value), True
 
 
-def _cg(args: argparse.Namespace, g: Graph, g6: str) -> tuple[dict, str, bool]:
-    partition = (
-        _parse_partition(args.partition, g.n) if args.partition else singleton_partition(g)
-    )
+def _cg(
+    partitions: dict[int, Partition], args: argparse.Namespace, g: Graph, g6: str
+) -> tuple[dict, str, bool]:
+    partition = partitions[g.n] if args.partition else singleton_partition(g)
     image = emit_graph6(coalition_graph(g, partition))
     fields = {"partition": [_mask_list(p) for p in partition.parts], "coalition_graph6": image}
     return fields, image, True
@@ -181,11 +179,12 @@ def _recognize(args: argparse.Namespace, g: Graph, g6: str) -> tuple[dict, str, 
     return fields, f"{g6}: member of {args.family} with {wit}", True
 
 
-def _each(one, args: argparse.Namespace) -> int:
-    """Run the per-graph command ``one`` on every input graph, printing its
-    record or text line as it goes; 1 if any verdict is false."""
+def _each(one, args: argparse.Namespace, records: list | None = None) -> int:
+    """Run the per-graph command ``one`` on every input graph (``records``,
+    read from the input flags if not given), printing its record or text
+    line as it goes; 1 if any verdict is false."""
     failed = False
-    for g, g6 in _input_graphs(args):
+    for g, g6 in _input_graphs(args) if records is None else records:
         fields, line, verdict = one(args, g, g6)
         if args.json:
             print(_json_line({"schema_version": SCHEMA_VERSION, "graph6": g6, **fields}))
@@ -193,6 +192,26 @@ def _each(one, args: argparse.Namespace) -> int:
             print(line)
         failed = failed or not verdict
     return 1 if failed else 0
+
+
+def _cmd_cg(args: argparse.Namespace) -> int:
+    # the partition is fitted to every input graph before any record is
+    # printed; a graph it does not fit is named as a malformed record is
+    records = _input_graphs(args)
+    partitions: dict[int, Partition] = {}
+    if args.partition:
+        blocks = _partition_blocks(args.partition)
+        for k, (g, _) in enumerate(records):
+            if g.n in partitions:
+                continue
+            try:
+                partitions[g.n] = Partition.from_blocks(g.n, blocks)
+            except ValueError as exc:
+                where = ""
+                if args.file:
+                    where = f"{args.file}:{Graph6Lines.read(args.file).line_numbers()[k]}: "
+                raise CliInputError(f"{where}invalid partition: {exc}") from exc
+    return _each(partial(_cg, partitions), args, records)
 
 
 def _cmd_iso(args: argparse.Namespace) -> int:
@@ -267,8 +286,9 @@ def _chain_summary(rec: dict, arrows: bool = False) -> str:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     # Workers read their ranges of the pool (a file's lines or packed
-    # canonical codes) and render the output lines; this process writes the
-    # lines once all are back, so a malformed record leaves stdout empty.
+    # canonical codes) and render the output lines; this process writes each
+    # chunk's lines as they come back. A file is checked whole before any
+    # chunk runs, so a malformed record still leaves stdout empty.
     pool = _file_pool(args, "--max-order", "--min-order")
     if pool is None:
         min_order = 1 if args.min_order is None else args.min_order
@@ -280,8 +300,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             raise CliInputError("--max-order must be at least --min-order")
         pool = class_pool(min_order, args.max_order)
     render = _json_line if args.json else _chain_summary
-    lines = sweep_chains(pool, args.jobs, render=render)
-    sys.stdout.writelines(line + "\n" for line in lines)
+    # closed on any exit, so that a failed write kills and reaps the workers
+    with closing(sweep_chains(pool, args.jobs, render=render)) as lines:
+        sys.stdout.writelines(line + "\n" for line in lines)
     return 0
 
 
@@ -296,15 +317,15 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Coalition partitions, singleton-coalition graphs, and chains",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, about, one in (
-        ("sp", "singleton-partition verdict", _sp),
-        ("cnum", "exact coalition number", _cnum),
-        ("cg", "coalition graph of a partition (default: all singletons)", _cg),
-        ("chain", "singleton-coalition chain and its length", _chain),
+    for name, about, fn in (
+        ("sp", "singleton-partition verdict", partial(_each, _sp)),
+        ("cnum", "exact coalition number", partial(_each, _cnum)),
+        ("cg", "coalition graph of a partition (default: all singletons)", _cmd_cg),
+        ("chain", "singleton-coalition chain and its length", partial(_each, _chain)),
     ):
         p = sub.add_parser(name, help=about)
         _add_input_flags(p)
-        p.set_defaults(fn=partial(_each, one))
+        p.set_defaults(fn=fn)
     partition_help = "parts as comma/semicolon list, e.g. '0,1;2;3'"
     sub.choices["cg"].add_argument("--partition", help=partition_help)
 

@@ -26,6 +26,7 @@ order 32 in graph6 takes under 1 MB.
 
 from __future__ import annotations
 
+import re
 from functools import lru_cache
 from operator import getitem
 from typing import Iterable, Iterator, NamedTuple
@@ -407,6 +408,22 @@ class Graph6Lines:
         cuts.append(self.stop)
         return [Graph6Lines(self.path, data, a, b) for a, b in zip(cuts, cuts[1:]) if a < b]
 
+    def _nonblank(self) -> Iterator[tuple[int, str]]:
+        """Each nonblank line's index in the range, from 0, and its text
+        without the surrounding whitespace. Bytes outside ASCII are kept as
+        lone surrogates, so ``parse_graph6`` reports them as a malformed
+        record."""
+        for k, line in enumerate(self.data[self.start : self.stop].splitlines()):
+            # as text, so that str.strip removes what a text-mode read's would
+            text = line.decode("ascii", "surrogateescape").strip()
+            if text:
+                yield k, text
+
+    def _first_line(self) -> int:
+        """The file's number of the range's first line."""
+        head = self.data[: self.start]
+        return head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+
     def parse(self) -> list[tuple[Graph, str]]:
         """Each nonblank line's graph and graph6 text, without the
         surrounding whitespace and the header. A line that parses is the
@@ -414,22 +431,55 @@ class Graph6Lines:
         padding bits and stray bytes.
 
         A malformed record raises ``Graph6Error`` prefixed with the path and
-        line number. Bytes outside ASCII are kept as lone surrogates, so
-        ``parse_graph6`` reports them as a malformed record.
+        line number.
         """
         out = []
-        for k, line in enumerate(self.data[self.start : self.stop].splitlines()):
-            # as text, so that str.strip removes what a text-mode read's would
-            text = line.decode("ascii", "surrogateescape").strip()
-            if not text:
-                continue
+        for k, text in self._nonblank():
             try:
                 out.append((parse_graph6(text), text.removeprefix(">>graph6<<")))
             except Graph6Error as exc:
-                head = self.data[: self.start]
-                ends = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
-                raise Graph6Error(f"{self.path}:{ends + k + 1}: {exc}") from exc
+                raise Graph6Error(f"{self.path}:{self._first_line() + k}: {exc}") from exc
         return out
+
+    def check(self) -> None:
+        """Raise what ``parse`` raises, if it raises, without building a
+        graph: one scan of the bytes by ``_lines_pattern``, and ``parse``
+        only when the scan rejects them, so the error is parse's own."""
+        if _lines_pattern().fullmatch(self.data, self.start, self.stop) is None:
+            self.parse()
+
+    def line_numbers(self) -> list[int]:
+        """The file's line number of each record ``parse`` returns."""
+        first = self._first_line()
+        return [first + k for k, _ in self._nonblank()]
+
+
+@lru_cache(maxsize=None)
+def _lines_pattern() -> re.Pattern:
+    """The byte ranges that ``Graph6Lines.parse`` accepts, built at first
+    use: lines of whitespace that ``str.strip`` removes around an optional
+    record, the record an optional ``>>graph6<<`` header, an order byte of
+    1..ORDER_MAX, then that order's body bytes, the last with its padding
+    bits clear.
+
+    Every quantifier is possessive and every line atomic, so a scan never
+    backtracks and takes linear time: \\r\\n is one line end, never \\r
+    and then an empty line.
+    """
+    space = rb"[\t\x0b\x0c\x1c-\x1f ]*+"
+    records = []
+    for n in range(1, ORDER_MAX + 1):
+        pairs = n * (n - 1) // 2
+        need = (pairs + 5) // 6
+        record = re.escape(bytes([n + 63]))
+        if need:
+            # the last byte's values that leave the padding bits clear
+            step = 1 << (6 * need - pairs)
+            last = b"?-~" if step == 1 else re.escape(bytes(range(63, 127, step)))
+            record += rb"[?-~]{%d}[%s]" % (need - 1, last)
+        records.append(record)
+    line = space + b"(?:(?:>>graph6<<)?+(?:" + b"|".join(records) + b"))?+" + space
+    return re.compile(b"(?>" + line + rb"(?:\r\n?+|\n))*+" + line)
 
 
 def read_graph6_file(path: str) -> list[Graph]:

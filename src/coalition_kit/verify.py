@@ -893,8 +893,9 @@ def _sweep_chunk(render: Callable[[dict], object], chunk) -> list:
 
 def sweep_chains(
     items: Iterable, jobs: int = 1, *, render: Callable[[dict], object] = _itself
-) -> list:
-    """Chain records for a pool, in pool order.
+) -> Iterator:
+    """An iterator over the chain records of a pool, in pool order, that
+    hands out each chunk's records as they come back.
 
     The pool is a packed pool (``graphs.Graph6Lines``, ``canon.CodePool``),
     or graphs or canonical codes, packed as graph6 lines (``_pool``); a line
@@ -903,7 +904,11 @@ def sweep_chains(
     record dict by default). A chunk is decoded and rendered where its
     chains are built, in a worker under ``jobs`` > 1, so that workers read
     the pool they inherit and return finished output lines. A malformed item
-    raises, and no result is returned; a malformed listed code raises as the
-    pool is packed, before any chunk runs.
+    raises here, before the iterator is returned and any chunk runs: a
+    listed code as the pool is packed, a graph6 line through
+    ``Graph6Lines.check``. Close the iterator to end a run early; its
+    workers are then killed and reaped.
     """
-    return list(_pmap(partial(_sweep_chunk, render), _pool(items), jobs))
+    if isinstance(items, Graph6Lines):
+        items.check()
+    return _pmap(partial(_sweep_chunk, render), _pool(items), jobs)

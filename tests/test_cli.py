@@ -82,6 +82,16 @@ def test_cg_with_partition():
     assert result.stdout.strip() == "C~"
 
 
+def test_cg_fits_the_partition_to_every_graph_before_printing(tmp_path, capsys):
+    f = tmp_path / "orders.g6"
+    f.write_text("Cr\nCl\n\nBw\n")
+    got = _cli_run(capsys, "cg", "--file", str(f), "--partition", "0,2;1;3")
+    message = "invalid partition: parts do not cover the vertex set"
+    assert got == (2, "", f"error: {f}:4: {message}\n")
+    f.write_text("Cr\nCl\n")
+    assert _cli_run(capsys, "cg", "--file", str(f), "--partition", "0,2;1;3") == (0, "BG\nBG\n", "")
+
+
 def test_iso_command():
     assert run_cli("iso", "named:C(4)", "named:Kbip(2,2)").returncode == 0
     result = run_cli("iso", "C~", "Cl")
@@ -498,6 +508,30 @@ def test_closed_stdout_ends_quietly_with_sigpipe_code():
     assert first["order"] == 1
     assert code == 141
     assert stderr == ""
+
+
+def test_closed_stdout_in_a_parallel_file_sweep_leaves_no_worker(tmp_path):
+    # the lines stream out chunk by chunk while the workers still run; the
+    # run's own process group holds the parent and its forked workers
+    f = tmp_path / "order7.g6"
+    f.write_text("".join(emit_graph6(g) + "\n" for g in enumerate_graphs(7)))
+    args = ["sweep", "--file", str(f), "--json", "--jobs", "2"]
+    with subprocess.Popen(
+        [sys.executable, "-m", "coalition_kit", *args],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        start_new_session=True,
+    ) as proc:
+        first = json.loads(proc.stdout.readline())
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    assert first["order"] == 7
+    assert code == 141
+    assert stderr == ""
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import time
+
 import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import graphs
 from coalition_kit.graphs import (
     Graph,
     Graph6Error,
     Graph6Lines,
+    _lines_pattern,
     complete,
     empty_graph,
     emit_graph6,
@@ -150,3 +154,92 @@ def test_a_range_numbers_the_lines_of_the_whole_file(count):
         except Graph6Error as exc:
             errors.append(str(exc))
     assert errors == ["mixed.g6:9: trailing garbage after 1 body bytes"]
+
+
+def _bumped(record: str, by: int) -> bytes:
+    """``record`` with its last byte raised by ``by``: a set padding bit,
+    another body, or a byte out of range."""
+    return record[:-1].encode() + bytes([ord(record[-1]) + by])
+
+
+_RECORDS = st.builds(emit_graph6, graphs(max_n=32)).map(str.encode)
+_BUMPED = st.builds(_bumped, st.builds(emit_graph6, graphs(min_n=2, max_n=32)), st.integers(1, 3))
+_ENDS = st.sampled_from([b"\r", b"\n", b"\r\n"])
+_SPACES = st.sampled_from([b"", b" ", b"\t", b"\x0b\x0c", b"\x1c\x1d\x1e\x1f"])
+# lines that parse, blank ones among them
+_LINES = st.builds(
+    lambda pad, record, end: pad + record + pad[::-1] + end,
+    _SPACES,
+    st.one_of(_RECORDS, _RECORDS.map(b">>graph6<<".__add__), st.just(b"")),
+    _ENDS,
+)
+_PIECES = st.one_of(
+    _RECORDS,
+    _BUMPED,
+    _ENDS,
+    _SPACES,
+    st.sampled_from(
+        [b">>graph6<<", b">>graph6", b"<<", b">", b"\xff", b"\xc3\xa9", b"\x85", b"\x00"]
+        + [b"~", b"?", b"@", b"\x7f"]
+    ),
+    st.binary(max_size=3),
+)
+
+
+@st.composite
+def _graph6_files(draw) -> bytes:
+    """Whole lines, with at most two loose pieces put in among them, so
+    that most files parse and many do not."""
+    pieces = draw(st.lists(_LINES, max_size=10))
+    for piece in draw(st.lists(_PIECES, max_size=2)):
+        pieces.insert(draw(st.integers(0, len(pieces))), piece)
+    return b"".join(pieces)
+
+
+def _outcome(call) -> str | None:
+    try:
+        call()
+    except Graph6Error as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=600)
+@given(_graph6_files())
+@example(b">>graph6<<>>graph6<<C~\n")  # one header at most
+@example(b">>graph6<< C~\r\n")  # no space after the header
+@example(b"\x1c>>graph6<<C~\x1f\r\n\r>>graph6<<\n")  # a header alone
+@example(b"_" + b"?" * 83)  # order 32
+@example(b"`" + b"?" * 88)  # order 33
+def test_the_check_accepts_exactly_what_parse_accepts(data):
+    lines = Graph6Lines("pieces.g6", data, 0, len(data))
+    error = _outcome(lines.parse)
+    assert (_lines_pattern().fullmatch(data) is not None) == (error is None)
+    assert _outcome(lines.check) == error
+
+
+def test_the_check_accepts_every_order():
+    data = b"".join(
+        (emit_graph6(g) + end).encode()
+        for n in range(1, 33)
+        for g, end in ((complete(n), "\n"), (empty_graph(n), "\r\n"), (path(n), "\r"))
+    )
+    assert _lines_pattern().fullmatch(data) is not None
+
+
+@pytest.mark.parametrize("count", range(1, 12))
+def test_the_check_of_a_range_raises_its_parse_error(count):
+    data = _MIXED.replace(b"A_", b"A?~")
+    for r in Graph6Lines("mixed.g6", data, 0, len(data)).cut(count):
+        assert _outcome(r.check) == _outcome(r.parse)
+
+
+def test_the_check_takes_linear_time():
+    # each \r\n reads as one line end or as \r and an empty line: a scan
+    # that tried both would take exponential time before the bad record
+    data = b"\r\n" * 50_000 + b" \t\x1c\r\n" * 50_000 + b"C~\r\nE?\r\n"
+    lines = Graph6Lines("long.g6", data, 0, len(data))
+    start = time.perf_counter()
+    with pytest.raises(Graph6Error, match=r"^long\.g6:100002: record too short"):
+        lines.check()
+    assert time.perf_counter() - start < 1

@@ -309,7 +309,7 @@ def test_verify_with_supplied_graphs():
 def test_sweep_order_five():
     from coalition_kit import are_isomorphic
 
-    records = sweep_chains(list(enumerate_graphs(5)))
+    records = list(sweep_chains(list(enumerate_graphs(5))))
     assert len(records) == 34
     pentagon = next(
         rec for rec in records if are_isomorphic(parse_graph6(rec["graph6"]), cycle(5))
@@ -370,7 +370,7 @@ def test_chain_record_reads_the_blocking_vertex_from_the_chain(monkeypatch):
 
 def test_parallel_jobs_match_serial():
     graphs = list(enumerate_graphs(5))
-    assert sweep_chains(graphs, jobs=2) == sweep_chains(graphs, jobs=1)
+    assert list(sweep_chains(graphs, jobs=2)) == list(sweep_chains(graphs, jobs=1))
     serial = verify_theorem("thm8", n_max=5, jobs=1).to_json()
     parallel = verify_theorem("thm8", n_max=5, jobs=2).to_json()
     serial.pop("elapsed")
@@ -457,7 +457,7 @@ def test_one_worker_pool_per_run(forks, jobs, pools):
 
 @pytest.mark.parametrize("jobs, pools", [(1, 0), (2, 1)])
 def test_one_worker_pool_per_sweep(forks, jobs, pools):
-    records = sweep_chains(list(enumerate_graphs(6)), jobs=jobs)
+    records = list(sweep_chains(list(enumerate_graphs(6)), jobs=jobs))
     assert len(records) == 156
     assert len(forks) == pools * jobs
 
@@ -696,7 +696,7 @@ def test_a_pass_scans_each_start_once_and_each_chain_member_once(scans, monkeypa
 
 
 def test_a_sweep_scans_each_chain_member_once(scans):
-    records = sweep_chains(_relabeled_classes(6, 614))
+    records = list(sweep_chains(_relabeled_classes(6, 614)))
     assert scans["singleton_partners"] == sum(len(rec["chain"]) for rec in records)
     assert scans["sc_graph"] == 0
 
