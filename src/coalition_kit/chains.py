@@ -8,16 +8,20 @@ arrows), or repeats a class (infinite length, except that a repeat of the
 very first class with period one means the chain is constant and its length
 counts as zero by convention).
 
-``classify_chain`` matches the computed chain for starting graphs of
-minimum degree at most two against a closed catalog of templates, checking
-each named graph in the template by isomorphism rather than trusting the
-catalog. For minimum degree two and no full vertex, the finite chains of
-Lemmas 18, 19 and H2.3 are one table of tails: the template graphs that end
-a chain, or a recognizer of its last member. A chain of k arrows tries the
-k-arrow entries in catalog order, then the (k-1)-arrow entries under their
-Lemma H2.3 labels one arrow later. Only 10 of that branch's 37 labels occur
-at orders up to 9. No match raises ``ChainClassificationError``, which
-sweeps and ``verify`` report as a counterexample record with the start
+``classify_chain`` matches the computed chain of a starting graph of
+minimum degree at most two against one closed catalog, checking each named
+graph in a template by isomorphism rather than trusting the catalog. Every
+label of Theorems 14-17 and Lemmas 18, 19 and H2.3 is in one table of rows,
+grouped by the start's minimum degree and whether it has a full vertex. A
+row holds an outcome (an arrow count, or a cycle's entry and period) and a
+tail: the template graphs that end at the chain's last new member, or a
+recognizer of that member. That member is the last one of a finite chain,
+and the one before the repeat of a cycle. A chain takes the first row of
+its group with its outcome and tail; a finite chain that matches none then
+takes the Lemma H2.3 label of a row one arrow shorter whose tail it ends
+with. Only 10 of the 37 labels of the degree-2 group without a full vertex
+occur at orders up to 9. No match raises ``ChainClassificationError``,
+which sweeps and ``verify`` report as a counterexample record with the start
 graph's graph6.
 """
 
@@ -278,13 +282,17 @@ class OutOfCharacterizedRange(ValueError):
 
 
 class _Entry(NamedTuple):
-    """A finite chain of Lemmas 18, 19 and H2.3. ``in_h23`` asks the first
-    image to be in H2.3; ``split`` is the label when it is not in H2.2."""
+    """A catalog row: the chain's outcome, its label and the tail that ends
+    it. ``tail`` is the template graphs that end at the chain's last new
+    member (none to check when empty), or a recognizer of that member, or
+    None when the row has no template at this order. ``later`` is the
+    Lemma H2.3 label of the same tail one arrow later; ``in_h23`` asks the
+    first image to be in H2.3; ``split`` is the label when it is not in H2.2."""
 
-    arrows: int
+    outcome: TerminatedNonSp | CycleOutcome
     label: str
-    later: str | None  # the Lemma H2.3 label of the same tail one arrow later
-    tail: tuple[Graph, ...] | Callable[[Graph], object]  # templates, or a recognizer
+    tail: tuple[Graph, ...] | Callable[[Graph], object] | None
+    later: str | None = None
     note: str | None = None
     in_h23: bool = False
     split: str | None = None
@@ -295,52 +303,77 @@ _ADDED = "catalog entry added from the exhaustive sweep"
 
 
 @lru_cache(maxsize=None)
-def _catalog(n: int) -> tuple[_Entry, ...]:
-    """The entries for start order ``n``, built once; one with no tail at ``n`` is left out."""
-    K, E = complete, empty_graph
-    lem18b = (join(E(2), K(3)), union(E(3), K(2)))
-    bridge = (_bridged_pair(), *lem18b)
-    pairs = _pair_join_independents(n - 2)
-    rest = E(n - 3)
-    w_star = (join(union(K(1), K(2)), rest), join(path(3), rest), union(K(1), join(K(2), rest)))
-    big = n >= 6
-    entries = (
-        _Entry(2, "Lem18(a)", "LemH23(h)", (K(4), E(4))),
-        _Entry(2, "Lem18(b)", "LemH23(i)", lem18b),
-        _Entry(2, "Lem18(c)", "LemH23(j)", (_k4_minus_e(), union(E(2), K(2)))),
-        _Entry(2, "Lem18(d)", "LemH23(k)", (_k4_plus_tail_pair(), union(E(2), path(3)))),
-        _Entry(2, "Lem19(f)", "LemH23(q)", (corona_k3_k1(),)),
-        _Entry(2, "Lem19(g)", "LemH23(r)", (_triangle_with_pendants(n),) if big else ()),
-        _Entry(2, "Lem19(h)", "LemH23(s)", (_triangle_with_pendants_plus_edge(n),) if big else ()),
-        _Entry(2, "LemH23(f*)", None, (complete_bipartite(2, 3), pairs) if n == 5 else (),
-               _CORRECTED, True),
-        _Entry(2, "Lem19(i)", "LemH23(t)", (pairs,)),
-        _Entry(2, "Lem19(j)", "LemH23(u)", (_pair_join_independents_plus_edge(n - 2),)),
-        _Entry(2, "Lem19(a)", "LemH23(l)", recognize_h1, split="LemH23(a)"),
-        # a gap the sweep found: the second image is in H2 but not SP
-        _Entry(2, "LemH23(x*)", None, recognize_h2, _ADDED, True),
-        _Entry(3, "Lem19(e)", "LemH23(p)", bridge),
-        _Entry(3, "Lem19(c)", "LemH23(n)", (complete_bipartite(2, n - 2), pairs),
-               split="LemH23(c)"),
-        _Entry(3, "LemH23(w*)", None, w_star if big else (), _CORRECTED),
-        _Entry(4, "Lem19(d)", "LemH23(o)", (_house(), *bridge)),
-        _Entry(4, "Lem19(b)", "LemH23(m)", (cycle(4), K(4), E(4)), split="LemH23(b)"),
-    )
-    return tuple(e for e in entries if e.tail)
+def _catalog(n: int) -> dict[tuple[int, bool], tuple[_Entry, ...]]:
+    """Every row for start order ``n``, built once and grouped by the
+    start's (minimum degree, full vertex present), degree 0 being one group.
+    A row with no tail at ``n`` is left out, and so is the degree-2 group
+    without a full vertex below order 4, where no graph has that key."""
+    K, E, T, C = complete, empty_graph, TerminatedNonSp, CycleOutcome
+    groups = {
+        (0, False): (
+            _Entry(C(0, 1), "Thm14(a)", () if n == 1 else None),
+            _Entry(C(0, 2), "Thm14(b)", (K(2),) if n == 2 else None),
+            _Entry(C(0, 2), "Thm14(d)", (path(3),) if n == 3 else None),
+            _Entry(T(1), "Thm14(c)", (complete_bipartite(1, n - 1),) if n > 3 else None),
+        ),
+        (1, True): (
+            _Entry(C(0, 2), "Thm15(a)", (E(2),) if n == 2 else None),
+            _Entry(C(0, 2), "Thm15(c)", (union(K(1), K(2)),) if n == 3 else None),
+            _Entry(T(1), "Thm15(b)",
+                   (union(K(1), complete_bipartite(1, n - 2)),) if n > 3 else None),
+        ),
+        (1, False): (
+            _Entry(T(3), "Thm16(b)", (cycle(4), K(4), E(4)) if n == 4 else None,
+                   note="intermediate image is the 4-cycle; order-4 boundary case"),
+            _Entry(T(2), "Thm16(c)",
+                   (complete_bipartite(2, n - 2), _pair_join_independents(n - 2))
+                   if n >= 5 else None),
+            _Entry(T(1), "Thm16(a)", recognize_h1),
+        ),
+        (2, True): (_Entry(T(1), "Thm17", ()),),
+    }
+    if n >= 4:
+        lem18b = (join(E(2), K(3)), union(E(3), K(2)))
+        bridge = (_bridged_pair(), *lem18b)
+        pairs = _pair_join_independents(n - 2)
+        rest = E(n - 3)
+        big = n >= 6
+        w_star = (join(union(K(1), K(2)), rest), join(path(3), rest), union(K(1), join(K(2), rest)))
+        groups[2, False] = (
+            _Entry(T(1), "H2-nonSP", recognize_h2),
+            _Entry(C(0, 1), "LemH23(d)", (cycle(5),) if n == 5 else None,
+                   note="constant chain; length zero by convention"),
+            _Entry(C(1, 1), "LemH23(d)", (cycle(5),) if n == 5 else None),
+            _Entry(C(1, 1), "LemH23(v)", (complete_bipartite(3, n - 3),) if big else None),
+            _Entry(T(2), "Lem18(a)", (K(4), E(4)), "LemH23(h)"),
+            _Entry(T(2), "Lem18(b)", lem18b, "LemH23(i)"),
+            _Entry(T(2), "Lem18(c)", (_k4_minus_e(), union(E(2), K(2))), "LemH23(j)"),
+            _Entry(T(2), "Lem18(d)", (_k4_plus_tail_pair(), union(E(2), path(3))), "LemH23(k)"),
+            _Entry(T(2), "Lem19(f)", (corona_k3_k1(),), "LemH23(q)"),
+            _Entry(T(2), "Lem19(g)", (_triangle_with_pendants(n),) if big else None, "LemH23(r)"),
+            _Entry(T(2), "Lem19(h)", (_triangle_with_pendants_plus_edge(n),) if big else None,
+                   "LemH23(s)"),
+            _Entry(T(2), "LemH23(f*)", (complete_bipartite(2, 3), pairs) if n == 5 else None,
+                   note=_CORRECTED, in_h23=True),
+            _Entry(T(2), "Lem19(i)", (pairs,), "LemH23(t)"),
+            _Entry(T(2), "Lem19(j)", (_pair_join_independents_plus_edge(n - 2),), "LemH23(u)"),
+            _Entry(T(2), "Lem19(a)", recognize_h1, "LemH23(l)", split="LemH23(a)"),
+            # a gap the sweep found: the second image is in H2 but not SP
+            _Entry(T(2), "LemH23(x*)", recognize_h2, note=_ADDED, in_h23=True),
+            _Entry(T(3), "Lem19(e)", bridge, "LemH23(p)"),
+            _Entry(T(3), "Lem19(c)", (complete_bipartite(2, n - 2), pairs), "LemH23(n)",
+                   split="LemH23(c)"),
+            _Entry(T(3), "LemH23(w*)", w_star if big else None, note=_CORRECTED),
+            _Entry(T(4), "Lem19(d)", (_house(), *bridge), "LemH23(o)"),
+            _Entry(T(4), "Lem19(b)", (cycle(4), K(4), E(4)), "LemH23(m)", split="LemH23(b)"),
+        )
+    return {key: tuple(e for e in rows if e.tail is not None) for key, rows in groups.items()}
 
 
 @lru_cache(maxsize=None)
 def _fingerprint(h: Graph) -> tuple[int, list[int], bytes]:
     """Order, sorted degrees and canonical code of a template graph."""
     return h.n, sorted(h.degrees()), canonical_form(h)
-
-
-def _fin(chain: ChainResult, k: int) -> bool:
-    return chain.outcome == TerminatedNonSp(k)
-
-
-def _cyc(chain: ChainResult, entry: int, period: int) -> bool:
-    return chain.outcome == CycleOutcome(entry, period)
 
 
 def classify_chain(
@@ -353,110 +386,49 @@ def classify_chain(
     computed here when not passed."""
     if stats is None:
         stats = degree_stats(g)
-    if stats.min_degree >= 3:
-        raise OutOfCharacterizedRange(
-            f"minimum degree {stats.min_degree} is outside the characterized range"
-        )
+    d = stats.min_degree
+    if d >= 3:
+        raise OutOfCharacterizedRange(f"minimum degree {d} is outside the characterized range")
     if chain is None:
         chain = sc_chain(g)
     if chain.outcome == TerminatedNonSp(0):
         raise ValueError("classify_chain needs a singleton-partition graph")
-    seq = chain.sequence
-
-    def iso(i: int, h: Graph) -> bool:
-        # member codes are cached on the chain; the guards spare most of them
-        order, degrees, code = _fingerprint(h)
-        return (
-            i < len(seq)
-            and seq[i].n == order
-            and sorted(seq[i].degrees()) == degrees
-            and chain.code(i) == code
-        )
-
-    label = _classify(chain, stats, g.n, seq, iso)
+    label = _match(_catalog(g.n)[d, d > 0 and stats.full_count > 0], chain)
     if label is None:
         raise ChainClassificationError("chain matches no template in the catalog")
     return ChainTemplate(*label)
 
 
-def _classify(chain, stats, n, seq, iso):
-    has_full = stats.full_count > 0
-    d = stats.min_degree
+def _match(rows: tuple[_Entry, ...], chain: ChainResult) -> tuple[str, tuple[str, ...]] | None:
+    """The label and notes of the chain's row (the rule in the module docstring)."""
+    out, seq = chain.outcome, chain.sequence
+    if isinstance(out, CycleOutcome):
+        last, shorter = out.entry_index + out.period - 1, None
+    elif isinstance(out, TerminatedNonSp):
+        last, shorter = out.last_index, TerminatedNonSp(out.last_index - 1)
+    else:
+        return None  # a step cap matches no row
 
-    if d == 0:
-        if n == 1 and _cyc(chain, 0, 1):
-            return "Thm14(a)", ()
-        if n == 2 and _cyc(chain, 0, 2) and iso(1, complete(2)):
-            return "Thm14(b)", ()
-        if n == 3 and _cyc(chain, 0, 2) and iso(1, path(3)):
-            return "Thm14(d)", ()
-        if n > 3 and _fin(chain, 1) and iso(1, complete_bipartite(1, n - 1)):
-            return "Thm14(c)", ()
-        return None
+    def iso(i: int, h: Graph) -> bool:
+        # member codes are cached on the chain; the guards spare most of them
+        order, degrees, code = _fingerprint(h)
+        return seq[i].n == order and sorted(seq[i].degrees()) == degrees and chain.code(i) == code
 
-    if d == 1 and has_full:
-        if n == 2 and _cyc(chain, 0, 2) and iso(1, empty_graph(2)):
-            return "Thm15(a)", ()
-        if n == 3 and _cyc(chain, 0, 2) and iso(1, union(complete(1), complete(2))):
-            return "Thm15(c)", ()
-        if n > 3 and _fin(chain, 1) and iso(1, union(complete(1), complete_bipartite(1, n - 2))):
-            return "Thm15(b)", ()
-        return None
-
-    if d == 1:
-        if n == 4 and _fin(chain, 3) and iso(1, cycle(4)) and iso(2, complete(4)) and iso(3, empty_graph(4)):
-            return "Thm16(b)", ("intermediate image is the 4-cycle; order-4 boundary case",)
-        if (
-            n >= 5
-            and _fin(chain, 2)
-            and iso(1, complete_bipartite(2, n - 2))
-            and iso(2, _pair_join_independents(n - 2))
-        ):
-            return "Thm16(c)", ()
-        if _fin(chain, 1) and recognize_h1(seq[1]) is not None:
-            return "Thm16(a)", ()
-        return None
-
-    if d == 2 and has_full:
-        return ("Thm17", ()) if _fin(chain, 1) else None
-
-    # minimum degree 2, no full vertex
-    if len(seq) < 2:
-        return None
-    if _fin(chain, 1):
-        return ("H2-nonSP", ()) if recognize_h2(seq[1]) is not None else None
-
-    if isinstance(chain.outcome, CycleOutcome):
-        if _cyc(chain, 0, 1) and iso(0, cycle(5)):
-            return "LemH23(d)", ("constant chain; length zero by convention",)
-        if _cyc(chain, 1, 1) and iso(1, cycle(5)):
-            return "LemH23(d)", ()
-        if _cyc(chain, 1, 1) and n >= 6 and iso(1, complete_bipartite(3, n - 3)):
-            return "LemH23(v)", ()
-        return None
-
-    if isinstance(chain.outcome, TerminatedNonSp):
-        return _finite_label(seq, chain.outcome.last_index, _catalog(n), iso)
-    return None
-
-
-def _finite_label(seq, k, catalog, iso):
-    """The catalog label of a chain of ``k`` arrows (the tail rule in the module docstring)."""
     def ends_with(tail) -> bool:
         if callable(tail):
-            return tail(seq[k]) is not None
-        first = k + 1 - len(tail)
+            return tail(seq[last]) is not None
+        first = last + 1 - len(tail)
         return all(iso(first + j, h) for j, h in enumerate(tail))
 
-    for e in catalog:
-        if e.arrows != k or not ends_with(e.tail):
+    for e in rows:
+        if e.outcome != out or not ends_with(e.tail):
             continue
         if e.in_h23 and recognize_h2(seq[1], 3) is None:
             continue
         if e.split and recognize_h2(seq[1], 2) is None:
             return e.split, ()
         return e.label, (e.note,) if e.note else ()
-    for e in catalog:
-        if e.arrows == k - 1 and e.later and ends_with(e.tail):
+    for e in rows:
+        if e.later and e.outcome == shorter and ends_with(e.tail):
             return e.later, ()
     return None

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import pickle
 import random
+from collections import Counter
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
 
 from conftest import graph_with_permutation
-from coalition_kit import are_isomorphic, chains, emit_graph6
+from coalition_kit import are_isomorphic, chains, emit_graph6, verify
 from coalition_kit.chains import (
     ChainClassificationError,
     ChainResult,
@@ -21,7 +23,7 @@ from coalition_kit.chains import (
     l_scc,
     sc_chain,
 )
-from coalition_kit.canon import canonical_form, enumerate_graphs
+from coalition_kit.canon import canonical_form, class_pool, enumerate_graphs
 from coalition_kit.coalition_graph import NotSingletonPartitionGraph, sc_graph
 from coalition_kit.domination import sp_check
 from coalition_kit.families import generate_family, recognize_h2
@@ -404,3 +406,53 @@ def test_catalog_labels_of_synthetic_chains(label, notes, members, outcome):
     chain = ChainResult(members, outcome)
     template = classify_chain(members[0], chain, DegreeStats(2, 0))
     assert (template.label, template.notes) == (label, notes)
+
+
+_THEOREM_LABELS = {
+    "Thm14(a)", "Thm14(b)", "Thm14(c)", "Thm14(d)",
+    "Thm15(a)", "Thm15(b)", "Thm15(c)",
+    "Thm16(a)", "Thm16(b)", "Thm16(c)",
+    "Thm17",
+}
+
+
+def test_the_catalog_is_the_one_list_of_labels():
+    labels = {
+        label
+        for n in range(1, 10)
+        for rows in chains._catalog(n).values()
+        for e in rows
+        for label in (e.label, e.later, e.split)
+        if label
+    }
+    assert len(labels) == 48
+    assert labels == {label for label, *_ in _CATALOG_CASES} | _THEOREM_LABELS
+    # every label a claim of verify expects is cataloged
+    by_order = [
+        t.check.args[0]
+        for t in verify.THEOREMS.values()
+        if isinstance(t.check, partial) and t.check.func is verify._check_label_by_order
+    ]
+    assert len(by_order) == 2
+    expected = {label for table in by_order for label in table.values()}
+    # _check_thm16 holds its labels in a set literal, compiled to a constant
+    thm16 = {
+        label
+        for const in verify._check_thm16.__code__.co_consts
+        if isinstance(const, frozenset)
+        for label in const
+    }
+    assert thm16 == {"Thm16(a)", "Thm16(b)", "Thm16(c)"}
+    assert expected | thm16 <= labels
+
+
+def test_labels_reached_by_the_classes_of_orders_one_to_eight():
+    reached = Counter(r["template"] or r["status"] for r in verify.sweep_chains(class_pool(1, 8)))
+    assert reached == {
+        "H2-nonSP": 829, "Lem18(a)": 1, "Lem18(b)": 1, "Lem19(e)": 1, "Lem19(i)": 6, "Lem19(j)": 3,
+        "LemH23(d)": 1, "LemH23(v)": 41, "LemH23(w*)": 12, "LemH23(x*)": 3,
+        "Thm14(a)": 1, "Thm14(b)": 1, "Thm14(c)": 5, "Thm14(d)": 1,
+        "Thm15(a)": 1, "Thm15(b)": 5, "Thm15(c)": 1,
+        "Thm16(a)": 66, "Thm16(b)": 2, "Thm16(c)": 18, "Thm17": 39,
+        "not-sp": 10_613, "out-of-characterized-range": 1_947,
+    }
