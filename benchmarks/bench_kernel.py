@@ -25,8 +25,11 @@ from their partner scan, on the singleton-partition graphs with minimum
 degree at most 2, the ones the chain claims read), ``classify_chain`` (on
 the same graphs, with their chains and degree stats computed beforehand;
 member codes are cached on a chain after the first pass) and
-``chain_record`` (one sweep record). The graphs are every class of order 7,
-or the records of ``--file``.
+``chain_record`` (one sweep record), ``emit_graph6`` (on the chain members
+after the start of each singleton-partition graph, the ones a sweep record
+encodes) and ``json record`` (``cli._json_line`` of each graph's sweep
+record, as ``sweep --json`` prints it). The graphs are every class of
+order 7, or the records of ``--file``.
 
 Usage: python benchmarks/bench_kernel.py [--orders 8,12,16] [--batch 2000] [--enum-order 7]
        python benchmarks/bench_kernel.py --layers [--file graphs.g6]
@@ -46,6 +49,7 @@ from coalition_kit.canon import (
     graph_from_code,
 )
 from coalition_kit.chains import classify_chain
+from coalition_kit.cli import _json_line
 from coalition_kit.coalition_graph import sc_graph
 from coalition_kit.domination import sp_check
 from coalition_kit.families import recognize_f2, recognize_h2
@@ -183,6 +187,9 @@ def bench_layers(path: str | None) -> None:
     images = [sc_graph(g) for g in degree2 if sp_check(g).is_sp]
     sp_low = [g for g in graphs if degree_stats(g).min_degree <= 2 and sp_check(g).is_sp]
     chained = [(g, _Facts(g).chain(), degree_stats(g)) for g in sp_low]
+    # the members a sweep record encodes: those after the start of each SP start's chain
+    members = [h for g in graphs if sp_check(g).is_sp for h in _Facts(g).chain().sequence[1:]]
+    records = [chain_record(g) for g in graphs]
     rows = [
         ("parse_graph6", parse_graph6, [emit_graph6(g) for g in graphs]),
         ("graph_from_code", graph_from_code, [canonical_form(g) for g in graphs]),
@@ -195,6 +202,8 @@ def bench_layers(path: str | None) -> None:
         ("chain", lambda g: _Facts(g).chain(), sp_low),
         ("classify_chain", lambda args: classify_chain(*args), chained),
         ("chain_record", chain_record, graphs),
+        ("emit_graph6", emit_graph6, members),
+        ("json record", _json_line, records),
     ]
     source = path or "every class of order 7"
     print(f"per-graph layers over {source}, best of {LAYER_PASSES} passes")

@@ -93,8 +93,9 @@ def _mask_list(mask: int) -> list[int]:
     return list(bits(mask))
 
 
-# one encoder for every line: json.dumps with an option builds a new one per call
-_json_line = json.JSONEncoder(sort_keys=True).encode
+# one encoder for every line: json.dumps with an option builds a new one per
+# call. Every printed dict is a tree built afresh, so no circular check.
+_json_line = json.JSONEncoder(sort_keys=True, check_circular=False).encode
 
 
 def _partition_blocks(text: str) -> list[list[int]]:

@@ -250,21 +250,6 @@ class Graph6Error(ValueError):
 
 
 @lru_cache(maxsize=None)
-def _pair_at(n: int) -> tuple[tuple[int, int] | None, ...]:
-    """Vertex pair of each bit of an order-n graph6 body read as one integer
-    (bit 0 is the last body bit); None marks the padding bits."""
-    npairs = n * (n - 1) // 2
-    nbits = 6 * ((npairs + 5) // 6)
-    table: list[tuple[int, int] | None] = [None] * nbits
-    k = nbits - 1
-    for j in range(1, n):
-        for i in range(j):
-            table[k] = (i, j)
-            k -= 1
-    return tuple(table)
-
-
-@lru_cache(maxsize=None)
 def _byte_tables(
     n: int, width: int, offset: int, column_major: bool
 ) -> tuple[tuple[int | None, ...], ...]:
@@ -354,18 +339,25 @@ def parse_graph6(text: str) -> Graph:
     return g
 
 
+# each 6-bit value with its bits reversed, stored as a graph6 byte
+_REVERSED_BYTE = tuple(int(f"{v:06b}"[::-1], 2) + 63 for v in range(64))
+
+
 def emit_graph6(g: Graph) -> str:
-    """Encode a graph of order <= 32 as a graph6 record."""
-    pair_at = _pair_at(g.n)
-    rows = g.rows
+    """Encode a graph of order <= 32 as a graph6 record.
+
+    The body is built as one int whose bit k is the k-th body bit: column
+    j, the bits of row j below j, goes in at offset j(j-1)/2. Each 6-bit
+    group then reads through a bit-reversal table, since graph6 puts a
+    group's first bit most significant."""
     x = 0
-    for p, pair in enumerate(pair_at):
-        if pair is not None and (rows[pair[0]] >> pair[1]) & 1:
-            x |= 1 << p
-    out = [g.n + 63]
-    for shift in range(len(pair_at) - 6, -1, -6):
-        out.append(((x >> shift) & 63) + 63)
-    return bytes(out).decode("ascii")
+    shift = 0
+    for j, row in enumerate(g.rows):
+        x |= (row & ((1 << j) - 1)) << shift
+        shift += j
+    return bytes(
+        [g.n + 63, *[_REVERSED_BYTE[(x >> k) & 63] for k in range(0, shift, 6)]]
+    ).decode("ascii")
 
 
 class Graph6Lines:

@@ -212,8 +212,9 @@ class _Facts:
     For minimum degree <= 2, the range every claim covers, one
     ``singleton_partners`` scan is the singleton-partition verdict, the
     image (its partner masks) and the chain's first arrow; above it the
-    verdict is False. The rest is computed on first read. A ``_Facts`` lives
-    while its graph is checked, so nothing outlives a run.
+    verdict is False, and the scan is made only when a sweep record reads
+    it. The rest is computed on first read. A ``_Facts`` lives while its
+    graph is checked, so nothing outlives a run.
     """
 
     __slots__ = ("g", "stats", "is_sp", "_scan", "_f1", "_chain")
@@ -236,10 +237,16 @@ class _Facts:
         """The singleton-coalition image of an SP graph, trusted like sc_graph's."""
         return Graph._trusted(self.g.n, tuple(self._scan[1]))
 
+    def scan(self) -> tuple[int, list[int], int | None]:
+        """The graph's partner scan, made on first read above minimum degree 2."""
+        if self._scan is None:
+            self._scan = singleton_partners(self.g)
+        return self._scan
+
     def chain(self) -> ChainResult:
-        """The chain, from the held scan (which ``sc_chain`` takes above minimum degree 2)."""
+        """The chain, continued from the graph's scan."""
         if self._chain is None:
-            self._chain = sc_chain(self.g, scan=self._scan)
+            self._chain = sc_chain(self.g, scan=self.scan())
         return self._chain
 
     def template(self) -> ChainTemplate:
@@ -837,45 +844,69 @@ def _lscc_json(lv: LsccValue) -> dict:
     return out
 
 
+# an outcome's record is its fields, sorted as they stand, and its type
+_OUTCOME_TYPES = {TerminatedNonSp: "terminated", CycleOutcome: "cycle", StepCap: "step-cap"}
+
+
 def chain_record(g: Graph, g6: str | None = None) -> dict:
     """One sweep record: chain, length, and template label (or a status).
 
     ``g6`` is the graph6 text of ``g`` when the caller holds it; it becomes
     the record's ``graph6`` and first chain member, encoded afresh otherwise.
+    A start that is not SP is its own one-member chain, so its record comes
+    from its partner scan and no chain is built. Records are built in the
+    sorted key order they are printed in, an unclassified one's ``detail``
+    aside.
     """
-    f = _Facts(g) if g.n <= CANON_MAX else None
-    stats = f.stats if f else degree_stats(g)
     if g6 is None:
         g6 = emit_graph6(g)
-    rec: dict = {
-        "schema_version": SCHEMA_VERSION,
-        "graph6": g6,
-        "order": g.n,
-        "min_degree": stats.min_degree,
-        "full_vertices": stats.full_count,
-    }
-    if f is None:
-        return dict(rec, status="order-above-chain-support", template=None)
+    if g.n > CANON_MAX:
+        stats = degree_stats(g)
+        return {
+            "full_vertices": stats.full_count,
+            "graph6": g6,
+            "min_degree": stats.min_degree,
+            "order": g.n,
+            "schema_version": SCHEMA_VERSION,
+            "status": "order-above-chain-support",
+            "template": None,
+        }
+    f = _Facts(g)
+    stats = f.stats
+    blocking = f.scan()[2]
+    if blocking is not None:
+        return {
+            "blocking_vertex": blocking,
+            "chain": [g6],
+            "full_vertices": stats.full_count,
+            "graph6": g6,
+            "lscc": {"kind": "Finite", "start_not_sp": True, "value": 0},
+            "min_degree": stats.min_degree,
+            "order": g.n,
+            "outcome": {"last_index": 0, "type": "terminated"},
+            "schema_version": SCHEMA_VERSION,
+            "status": "not-sp",
+            "template": None,
+        }
     chain = f.chain()
-    lv = l_scc_of(chain)
-    rec["chain"] = [g6] + [emit_graph6(h) for h in chain.sequence[1:]]
     out = chain.outcome
-    if isinstance(out, TerminatedNonSp):
-        rec["outcome"] = {"type": "terminated", "last_index": out.last_index}
-    elif isinstance(out, CycleOutcome):
-        rec["outcome"] = {"type": "cycle", "entry_index": out.entry_index, "period": out.period}
-    elif isinstance(out, StepCap):
-        rec["outcome"] = {"type": "step-cap", "cap": out.cap}
-    rec["lscc"] = _lscc_json(lv)
-    if lv.start_not_sp:
-        rec.update(status="not-sp", template=None, blocking_vertex=chain.blocking_vertex)
-    elif stats.min_degree >= 3:
-        rec.update(status="out-of-characterized-range", template=None)
-    else:
+    rec = {
+        "chain": [g6, *map(emit_graph6, chain.sequence[1:])],
+        "full_vertices": stats.full_count,
+        "graph6": g6,
+        "lscc": _lscc_json(l_scc_of(chain)),
+        "min_degree": stats.min_degree,
+        "order": g.n,
+        "outcome": {**out._asdict(), "type": _OUTCOME_TYPES[type(out)]},
+        "schema_version": SCHEMA_VERSION,
+        "status": "out-of-characterized-range",
+        "template": None,
+    }
+    if stats.min_degree <= 2:
         try:
             template = f.template()
         except ChainClassificationError as exc:
-            rec.update(status="unclassified", template=None, detail=str(exc))
+            rec.update(status="unclassified", detail=str(exc))
         else:
             rec.update(status="classified", template=template.label)
             if template.notes:

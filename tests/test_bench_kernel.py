@@ -1,6 +1,6 @@
 """Smoke runs of ``benchmarks/bench_kernel.py``, which reads private names of
-the package (``canon._extend_codes``, ``verify._Facts``), so that a rename
-breaks a test rather than the script."""
+the package (``canon._extend_codes``, ``verify._Facts``, ``cli._json_line``),
+so that a rename breaks a test rather than the script."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from coalition_kit.chains import sc_chain
 from coalition_kit.graphs import cycle, emit_graph6, path
 
 BENCH = Path(__file__).parent.parent / "benchmarks" / "bench_kernel.py"
@@ -27,7 +28,8 @@ def test_kernel_and_enumeration_timings_run():
 
 def test_layer_timings_run_over_a_file(tmp_path):
     records = tmp_path / "three.g6"
-    records.write_text("".join(emit_graph6(g) + "\n" for g in (cycle(5), cycle(6), path(3))))
+    graphs = (cycle(5), cycle(6), path(3))
+    records.write_text("".join(emit_graph6(g) + "\n" for g in graphs))
     lines = run_bench("--layers", "--file", str(records))
     calls = {}
     for line in lines[2:]:
@@ -38,3 +40,6 @@ def test_layer_timings_run_over_a_file(tmp_path):
     # all three have minimum degree at most 2, so each chain is classified
     assert calls["classify_chain"] == 3
     assert calls["recognize_f2"] == calls["recognize_h2"] == 2
+    # one JSON line per record, and each chain member after a start encoded once
+    assert calls["json record"] == 3
+    assert calls["emit_graph6"] == sum(len(sc_chain(g).sequence) - 1 for g in graphs) > 3

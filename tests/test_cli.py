@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import random
@@ -177,6 +178,25 @@ def test_sweep_golden_output():
     result = run_cli("sweep", "--max-order", "5", "--json", "--jobs", "1")
     assert result.returncode == 0
     assert result.stdout == (GOLDEN / "sweep_order5.jsonl").read_text()
+
+
+# SHA-256 of the stdout of `sweep --max-order 7`, text and --json: how a
+# record is built or encoded may change, but not one byte of the output
+_ORDER_SEVEN_SWEEP_SHA256 = {
+    "text": "293c4b8a18ee8dacf461f09ebcab963242a01d906969997f3f191437ddf07618",
+    "json": "21ca142328c0338fd6ff00c2b34a18c446c490f34f093754a8c7c67e9dc84826",
+}
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_the_order_seven_sweep_output_is_pinned_byte_for_byte(fmt, jobs):
+    flags = ("--json",) if fmt == "json" else ()
+    result = run_cli("sweep", "--max-order", "7", *flags, "--jobs", jobs)
+    assert result.returncode == 0, result.stderr
+    assert len(result.stdout.splitlines()) == 1252
+    digest = hashlib.sha256(result.stdout.encode()).hexdigest()
+    assert digest == _ORDER_SEVEN_SWEEP_SHA256[fmt]
 
 
 def _relabeled_order_six_file(tmp_path) -> Path:

@@ -361,6 +361,19 @@ def test_sweep_marks_non_sp():
     assert rec["lscc"]["start_not_sp"] is True
 
 
+def test_a_capped_chain_gets_a_step_cap_record_without_a_template(monkeypatch):
+    # no sweep chain reaches the cap, so cap the two-cycle of the path P(3),
+    # "Bg", at one arrow
+    real_sc_chain = verify_mod.sc_chain
+    monkeypatch.setattr(verify_mod, "sc_chain", lambda g, **kwargs: real_sc_chain(g, 1, **kwargs))
+    rec = chain_record(parse_graph6("Bg"))
+    assert len(rec["chain"]) == 2
+    assert rec["outcome"] == {"type": "step-cap", "cap": 1}
+    assert rec["lscc"] == {"kind": "Unknown", "cap": 1}
+    assert (rec["status"], rec["template"]) == ("unclassified", None)
+    assert rec["detail"]
+
+
 def test_chain_record_reads_the_blocking_vertex_from_the_chain(monkeypatch):
     monkeypatch.setattr(domination, "sp_check", lambda g: pytest.fail("sp_check called"))
     rec = chain_record(parse_graph6("CB"))
@@ -695,10 +708,36 @@ def test_a_pass_scans_each_start_once_and_each_chain_member_once(scans, monkeypa
     assert scans["sc_graph"] == 0
 
 
+# a triangle joined to three independent vertices: minimum degree 3, the
+# triangle's vertices full, and vertex 3 without a partner
+_DEGREE_THREE_NOT_SP = "E~z_"
+
+
 def test_a_sweep_scans_each_chain_member_once(scans):
-    records = list(sweep_chains(_relabeled_classes(6, 614)))
+    graphs = _relabeled_classes(6, 614) + [parse_graph6(_DEGREE_THREE_NOT_SP)]
+    records = list(sweep_chains(graphs))
     assert scans["singleton_partners"] == sum(len(rec["chain"]) for rec in records)
     assert scans["sc_graph"] == 0
+
+
+def test_a_sweep_builds_chains_only_for_sp_starts(monkeypatch):
+    built = []
+    real_sc_chain = verify_mod.sc_chain
+
+    def recording(g, *args, **kwargs):
+        built.append(g)
+        return real_sc_chain(g, *args, **kwargs)
+
+    monkeypatch.setattr(verify_mod, "sc_chain", recording)
+    start = parse_graph6(_DEGREE_THREE_NOT_SP)
+    graphs = _relabeled_classes(6, 619) + [start]
+    records = list(sweep_chains(graphs))
+    assert built == [g for g in graphs if domination.sp_check(g).is_sp]
+    rec = records[-1]
+    assert (rec["min_degree"], rec["status"], rec["chain"]) == (3, "not-sp", ["E~z_"])
+    assert rec["blocking_vertex"] == domination.sp_check(start).blocking_vertex == 3
+    assert rec["lscc"] == {"kind": "Finite", "value": 0, "start_not_sp": True}
+    assert rec["outcome"] == {"type": "terminated", "last_index": 0}
 
 
 def test_a_pass_calls_sp_check_only_for_the_obs7_cycles(monkeypatch):
