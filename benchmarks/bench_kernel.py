@@ -10,10 +10,13 @@ same extensions capped at minimum degree 2, as ``verify`` builds its pool's
 top order.
 
 ``--layers`` instead times, in microseconds per call, the per-graph layers
-of ``verify`` and ``sweep``: graph6 decoding (the text checks and the
-trusted rows, no row validation), canonical-code decoding
-(``graph_from_code`` on each graph's code), ``Graph`` validation (the row
-checks ``Graph(n, rows)`` runs on a caller's rows), ``degree_stats``,
+of ``verify`` and ``sweep``: the range decode the pass uses
+(``Graph6Lines.parse`` over the file's bytes, or the order-7 records as
+lines, in us per record), graph6 decoding (``parse_graph6`` on each
+record: the text checks and the trusted rows, no row validation),
+canonical-code decoding (``graph_from_code`` on each graph's code),
+``Graph`` validation (the row checks ``Graph(n, rows)`` runs on a caller's
+rows), ``degree_stats``,
 ``sp_check``, ``_Facts`` (the facts the verify pass computes for every
 graph, its hypothesis key, and the degree-1 family witness of the graphs
 whose key thm6 admits, as under ``verify --all``), ``recognize_f2`` (on
@@ -55,10 +58,10 @@ from coalition_kit.domination import sp_check
 from coalition_kit.families import recognize_f2, recognize_h2
 from coalition_kit.graphs import (
     Graph,
+    Graph6Lines,
     degree_stats,
     emit_graph6,
     parse_graph6,
-    read_graph6_file,
 )
 from coalition_kit.verify import THEOREMS, _Facts, chain_record
 
@@ -160,15 +163,16 @@ def bench_enumeration(n: int) -> None:
 LAYER_PASSES = 5
 
 
-def _per_call_us(fn, args: list) -> float:
-    """Best of LAYER_PASSES passes of ``fn`` over ``args``, in us per call."""
+def _per_record_us(fn, args: list, records: int) -> float:
+    """Best of LAYER_PASSES passes of ``fn`` over ``args``, in us per record
+    of the ``records`` the pass handles."""
     best = float("inf")
     for _ in range(LAYER_PASSES):
         t0 = time.perf_counter()
         for arg in args:
             fn(arg)
         best = min(best, time.perf_counter() - t0)
-    return 1e6 * best / max(len(args), 1)
+    return 1e6 * best / max(records, 1)
 
 
 def _facts_and_key(g: Graph) -> None:
@@ -179,7 +183,12 @@ def _facts_and_key(g: Graph) -> None:
 
 
 def bench_layers(path: str | None) -> None:
-    graphs = list(read_graph6_file(path)) if path else list(enumerate_graphs(7))
+    if path:
+        lines = Graph6Lines.read(path)
+    else:
+        data = "".join(emit_graph6(g) + "\n" for g in enumerate_graphs(7)).encode()
+        lines = Graph6Lines("<order 7>", data, 0, len(data))
+    graphs = [g for g, _ in lines.parse()]
     degree2 = [
         g for g in graphs
         if (s := degree_stats(g)).min_degree == 2 and s.full_count == 0
@@ -190,7 +199,10 @@ def bench_layers(path: str | None) -> None:
     # the members a sweep record encodes: those after the start of each SP start's chain
     members = [h for g in graphs if sp_check(g).is_sp for h in _Facts(g).chain().sequence[1:]]
     records = [chain_record(g) for g in graphs]
-    rows = [
+    # one call of the range decode handles every record; each other layer
+    # handles one record per call
+    rows = [("Graph6Lines.parse", Graph6Lines.parse, [lines], len(graphs))]
+    rows += [(name, fn, args, len(args)) for name, fn, args in [
         ("parse_graph6", parse_graph6, [emit_graph6(g) for g in graphs]),
         ("graph_from_code", graph_from_code, [canonical_form(g) for g in graphs]),
         ("Graph validation", lambda g: Graph(g.n, g.rows), graphs),
@@ -204,12 +216,12 @@ def bench_layers(path: str | None) -> None:
         ("chain_record", chain_record, graphs),
         ("emit_graph6", emit_graph6, members),
         ("json record", _json_line, records),
-    ]
+    ]]
     source = path or "every class of order 7"
     print(f"per-graph layers over {source}, best of {LAYER_PASSES} passes")
     print(f"{'layer':<18} {'calls':>7} {'us/call':>9}")
-    for name, fn, args in rows:
-        print(f"{name:<18} {len(args):>7} {_per_call_us(fn, args):>9.2f}")
+    for name, fn, args, count in rows:
+        print(f"{name:<18} {count:>7} {_per_record_us(fn, args, count):>9.2f}")
 
 
 def main() -> None:

@@ -18,10 +18,12 @@ builds rows that are in range, loop-free and symmetric.
 
 graph6 records and canonical codes (``canon.graph_from_code``) decode
 through byte tables: for each body byte position of an order and each byte
-value, one precomputed int holds the rows that byte's pair bits set, packed
-n bits per row. Decoding ORs one entry per body byte and slices out the
-rows. An order's tables are built on its first decode, never at import;
-order 32 in graph6 takes under 1 MB.
+value, one precomputed int holds the rows that byte's pair bits set, row v
+at bit v*s, with the row stride s = max(n, 8). Decoding ORs one entry per
+body byte; up to order 8 the int's little-endian bytes are the rows, and
+above it the rows are shifted out n bits at a time. An order's tables are
+built on its first decode, never at import; order 32 in graph6 takes under
+1 MB.
 """
 
 from __future__ import annotations
@@ -260,9 +262,12 @@ def _byte_tables(
     x(1,2), ... (graph6), or row-major, x(0,1), x(0,2), ..., x(1,2), ...
     (canonical codes), most significant bit first. The table of each body
     byte position maps a stored byte to the packed rows of the pairs its
-    value sets: row v at bits v*n .. v*n+n-1. The entry is None where the
-    value sets a padding bit, and at the ``offset`` bytes below the values.
+    value sets: row v at bits v*s .. v*s+n-1, with the row stride s =
+    max(n, 8), so that up to order 8 each row is one byte. The entry is
+    None where the value sets a padding bit, and at the ``offset`` bytes
+    below the values; there is none for the bytes above them.
     """
+    s = max(n, 8)
     if column_major:
         pairs = [(i, j) for j in range(1, n) for i in range(j)]
     else:
@@ -272,7 +277,7 @@ def _byte_tables(
         # the edge bits of each byte bit, the most significant first
         edge_bits: list[int | None] = [None] * width
         for k, (i, j) in enumerate(pairs[start : start + width]):
-            edge_bits[k] = (1 << (i * n + j)) | (1 << (j * n + i))
+            edge_bits[k] = (1 << (i * s + j)) | (1 << (j * s + i))
         entries: list[int | None] = [0] * (1 << width)
         for value in range(1, 1 << width):
             low = value & -value
@@ -286,23 +291,27 @@ def _graph_from_body(
     n: int, tables: tuple[tuple[int | None, ...], ...], body: bytes
 ) -> Graph | None:
     """The order-n graph whose body bytes select one entry of ``tables``
-    each, or None when an entry is None; graph6 records and canonical codes
-    decode through it, and the caller checks the byte count and range.
+    each, or None when a byte has no entry; graph6 records and canonical
+    codes decode through it, and the caller checks the byte count.
 
     The rows need no validation: every pair sets its bit in both rows, so
     they come out in range, loop-free and symmetric.
     """
     try:
         # distinct pairs set distinct bits, so summing the entries ORs them;
-        # a None entry raises TypeError
+        # a None entry raises TypeError, a byte past the table IndexError
         x = sum(map(getitem, tables, body))
-    except TypeError:
+    except (TypeError, IndexError):
         return None
+    if n <= 8:
+        return Graph._trusted(n, tuple(x.to_bytes(n, "little")))
     mask = (1 << n) - 1
     return Graph._trusted(n, tuple([(x >> s) & mask for s in range(0, n * n, n)]))
 
 
 _BODY_BYTES = bytes(range(63, 127))
+# the bytes ``str.strip`` removes from an ASCII line, line ends aside
+_LINE_SPACE = b"\t\x0b\x0c\x1c\x1d\x1e\x1f "
 
 
 def parse_graph6(text: str) -> Graph:
@@ -419,12 +428,41 @@ class Graph6Lines:
     def parse(self) -> list[tuple[Graph, str]]:
         """Each nonblank line's graph and graph6 text, without the
         surrounding whitespace and the header. A line that parses is the
-        one graph6 encoding of its graph, since ``parse_graph6`` rejects set
-        padding bits and stray bytes.
+        one graph6 encoding of its graph, since set padding bits and stray
+        bytes are rejected.
 
-        A malformed record raises ``Graph6Error`` prefixed with the path and
-        line number.
+        Each line is decoded once, as bytes: its order byte gives its
+        length and tables, and the tables check its body (a byte outside
+        63..126 or a set padding bit has no entry). At the first line they
+        reject, the range goes to ``_parse_each``, so a malformed record
+        raises ``parse_graph6``'s ``Graph6Error``, prefixed with the path
+        and line number.
         """
+        layouts: dict[int, tuple[int, int, tuple]] = {}  # order byte: n, length, tables
+        out = []
+        for line in self.data[self.start : self.stop].splitlines():
+            record = line.strip(_LINE_SPACE)
+            if not record:
+                continue
+            record = record.removeprefix(b">>graph6<<")
+            try:
+                n, length, tables = layouts[record[0]]
+            except (IndexError, KeyError):  # a header alone, or an order byte first seen
+                n = record[0] - 63 if record else 0
+                if not 1 <= n <= ORDER_MAX:
+                    return self._parse_each()
+                length = 1 + (n * (n - 1) // 2 + 5) // 6
+                tables = _byte_tables(n, 6, 63, True)
+                layouts[record[0]] = n, length, tables
+            g = _graph_from_body(n, tables, record[1:]) if len(record) == length else None
+            if g is None:
+                return self._parse_each()
+            out.append((g, record.decode("ascii")))
+        return out
+
+    def _parse_each(self) -> list[tuple[Graph, str]]:
+        """``parse`` by ``parse_graph6``, one line's text at a time, which
+        names what is wrong with a malformed record."""
         out = []
         for k, text in self._nonblank():
             try:

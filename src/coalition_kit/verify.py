@@ -255,7 +255,7 @@ class _Facts:
     def key(self) -> tuple[int, int, bool, bool]:
         """The hypothesis key: order, minimum degree capped at 3, a full
         vertex present, and SP."""
-        return self.g.n, min(self.stats.min_degree, 3), self.stats.full_count > 0, self.is_sp
+        return self.g.n, min(self.stats.min_degree, 3), self.stats.full_vertices != 0, self.is_sp
 
 
 # ---------------------------------------------------------------------------
@@ -667,8 +667,13 @@ class _Tally:
         if isinstance(result, tuple):
             result, key = result
             self.histogram[key] = self.histogram.get(key, 0) + 1
-        self.lo = min(self.lo, g.n) if self.count else g.n
-        self.hi = max(self.hi, g.n)
+        n = g.n
+        if not self.count:
+            self.lo = self.hi = n
+        elif n < self.lo:
+            self.lo = n
+        elif n > self.hi:
+            self.hi = n
         self.count += 1
         self.seconds += seconds
         if result:

@@ -3,14 +3,24 @@ pair-by-pair decoder it replaced."""
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coalition_kit.canon import class_pool, graph_from_code
-from coalition_kit.graphs import Graph, Graph6Error, emit_graph6, parse_graph6
+from coalition_kit import canon, graphs
+from coalition_kit.canon import canonical_form, class_pool, graph_from_code
+from coalition_kit.graphs import (
+    Graph,
+    Graph6Error,
+    Graph6Lines,
+    complete,
+    emit_graph6,
+    empty_graph,
+    parse_graph6,
+)
 from coalition_kit.limits import CANON_MAX
 
 
@@ -142,3 +152,49 @@ def test_malformed_codes_are_rejected(code, fragment):
         graph_from_code(code)
     assert fragment in str(err.value)
 
+
+def _stride_graphs(n: int) -> list[Graph]:
+    """Empty, complete and three random graphs of order n, so that the
+    rows at the edge of a row stride are both full and empty."""
+    rng = random.Random(1300 + n)
+    out = [empty_graph(n), complete(n)]
+    for _ in range(3):
+        pairs = [(i, j) for j in range(n) for i in range(j) if rng.random() < 0.5]
+        out.append(Graph.from_edges(n, pairs))
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 8, 9, 16, 17, 32])
+def test_graph6_rows_at_the_edges_of_the_row_stride(n):
+    # the row stride is 8 bits up to order 8, where each row is one byte of
+    # the decoded int, and n above it, where the rows come by shifts
+    for g in _stride_graphs(n):
+        record = emit_graph6(g)
+        assert parse_graph6(record) == g
+        data = f" {record}\r\n>>graph6<<{record}\n".encode()
+        assert Graph6Lines("stride.g6", data, 0, len(data)).parse() == [(g, record)] * 2
+
+
+@pytest.mark.parametrize("n", [8, 9, 16])
+def test_code_rows_match_shifts_and_masks(n):
+    stride = max(n, 8)
+    tables = graphs._byte_tables(n, 8, 0, False)
+    for g in _stride_graphs(n):
+        code = canonical_form(g)
+        x = sum(table[b] for table, b in zip(tables, code[1:]))
+        reference = tuple((x >> (v * stride)) & ((1 << stride) - 1) for v in range(n))
+        assert graph_from_code(code).rows == reference
+        assert Graph(n, reference) == reference_decode(n, code[1:], column_major=False)
+
+
+def test_the_classes_of_orders_one_to_eight_are_unchanged():
+    # the codes and minimum degrees the enumeration stores, as recorded when
+    # rows were still packed n bits apart
+    digest = hashlib.sha256()
+    for n in range(1, 9):
+        codes, deltas = canon._classes(n)
+        digest.update(codes)
+        digest.update(deltas)
+    assert digest.hexdigest() == (
+        "3bb4f833ff9c1a24a3d71e2810714c98b33900bfe2c36765e8b06d57a685ee81"
+    )

@@ -204,18 +204,58 @@ def _outcome(call) -> str | None:
     return None
 
 
+_FILE_EXAMPLES = [
+    b">>graph6<<>>graph6<<C~\n",  # one header at most
+    b">>graph6<< C~\r\n",  # no space after the header
+    b">>graph6<< C~",
+    b"\x1c>>graph6<<C~\x1f\r\n\r>>graph6<<\n",  # a header alone
+    b">>graph6<<",
+    b"_" + b"?" * 83,  # order 32
+    b"`" + b"?" * 88,  # order 33
+    b"C~\nB\x85\n",  # \x85 is whitespace to str.strip, but not in ASCII
+    b"C~\n\x85C~\x85\n",
+    b"C~\r\nB\xc3\xa9\n",
+    b"C~\n~~?\n",  # order byte ~
+    b"~",
+    b"C~\nB\x7f\n",  # byte 127, one past the tables
+    b"\x7f",
+]
+
+
+def _file_examples(test):
+    for data in _FILE_EXAMPLES:
+        test = example(data)(test)
+    return test
+
+
 @settings(max_examples=600)
 @given(_graph6_files())
-@example(b">>graph6<<>>graph6<<C~\n")  # one header at most
-@example(b">>graph6<< C~\r\n")  # no space after the header
-@example(b"\x1c>>graph6<<C~\x1f\r\n\r>>graph6<<\n")  # a header alone
-@example(b"_" + b"?" * 83)  # order 32
-@example(b"`" + b"?" * 88)  # order 33
+@_file_examples
 def test_the_check_accepts_exactly_what_parse_accepts(data):
     lines = Graph6Lines("pieces.g6", data, 0, len(data))
     error = _outcome(lines.parse)
     assert (_lines_pattern().fullmatch(data) is not None) == (error is None)
     assert _outcome(lines.check) == error
+
+
+@settings(max_examples=600)
+@given(_graph6_files())
+@_file_examples
+def test_the_range_decode_matches_a_record_at_a_time(data):
+    # _parse_each runs parse_graph6 on each nonblank line's text
+    lines = Graph6Lines("pieces.g6", data, 0, len(data))
+    error = _outcome(lines._parse_each)
+    assert _outcome(lines.parse) == error
+    if error is None:
+        # and a range that parses is decoded once, never handed on
+        assert _DecodedOnce("pieces.g6", data, 0, len(data)).parse() == lines._parse_each()
+
+
+class _DecodedOnce(Graph6Lines):
+    __slots__ = ()
+
+    def _parse_each(self):
+        raise AssertionError("a range that parses was handed to _parse_each")
 
 
 def test_the_check_accepts_every_order():

@@ -283,11 +283,12 @@ def test_a_verify_chunk_returns_one_tally_per_claim(size):
 
 def test_a_pool_no_claim_reads_is_decoded_but_not_checked(monkeypatch):
     # obs7 checks cycles of its own: the supplied items are decoded, so that
-    # a malformed one raises, but facts are computed only for the cycles
+    # a malformed one raises, but facts are computed only for the cycles;
+    # every record is decoded through graphs._graph_from_body
     decoded, faced = [], []
-    real = graphs_mod.parse_graph6
+    real = graphs_mod._graph_from_body
     monkeypatch.setattr(
-        graphs_mod, "parse_graph6", lambda text: decoded.append(real(text)) or decoded[-1]
+        graphs_mod, "_graph_from_body", lambda *args: decoded.append(real(*args)) or decoded[-1]
     )
     real_facts = verify_mod._Facts
     monkeypatch.setattr(verify_mod, "_Facts", lambda g: faced.append(g) or real_facts(g))
@@ -610,13 +611,13 @@ def test_elapsed_counts_only_the_claims_own_checks(monkeypatch):
 def test_elapsed_leaves_out_the_decoding_of_supplied_items(monkeypatch):
     # 0.05 s for each of the 18 classes of orders 1..4: charged to a claim,
     # it would put thm1, which checks the 8 with an isolated vertex, over 0.3 s
-    real = graphs_mod.parse_graph6
+    real = graphs_mod._graph_from_body
 
-    def slow_decode(text):
+    def slow_decode(*args):
         time.sleep(0.05)
-        return real(text)
+        return real(*args)
 
-    monkeypatch.setattr(graphs_mod, "parse_graph6", slow_decode)
+    monkeypatch.setattr(graphs_mod, "_graph_from_body", slow_decode)
     graphs = [g for n in range(1, 5) for g in enumerate_graphs(n)]
     reports = list(verify_claims(all_theorem_ids(), graphs=graphs))
     assert len(reports) == 16
