@@ -30,9 +30,10 @@ the same graphs, with their chains and degree stats computed beforehand;
 member codes are cached on a chain after the first pass) and
 ``chain_record`` (one sweep record), ``emit_graph6`` (on the chain members
 after the start of each singleton-partition graph, the ones a sweep record
-encodes) and ``json record`` (``cli._json_line`` of each graph's sweep
-record, as ``sweep --json`` prints it). The graphs are every class of
-order 7, or the records of ``--file``.
+encodes) and ``json record`` (``cli._sweep_json_line`` of each graph's
+sweep record, the line ``sweep --json`` prints: a fixed format for a
+not-SP record, the JSON encoder for any other). The graphs are every
+class of order 7, or the records of ``--file``.
 
 Usage: python benchmarks/bench_kernel.py [--orders 8,12,16] [--batch 2000] [--enum-order 7]
        python benchmarks/bench_kernel.py --layers [--file graphs.g6]
@@ -52,7 +53,7 @@ from coalition_kit.canon import (
     graph_from_code,
 )
 from coalition_kit.chains import classify_chain
-from coalition_kit.cli import _json_line
+from coalition_kit.cli import _sweep_json_line
 from coalition_kit.coalition_graph import sc_graph
 from coalition_kit.domination import sp_check
 from coalition_kit.families import recognize_f2, recognize_h2
@@ -215,7 +216,7 @@ def bench_layers(path: str | None) -> None:
         ("classify_chain", lambda args: classify_chain(*args), chained),
         ("chain_record", chain_record, graphs),
         ("emit_graph6", emit_graph6, members),
-        ("json record", _json_line, records),
+        ("json record", _sweep_json_line, records),
     ]]
     source = path or "every class of order 7"
     print(f"per-graph layers over {source}, best of {LAYER_PASSES} passes")

@@ -853,15 +853,27 @@ def _lscc_json(lv: LsccValue) -> dict:
 _OUTCOME_TYPES = {TerminatedNonSp: "terminated", CycleOutcome: "cycle", StepCap: "step-cap"}
 
 
+# The not-SP record of ``chain_record`` as ``cli._json_line`` prints it, keys
+# sorted, with its line end; only the %-fields vary (``cli._sweep_json_line``
+# fills them).
+_NOT_SP_JSON_LINE = (
+    '{"blocking_vertex": %d, "chain": [%s], "full_vertices": %d, "graph6": %s, '
+    '"lscc": {"kind": "Finite", "start_not_sp": true, "value": 0}, "min_degree": %d, '
+    '"order": %d, "outcome": {"last_index": 0, "type": "terminated"}, '
+    f'"schema_version": {SCHEMA_VERSION}, "status": "not-sp", "template": null}}\n'
+)
+
+
 def chain_record(g: Graph, g6: str | None = None) -> dict:
     """One sweep record: chain, length, and template label (or a status).
 
     ``g6`` is the graph6 text of ``g`` when the caller holds it; it becomes
     the record's ``graph6`` and first chain member, encoded afresh otherwise.
     A start that is not SP is its own one-member chain, so its record comes
-    from its partner scan and no chain is built. Records are built in the
-    sorted key order they are printed in, an unclassified one's ``detail``
-    aside.
+    from its partner scan and no chain is built; ``_NOT_SP_JSON_LINE`` is its
+    printed line, which a test holds equal to the encoded record. Records are
+    built in the sorted key order they are printed in, an unclassified
+    one's ``detail`` aside.
     """
     if g6 is None:
         g6 = emit_graph6(g)

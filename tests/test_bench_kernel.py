@@ -1,5 +1,5 @@
 """Smoke runs of ``benchmarks/bench_kernel.py``, which reads private names of
-the package (``canon._extend_codes``, ``verify._Facts``, ``cli._json_line``),
+the package (``canon._extend_codes``, ``verify._Facts``, ``cli._sweep_json_line``),
 so that a rename breaks a test rather than the script."""
 
 from __future__ import annotations

@@ -9,14 +9,17 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from coalition_kit import are_isomorphic, build_named, cli, enumerate_graphs, parse_graph6
+from coalition_kit.canon import class_pool
 from coalition_kit.families import generate_family
-from coalition_kit.graphs import emit_graph6, path
-from coalition_kit.limits import ENUM_MAX
+from coalition_kit.graphs import Graph6Lines, emit_graph6, path
+from coalition_kit.limits import CANON_MAX, ENUM_MAX
+from coalition_kit.verify import sweep_chains
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -213,6 +216,36 @@ def _relabeled_order_six_file(tmp_path) -> Path:
     f = tmp_path / "order6.g6"
     f.write_text("\n".join(lines) + "\n")
     return f
+
+
+def test_a_sweep_json_line_is_its_record_as_the_encoder_prints_it(tmp_path):
+    # a not-SP record is printed through a fixed format, every other one
+    # through the encoder; both must give the encoder's line
+    above = build_named(f"C({CANON_MAX + 1})")
+    pools = {
+        "order 1..7": class_pool(1, 7),
+        "relabeled order 6": Graph6Lines.read(_relabeled_order_six_file(tmp_path)),
+        "above CANON_MAX": [above],
+    }
+    statuses = {}
+    for name, pool in pools.items():
+        statuses[name] = Counter()
+        for rec in sweep_chains(pool):
+            assert cli._sweep_json_line(rec) == cli._json_line(rec) + "\n"
+            statuses[name][rec["status"]] += 1
+            # graph6 may hold a backslash, which JSON escapes
+            if rec["status"] == "not-sp" and "\\" in rec["graph6"]:
+                statuses[name]["not-sp, escaped"] += 1
+    assert statuses == {
+        "order 1..7": {
+            "not-sp": 852,
+            "not-sp, escaped": 53,
+            "classified": 238,
+            "out-of-characterized-range": 162,
+        },
+        "relabeled order 6": {"not-sp": 94, "classified": 44, "out-of-characterized-range": 18},
+        "above CANON_MAX": {"order-above-chain-support": 1},
+    }
 
 
 @pytest.mark.parametrize("fmt", [(), ("--json",)], ids=["text", "json"])
