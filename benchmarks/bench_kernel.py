@@ -32,8 +32,12 @@ member codes are cached on a chain after the first pass) and
 after the start of each singleton-partition graph, the ones a sweep record
 encodes) and ``json record`` (``cli._sweep_json_line`` of each graph's
 sweep record, the line ``sweep --json`` prints: a fixed format for a
-not-SP record, the JSON encoder for any other). The graphs are every
-class of order 7, or the records of ``--file``.
+not-SP record, the JSON encoder for any other) and ``verify chunk``
+(``verify._run_chunk`` over the graphs cut into ranges of at most
+``verify._CHUNK_MAX`` records, with every claim of ``verify --all``: the
+decoding, the facts and each claim's checks over the batches of its
+hypothesis keys, in us per graph). The graphs are every class of order 7,
+or the records of ``--file``.
 
 Usage: python benchmarks/bench_kernel.py [--orders 8,12,16] [--batch 2000] [--enum-order 7]
        python benchmarks/bench_kernel.py --layers [--file graphs.g6]
@@ -44,6 +48,7 @@ from __future__ import annotations
 import argparse
 import random
 import time
+from functools import partial
 
 from coalition_kit import kernel as pure
 from coalition_kit.canon import (
@@ -64,7 +69,14 @@ from coalition_kit.graphs import (
     emit_graph6,
     parse_graph6,
 )
-from coalition_kit.verify import THEOREMS, _Facts, chain_record
+from coalition_kit.verify import (
+    _CHUNK_MAX,
+    THEOREMS,
+    _Facts,
+    _run_chunk,
+    all_theorem_ids,
+    chain_record,
+)
 
 try:
     from coalition_kit import _fastkernel as fast
@@ -200,9 +212,19 @@ def bench_layers(path: str | None) -> None:
     # the members a sweep record encodes: those after the start of each SP start's chain
     members = [h for g in graphs if sp_check(g).is_sp for h in _Facts(g).chain().sequence[1:]]
     records = [chain_record(g) for g in graphs]
-    # one call of the range decode handles every record; each other layer
-    # handles one record per call
-    rows = [("Graph6Lines.parse", Graph6Lines.parse, [lines], len(graphs))]
+    # the claims of verify --all that read the pool, as verify_claims lists them
+    claims = tuple(
+        (k, THEOREMS[t]) for k, t in enumerate(all_theorem_ids())
+        if THEOREMS[t].min_degree is not None
+    )
+    chunks = lines.cut(-(-len(lines) // _CHUNK_MAX))
+    # one call of the range decode handles every record, and one call of
+    # the verify chunk a range of them; each other layer handles one record
+    # per call
+    rows = [
+        ("Graph6Lines.parse", Graph6Lines.parse, [lines], len(graphs)),
+        ("verify chunk", partial(_run_chunk, claims, {}, len(THEOREMS)), chunks, len(graphs)),
+    ]
     rows += [(name, fn, args, len(args)) for name, fn, args in [
         ("parse_graph6", parse_graph6, [emit_graph6(g) for g in graphs]),
         ("graph_from_code", graph_from_code, [canonical_form(g) for g in graphs]),

@@ -181,6 +181,10 @@ class CodePool:
         self.start = start
         self.stop = stop
 
+    def __len__(self) -> int:
+        """The number of classes in the range, those above ``cap`` included."""
+        return self.stop - self.start
+
     def cut(self, count: int) -> list["CodePool"]:
         """Ranges of one size, about ``count`` of them, that cover this one
         in order; the last may be shorter, and a range may span two orders."""

@@ -392,12 +392,28 @@ class Graph6Lines:
             data = fh.read()
         return cls(path, data, 0, len(data))
 
+    def __len__(self) -> int:
+        """The number of lines in the range, as ``bytes.splitlines`` counts
+        them: its line ends, and a last line without one."""
+        ends = self._line_ends(self.start, self.stop)
+        return ends + (self.stop > self.start and self.data[self.stop - 1] not in b"\r\n")
+
+    def _line_ends(self, start: int, stop: int) -> int:
+        """The line ends in bytes ``start``..``stop``, a \\r\\n counting once."""
+        data = self.data
+        return (
+            data.count(b"\n", start, stop)
+            + data.count(b"\r", start, stop)
+            - data.count(b"\r\n", start, stop)
+        )
+
     def cut(self, count: int) -> list["Graph6Lines"]:
         """At most ``count`` nonempty ranges that cover this one in order,
-        each ending where the line around its share of the bytes ends."""
+        each ending where the line holding the last byte of its share of
+        the bytes ends, so that lines of one length are shared out evenly."""
         data, cuts = self.data, [self.start]
         for k in range(1, count):
-            at = max(self.start + k * (self.stop - self.start) // count, cuts[-1])
+            at = max(self.start + k * (self.stop - self.start) // count - 1, cuts[-1])
             nl = data.find(b"\n", at, self.stop)
             cr = data.find(b"\r", at, self.stop if nl < 0 else nl)
             end = nl if cr < 0 else cr
@@ -422,8 +438,7 @@ class Graph6Lines:
 
     def _first_line(self) -> int:
         """The file's number of the range's first line."""
-        head = self.data[: self.start]
-        return head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        return self._line_ends(0, self.start) + 1
 
     def parse(self) -> list[tuple[Graph, str]]:
         """Each nonblank line's graph and graph6 text, without the

@@ -17,6 +17,7 @@ from __future__ import annotations
 import os
 import time
 from functools import lru_cache, partial
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .canon import CodePool, are_isomorphic, class_pool, graph_from_code
@@ -93,6 +94,9 @@ class TheoremReport(NamedTuple):
 # Chunks per worker process: few enough that a chunk's frame costs little
 # next to its work, enough that the last ones finish close together.
 _CHUNKS_PER_WORKER = 8
+# Most records per chunk: a chunk holds all its graphs and their facts at
+# once, so this bounds a worker's memory whatever the order.
+_CHUNK_MAX = 512
 
 
 def _pmap(
@@ -102,14 +106,15 @@ def _pmap(
     pool order.
 
     The packed pool (``canon.CodePool``, ``graphs.Graph6Lines``) is cut by
-    its ``cut`` into about _CHUNKS_PER_WORKER contiguous ranges per worker,
-    which hold no item and which each chunk reads itself. ``chunk_fn`` maps
-    one chunk to a list of results. When ``jobs`` <= 1 the chunks run
-    in-process, chunk by chunk. Otherwise chunk i runs in forked worker
-    i % ``jobs``: workers inherit the pool and ``chunk_fn``, so nothing is
-    sent to them, and each writes every chunk's pickled results, or the exception
-    of its first failing chunk, as one length-prefixed frame to its own
-    pipe. The parent reads the frames in chunk order and raises that
+    its ``cut`` into _CHUNKS_PER_WORKER contiguous ranges per worker, or
+    into more when that leaves a range above _CHUNK_MAX records (classes,
+    or lines of a file, by the pool's ``len``). The ranges hold no item:
+    each chunk reads its own. ``chunk_fn`` maps one chunk to a list of
+    results. When ``jobs`` <= 1 the chunks run in-process, chunk by chunk.
+    Otherwise chunk i runs in forked worker i % ``jobs``: workers inherit
+    the pool and ``chunk_fn``, so nothing is sent to them, and each writes
+    every chunk's pickled results, or the exception of its first failing
+    chunk, as one length-prefixed frame to its own pipe. The parent reads the frames in chunk order and raises that
     exception where its chunk's results would have been. A worker that ends
     without sending its frames fails the run. Every worker is reaped when
     the generator ends, fails or is closed; one still running then is killed
@@ -117,7 +122,7 @@ def _pmap(
     not have.
     """
     workers = max(jobs, 1)
-    chunks = pool.cut(_CHUNKS_PER_WORKER * workers)
+    chunks = pool.cut(max(_CHUNKS_PER_WORKER * workers, -(-len(pool) // _CHUNK_MAX)))
     if workers == 1 or len(chunks) <= 1:
         for chunk in chunks:
             yield from chunk_fn(chunk)
@@ -214,7 +219,7 @@ class _Facts:
     image (its partner masks) and the chain's first arrow; above it the
     verdict is False, and the scan is made only when a sweep record reads
     it. The rest is computed on first read. A ``_Facts`` lives while its
-    graph is checked, so nothing outlives a run.
+    chunk is checked, so nothing outlives a run.
     """
 
     __slots__ = ("g", "stats", "is_sp", "_scan", "_f1", "_chain")
@@ -662,23 +667,54 @@ class _Tally:
         self.histogram: dict[str, int] = {}
         self.counterexamples: list[dict] = []
 
-    def add(self, g: Graph, result: object, seconds: float, name: object = None) -> None:
-        """Count one check of ``g``; a failure's detail follows ``name``, if any."""
-        if isinstance(result, tuple):
-            result, key = result
-            self.histogram[key] = self.histogram.get(key, 0) + 1
-        n = g.n
+    def _span(self, n: int, count: int) -> None:
+        """Count ``count`` > 0 more graphs, of order ``n``."""
         if not self.count:
             self.lo = self.hi = n
         elif n < self.lo:
             self.lo = n
         elif n > self.hi:
             self.hi = n
-        self.count += 1
+        self.count += count
+
+    def add(self, g: Graph, result: object, seconds: float, name: object = None) -> None:
+        """Count one check of ``g``; a failure's detail follows ``name``, if any."""
+        if isinstance(result, tuple):
+            result, key = result
+            self.histogram[key] = self.histogram.get(key, 0) + 1
+        self._span(g.n, 1)
         self.seconds += seconds
         if result:
             detail = result if name is None else f"{name}: {result}"
             self.counterexamples.append({"graph6": emit_graph6(g), "detail": detail})
+
+    def add_batch(self, claim: _TheoremDef, n: int, batch: list) -> list[tuple[int, dict]]:
+        """Check ``claim`` on each (index, graph, facts) entry of ``batch``,
+        the graphs of one hypothesis key, of order ``n``, in one timed loop
+        and count them at once; return each failure as (index,
+        counterexample). A claim that needs degree-1 family membership
+        skips a non-member, untimed."""
+        if claim.f1_member:
+            batch = [entry for entry in batch if entry[2].f1() is not None]
+            if not batch:
+                return []
+        check = claim.check
+        start = time.perf_counter()
+        results = [check(g, f) for _, g, f in batch]
+        self.seconds += time.perf_counter() - start
+        self._span(n, len(batch))
+        if isinstance(results[0], tuple):
+            histogram = self.histogram
+            for _, key in results:
+                histogram[key] = histogram.get(key, 0) + 1
+            results = [result for result, _ in results]
+        if not any(results):
+            return []
+        return [
+            (i, {"graph6": emit_graph6(g), "detail": result})
+            for (i, g, _), result in zip(batch, results)
+            if result
+        ]
 
     def merge(self, other: "_Tally") -> None:
         if not other.count:
@@ -701,25 +737,32 @@ def _run_chunk(
     ``claims`` holds the (claim index, row) entries of the claims that read
     the pool. The whole chunk is decoded first, so a malformed item raises
     even when no claim reads the pool. Then each graph's facts are
-    computed, and its claims are looked up by its ``_Facts.key`` in
-    ``due``, a table the run fills as keys first appear, and checked. A
-    claim that needs degree-1 family membership skips a non-member, so the
-    family is recognized only for graphs such a claim admits.
+    computed once and put in the batch of its ``_Facts.key``. The claims
+    of a key are looked up in ``due``, a table the run fills as keys first
+    appear, and each runs over the key's whole batch before the next
+    (``_Tally.add_batch``), so that one check's code and data stay warm.
+    A claim's failures are sorted by their index in the chunk, so its
+    counterexamples come in pool order. A claim that needs degree-1 family
+    membership skips a non-member, so the family is recognized only for
+    graphs such a claim admits.
     """
     tallies = [_Tally() for _ in range(n_ids)]
     graphs = chunk.parse()
-    if claims:
-        for g, _ in graphs:
-            f = _Facts(g)
-            key = f.key()
-            if key not in due:
-                due[key] = tuple((k, claim) for k, claim in claims if claim.admits(key))
-            for k, claim in due[key]:
-                if claim.f1_member and f.f1() is None:
-                    continue
-                start = time.perf_counter()
-                result = claim.check(g, f)
-                tallies[k].add(g, result, time.perf_counter() - start)
+    if not claims:
+        return [tallies]
+    batches: dict[tuple[int, int, bool, bool], list] = {}
+    for i, (g, _) in enumerate(graphs):
+        f = _Facts(g)
+        batches.setdefault(f.key(), []).append((i, g, f))
+    failed: list[list] = [[] for _ in range(n_ids)]
+    for key, batch in batches.items():
+        if key not in due:
+            due[key] = tuple((k, claim) for k, claim in claims if claim.admits(key))
+        for k, claim in due[key]:
+            failed[k] += tallies[k].add_batch(claim, key[0], batch)
+    for tally, failures in zip(tallies, failed):
+        failures.sort(key=itemgetter(0))
+        tally.counterexamples = [counterexample for _, counterexample in failures]
     return [tallies]
 
 
@@ -754,21 +797,23 @@ def verify_claims(
     degree is at most the largest ``min_degree`` of the run's claims
     (``canon.class_pool``), enumerated once and only when a claim reads the
     pool; each claim takes the graphs of its hypothesis class, from its
-    least order up. Each chunk of the pool
-    is decoded and checked in one worker under ``jobs`` > 1: every graph's
-    facts are computed, the claims whose hypothesis it meets are looked up
-    by its hypothesis key and checked, and the chunk returns one tally per
-    claim (``_run_chunk``), which the run merges in pool order, so the
-    counterexamples come in pool order; the tally of a claim's own graphs
-    (``_own_tally``) is merged last, and each report is built once from its
-    claim's tally, with its row's extras. A supplied pool is decoded even
-    when no claim reads it, so a malformed item raises first: a malformed
-    listed code as the pool is packed, before any chunk runs. A report's
-    ``elapsed`` is the time of its claim's own checks; the pool, its
-    decoding and the facts are charged to no claim. The ids are taken up to
-    the first unknown id or order below the least order of a claim that
-    reads the pool, whose error is raised after the reports of the claims
-    before it; an enumeration above ``ENUM_MAX`` raises before any report.
+    least order up. The pool is cut into chunks of at most about
+    ``_CHUNK_MAX`` records (``_pmap``), and each chunk is decoded and
+    checked in one worker under ``jobs`` > 1: every graph's facts are
+    computed once, the graphs are batched by hypothesis key, each claim
+    whose hypothesis a key meets is checked over the key's batch, and the
+    chunk returns one tally per claim (``_run_chunk``), which the run
+    merges in pool order, so the counterexamples come in pool order; the
+    tally of a claim's own graphs (``_own_tally``) is merged last, and each
+    report is built once from its claim's tally, with its row's extras. A
+    supplied pool is decoded even when no claim reads it, so a malformed
+    item raises first: a malformed listed code as the pool is packed,
+    before any chunk runs. A report's ``elapsed`` is the time of its
+    claim's own checks, taken once per batch; the pool, its decoding and
+    the facts are charged to no claim. The ids are taken up to the first
+    unknown id or order below the least order of a claim that reads the
+    pool, whose error is raised after the reports of the claims before it;
+    an enumeration above ``ENUM_MAX`` raises before any report.
     """
     enumerated = graphs is None
     ids: list[str] = []

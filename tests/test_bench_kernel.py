@@ -1,5 +1,6 @@
 """Smoke runs of ``benchmarks/bench_kernel.py``, which reads private names of
-the package (``canon._extend_codes``, ``verify._Facts``, ``cli._sweep_json_line``),
+the package (``canon._extend_codes``, ``verify._Facts``, ``verify._run_chunk``,
+``cli._sweep_json_line``),
 so that a rename breaks a test rather than the script."""
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ def test_layer_timings_run_over_a_file(tmp_path):
         calls[layer] = int(count)
     # all three are SP, and the cycles have minimum degree 2 and no full vertex
     assert calls["parse_graph6"] == calls["chain_record"] == calls["chain"] == 3
-    # the range decode is timed per record of the file
-    assert calls["Graph6Lines.parse"] == 3
+    # the range decode and the verify chunk are timed per record of the file
+    assert calls["Graph6Lines.parse"] == calls["verify chunk"] == 3
     # all three have minimum degree at most 2, so each chain is classified
     assert calls["classify_chain"] == 3
     assert calls["recognize_f2"] == calls["recognize_h2"] == 2

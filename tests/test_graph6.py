@@ -141,6 +141,10 @@ def test_cut_ranges_tile_a_file_on_line_ends(count):
         assert _MIXED[after.start - 1 : after.start + 1] != b"\r\n"
     assert [pair for r in ranges for pair in r.parse()] == whole.parse()
     assert [text for _, text in whole.parse()] == ["C~", "C?", "Bw", "DQc", "A_", "C~", "BW"]
+    # a range's length is its line count, as splitlines counts lines
+    assert len(whole) == 14
+    for r in [whole, *ranges]:
+        assert len(r) == len(_MIXED[r.start : r.stop].splitlines())
 
 
 @pytest.mark.parametrize("count", range(1, 12))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 import pickle
 import random
@@ -24,7 +25,7 @@ from coalition_kit import (
 )
 from coalition_kit import domination
 from coalition_kit import graphs as graphs_mod
-from coalition_kit import chains, coalition_graph
+from coalition_kit import chains, cli, coalition_graph
 from coalition_kit.canon import CodePool, class_pool, enumerate_graphs
 from coalition_kit.chains import TerminatedNonSp, sc_chain
 from coalition_kit.coalition_graph import sc_graph
@@ -578,6 +579,111 @@ def test_chunked_map_keeps_every_item_in_order(count, jobs):
     items = list(range(count))
     pool = _numbered_pool(count)
     assert list(verify_mod._pmap(_negated_chunk, pool, jobs)) == [-x for x in items]
+
+
+def _ranges(pool, jobs: int) -> list[tuple[int, int]]:
+    """The (start, stop) of each range ``_pmap`` cuts ``pool`` into."""
+    return list(verify_mod._pmap(lambda chunk: [(chunk.start, chunk.stop)], pool, jobs))
+
+
+def test_a_large_code_pool_is_cut_into_ranges_of_at_most_the_bound():
+    # ten copies of the 1,044 order-7 classes, of which the pool takes 10,000
+    assert verify_mod._CHUNK_MAX == 512
+    pool = CodePool(class_pool(7, 7).orders * 10, 7, 0, 10_000)
+    assert len(pool) == 10_000
+    ranges = _ranges(pool, 1)
+    assert len(ranges) == 20
+    assert all(0 < stop - start <= 512 for start, stop in ranges)
+    assert [start for start, _ in ranges[1:]] == [stop for _, stop in ranges[:-1]]
+    assert ranges[0][0] == 0 and ranges[-1][1] == 10_000
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_small_pool_is_cut_into_chunks_per_worker(jobs):
+    # the 208 classes of orders 1..6 are far below the bound
+    assert len(_ranges(class_pool(1, 6), jobs)) == verify_mod._CHUNKS_PER_WORKER * jobs
+
+
+@pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+def test_a_large_file_is_cut_into_ranges_of_at_most_the_bound(end):
+    # 20 x 512 records of one length, with a line end after each: a range
+    # is a share of the bytes, so each holds exactly 512 records
+    records = [emit_graph6(g).encode() for g in enumerate_graphs(7)] * 10
+    data = b"".join(record + end for record in records[: 20 * 512])
+    pool = Graph6Lines("order7.g6", data, 0, len(data))
+    assert len(pool) == 20 * 512
+    ranges = _ranges(pool, 1)
+    assert len(ranges) == 20
+    chunks = [Graph6Lines("order7.g6", data, start, stop) for start, stop in ranges]
+    assert [len(chunk) for chunk in chunks] == [512] * 20
+    assert [text for chunk in chunks for _, text in chunk.parse()] == [
+        record.decode() for record in records[: 20 * 512]
+    ]
+
+
+@pytest.fixture(scope="module")
+def relabeled_order_seven(tmp_path_factory):
+    """The classes of orders 1..7, relabeled at random, as a graph6 file."""
+    path = tmp_path_factory.mktemp("pool") / "order7.g6"
+    path.write_text("".join(emit_graph6(g) + "\n" for g in _relabeled_classes(7, 77)))
+    return path
+
+
+def _reports(path, jobs: int, capsys) -> tuple[list[dict], list[dict]]:
+    """The reports without ``elapsed`` of ``verify_claims`` over every claim
+    at order 7 and of ``verify --all --file path``."""
+    built = [_without_elapsed(r) for r in verify_claims(all_theorem_ids(), 7, jobs)]
+    args = ["verify", "--all", "--file", str(path), "--json", "--jobs", str(jobs)]
+    assert cli.main(args) == 1  # thm4 fails its odd-edge graphs
+    filed = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    for report in filed:
+        report.pop("elapsed")
+    return built, filed
+
+
+@pytest.mark.parametrize("chunk_max", [1, 7, verify_mod._CHUNK_MAX])
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_reports_do_not_depend_on_the_chunk_bound(
+    monkeypatch, capsys, relabeled_order_seven, chunk_max, jobs
+):
+    # thm4 fails a fixed subset of its graphs, so that the counterexamples,
+    # like the counts, orders and thm20's histogram, are compared
+    monkeypatch.setitem(
+        verify_mod.THEOREMS, "thm4", verify_mod.THEOREMS["thm4"]._replace(check=_odd_edge_count)
+    )
+    expected = _reports(relabeled_order_seven, 1, capsys)
+    for reports in expected:
+        thm4, thm20 = (reports[all_theorem_ids().index(t)] for t in ("thm4", "thm20"))
+        assert len(thm4["counterexamples"]) > 1
+        assert sum(thm20["extras"]["lscc_histogram"].values()) == thm20["graphs_checked"] > 0
+    monkeypatch.setattr(verify_mod, "_CHUNK_MAX", chunk_max)
+    assert _reports(relabeled_order_seven, jobs, capsys) == expected
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sweep_records_do_not_depend_on_the_chunk_bound(monkeypatch, jobs):
+    expected = list(sweep_chains(class_pool(1, 7)))
+    monkeypatch.setattr(verify_mod, "_CHUNK_MAX", 1)
+    assert list(sweep_chains(class_pool(1, 7), jobs)) == expected
+
+
+def test_a_chunk_returns_the_failures_of_interleaved_keys_in_pool_order():
+    # thm4 admits SP and non-SP graphs of every order from 2, each batched
+    # under its own hypothesis key; in a shuffled pool the failures of the
+    # keys interleave, and the chunk still returns them in pool order
+    thm4 = verify_mod.THEOREMS["thm4"]._replace(check=_odd_edge_count)
+    graphs = _relabeled_classes(6, 5)
+    random.Random(5).shuffle(graphs)
+    keys = [verify_mod._Facts(g).key() for g in graphs]
+    (tallies,) = verify_mod._run_chunk(((0, thm4),), {}, 1, verify_mod._pool(graphs))
+    failing = [(g, key) for g, key in zip(graphs, keys) if thm4.admits(key) and g.edge_count() % 2]
+    assert tallies[0].counterexamples == [
+        {"graph6": emit_graph6(g), "detail": "odd edge count"} for g, _ in failing
+    ]
+    assert tallies[0].count == sum(map(thm4.admits, keys))
+    # a key's failures come again after another key's
+    runs = [key for k, (_, key) in enumerate(failing) if not k or key != failing[k - 1][1]]
+    assert len(runs) > len(set(runs)) > 1
 
 
 def test_the_capped_pool_gives_the_reports_of_the_full_pool(monkeypatch):
