@@ -17,9 +17,13 @@ record: the text checks and the trusted rows, no row validation),
 canonical-code decoding (``graph_from_code`` on each graph's code),
 ``Graph`` validation (the row checks ``Graph(n, rows)`` runs on a caller's
 rows), ``degree_stats``,
-``sp_check``, ``_Facts`` (the facts the verify pass computes for every
-graph, its hypothesis key, and the degree-1 family witness of the graphs
-whose key thm6 admits, as under ``verify --all``), ``recognize_f2`` (on
+``sp_check``, ``_Facts`` (one graph's facts from its own degree stats and
+partner scan, its hypothesis key, and the degree-1 family witness of the
+graphs whose key thm6 admits, as under ``verify --all``), ``chunk facts``
+(the same, with the degree stats and scans of a range's graphs computed
+at once by ``verify._chunk_scans``, as the verify pass and the sweep
+compute them, over ranges of at most ``verify._CHUNK_MAX`` decoded
+records, in us per graph), ``recognize_f2`` (on
 the graphs with minimum degree 2 and no full vertex, the thm8
 hypothesis), ``recognize_h2`` (on the
 singleton-coalition images of the singleton-partition ones, as thm13 calls
@@ -63,6 +67,7 @@ from coalition_kit.coalition_graph import sc_graph
 from coalition_kit.domination import sp_check
 from coalition_kit.families import recognize_f2, recognize_h2
 from coalition_kit.graphs import (
+    DegreeStats,
     Graph,
     Graph6Lines,
     degree_stats,
@@ -72,6 +77,7 @@ from coalition_kit.graphs import (
 from coalition_kit.verify import (
     _CHUNK_MAX,
     THEOREMS,
+    _chunk_scans,
     _Facts,
     _run_chunk,
     all_theorem_ids,
@@ -188,11 +194,18 @@ def _per_record_us(fn, args: list, records: int) -> float:
     return 1e6 * best / max(records, 1)
 
 
-def _facts_and_key(g: Graph) -> None:
+def _facts_and_key(g: Graph, stats=None, scan=None) -> None:
     """The per-graph work of the verify pass before its checks."""
-    f = _Facts(g)
+    f = _Facts(g, stats, scan)
     if THEOREMS["thm6"].admits(f.key()):
         f.f1()
+
+
+def _chunk_facts_and_keys(graphs: list[tuple[Graph, object]]) -> None:
+    """``_facts_and_key`` of each of a range's graphs, from their degree
+    stats and scans computed at once."""
+    for (g, _), (low, full, partners, blocking) in zip(graphs, _chunk_scans(graphs)):
+        _facts_and_key(g, DegreeStats(low, full), (full, partners, blocking))
 
 
 def bench_layers(path: str | None) -> None:
@@ -219,11 +232,12 @@ def bench_layers(path: str | None) -> None:
     )
     chunks = lines.cut(-(-len(lines) // _CHUNK_MAX))
     # one call of the range decode handles every record, and one call of
-    # the verify chunk a range of them; each other layer handles one record
-    # per call
+    # the verify chunk or the chunk facts a range of them; each other layer
+    # handles one record per call
     rows = [
         ("Graph6Lines.parse", Graph6Lines.parse, [lines], len(graphs)),
         ("verify chunk", partial(_run_chunk, claims, {}, len(THEOREMS)), chunks, len(graphs)),
+        ("chunk facts", _chunk_facts_and_keys, [chunk.parse() for chunk in chunks], len(graphs)),
     ]
     rows += [(name, fn, args, len(args)) for name, fn, args in [
         ("parse_graph6", parse_graph6, [emit_graph6(g) for g in graphs]),

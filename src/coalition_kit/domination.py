@@ -13,10 +13,12 @@ graph, and that holds exactly when the coalition number equals the order.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+import struct
+from itertools import chain
+from typing import NamedTuple, Sequence
 
 from .graphs import Graph, bits, mask_of
-from .limits import CNUM_MAX
+from .limits import CNUM_MAX, ORDER_MAX
 
 
 def closed_neighborhood(g: Graph, s: int) -> int:
@@ -148,7 +150,10 @@ def singleton_partners(g: Graph) -> tuple[int, list[int], int | None]:
     {u} and {v} form a coalition exactly when neither is full and
     N[u] | N[v] == V, that is when u lies in N[w] for every w outside N[v].
     ``sp_check``, ``sc_graph`` and each ``sc_chain`` step read this scan, and
-    ``verify._Facts`` keeps a graph's as its SP verdict, image and first arrow.
+    ``verify._Facts`` keeps a graph's as its SP verdict, image and first
+    arrow. The verify pass and the sweep take it, with the degree stats,
+    from ``singleton_scans`` for a whole chunk at once; this per-graph scan
+    is that one's reference and serves every single graph.
     """
     vmask = (1 << g.n) - 1
     closed = []
@@ -175,6 +180,112 @@ def singleton_partners(g: Graph) -> tuple[int, list[int], int | None]:
             return full, partners, v
         partners[v] = found
     return full, partners, None
+
+
+# each byte's set bits, and 0xFF for a nonzero byte
+_POPCOUNT = bytes(b.bit_count() for b in range(256))
+_NONZERO = bytes([0]) + b"\xff" * 255
+# the scan's blocking vertex of a lane's blocking byte: v + 1 for vertex v, 0 for none
+_BLOCKING = (None, *range(ORDER_MAX))
+
+
+def _words(data: bytes | bytearray) -> list[int]:
+    """The 32-bit little-endian words of ``data``."""
+    return list(struct.unpack(f"<{len(data) // 4}I", data))
+
+
+def singleton_scans(
+    n: int, rows_list: Sequence[Sequence[int]]
+) -> list[tuple[int, int, list[int], int | None]]:
+    """``(min_degree, full, partners, blocking)`` for each order-``n`` graph g
+    of ``rows_list``, given by its rows, computed for all of them at once:
+    the fields of ``degree_stats(g)`` and of ``singleton_partners(g)``, the
+    full mask being the same in both.
+
+    The graphs are byte lanes. The rows go into one buffer of 32-bit
+    little-endian words, graph by graph, so byte p of row v of every graph
+    is the strided slice ``[4v+p :: 4n]``: a plane of one byte per graph.
+    A plane read as one int is a word of G bytes, and each step below is
+    one int operation over all G lanes, or one ``bytes.translate``, in C.
+    Degrees are popcounts summed over the planes; the minimum and the full
+    test are byte compares (with every lane below 0x80, ``(a | 0x80) - b``
+    keeps a lane's high bit exactly when a >= b). Vertex v's partners are
+    the non-full vertices in N[w] for every w outside N[v], as
+    ``singleton_partners`` finds them: the AND over all w of N[w], widened
+    to every vertex in the lanes where w is in N[v]. A lane blocked at an
+    earlier vertex keeps 0 for every later mask. The work is
+    O(n^2 * ceil(n/8)) such operations, whatever the number of graphs.
+    """
+    count = len(rows_list)
+    if not count:
+        return []
+    data = struct.pack(f"<{count * n}I", *chain.from_iterable(rows_list))
+    step = 4 * n
+    planes = range((n + 7) // 8)
+    ones = int.from_bytes(b"\x01" * count, "little")
+    every = 255 * ones
+    high = 128 * ones
+
+    def at_least(a: int, b: int) -> int:
+        """0xFF in the lanes where a >= b, 0 elsewhere."""
+        return ((((a | high) - b) & high) >> 7) * 255
+
+    popcounts = data.translate(_POPCOUNT)
+    degrees = [
+        sum(int.from_bytes(popcounts[4 * v + p :: step], "little") for p in planes)
+        for v in range(n)
+    ]
+    low = degrees[0]
+    for degree in degrees[1:]:
+        low ^= (low ^ degree) & at_least(low, degree)
+    full_lanes = [at_least(degree, (n - 1) * ones) for degree in degrees]  # 0xFF where v is full
+    # closed[v][p]: plane p of N[v]
+    closed = [[int.from_bytes(data[4 * v + p :: step], "little") for p in planes] for v in range(n)]
+    for v in range(n):
+        closed[v][v >> 3] |= ones << (v & 7)
+    full = [0 for _ in planes]
+    for v, lanes in enumerate(full_lanes):
+        full[v >> 3] |= lanes & ones << (v & 7)
+    vertex_mask = ((1 << n) - 1).to_bytes(4, "little")
+    non_full = [vertex_mask[p] * ones ^ full[p] for p in planes]
+    # adjacent[v][w]: 0xFF where w is in N(v), so that N[w] does not bind v
+    adjacent = [[0] * n for _ in range(n)]
+    for v in range(n):
+        for w in range(v):
+            adjacent[v][w] = adjacent[w][v] = (closed[v][w >> 3] >> (w & 7) & ones) * 255
+    partner_data = bytearray(len(data))
+    blocked = blocking = 0
+    for v in range(n):
+        live = every ^ (blocked | full_lanes[v])  # v is not full and nothing blocked before it
+        if not live:
+            continue
+        found = list(non_full)
+        for w, near in enumerate(adjacent[v]):
+            if w != v:
+                cover = closed[w]
+                for p in planes:
+                    found[p] &= cover[p] | near
+        some = 0
+        for plane in found:
+            some |= plane
+        some = int.from_bytes(some.to_bytes(count, "little").translate(_NONZERO), "little")
+        stuck = live & ~some
+        blocking |= stuck & (v + 1) * ones
+        blocked |= stuck
+        for p in planes:
+            partner_data[4 * v + p :: step] = (found[p] & live).to_bytes(count, "little")
+    full_data = bytearray(4 * count)
+    for p in planes:
+        full_data[p::4] = full[p].to_bytes(count, "little")
+    partners = _words(partner_data)
+    return list(
+        zip(
+            low.to_bytes(count, "little"),
+            _words(full_data),
+            [partners[k : k + n] for k in range(0, count * n, n)],
+            map(_BLOCKING.__getitem__, blocking.to_bytes(count, "little")),
+        )
+    )
 
 
 def sp_check(g: Graph) -> SpVerdict:

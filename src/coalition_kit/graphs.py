@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
+from itertools import accumulate
 from operator import getitem
 from typing import Iterable, Iterator, NamedTuple
 
@@ -424,6 +425,16 @@ class Graph6Lines:
                 cuts.append(end)
         cuts.append(self.stop)
         return [Graph6Lines(self.path, data, a, b) for a, b in zip(cuts, cuts[1:]) if a < b]
+
+    def split(self, size: int) -> list["Graph6Lines"]:
+        """Ranges of ``size`` lines each, the last of at most ``size``, that
+        cover this one in order."""
+        lines = self.data[self.start : self.stop].splitlines(keepends=True)
+        ends = list(accumulate(map(len, lines), initial=self.start))
+        cuts = ends[::size]
+        if cuts[-1] != self.stop:
+            cuts.append(self.stop)
+        return [Graph6Lines(self.path, self.data, a, b) for a, b in zip(cuts, cuts[1:])]
 
     def _nonblank(self) -> Iterator[tuple[int, str]]:
         """Each nonblank line's index in the range, from 0, and its text

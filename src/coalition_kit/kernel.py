@@ -104,28 +104,29 @@ def _branch_candidates(rows: Sequence[int], cell: list[int]) -> list[int]:
     return kept
 
 
+def _search(n: int, rows: Sequence[int], cells: list[list[int]], best: bytes | None) -> bytes:
+    """The least of ``best`` and the packed codes of the complete orderings
+    below the stable partition ``cells``, branching over its first
+    non-singleton cell. A module function that returns its best, not a
+    closure that assigns it, so that a call leaves no reference cycle."""
+    for idx, cell in enumerate(cells):
+        if len(cell) > 1:
+            break
+    else:
+        code = _pack(n, rows, [c[0] for c in cells])
+        return code if best is None or code < best else best
+    for v in _branch_candidates(rows, cells[idx]):
+        rest = [u for u in cells[idx] if u != v]
+        best = _search(
+            n, rows, _refine(rows, cells[:idx] + [[v], rest] + cells[idx + 1 :], [1 << v]), best
+        )
+    return best
+
+
 def canonical_code(n: int, rows: Sequence[int]) -> bytes:
     """Canonical code of the graph given as adjacency bitmask rows."""
     if not 1 <= n <= CANON_MAX:
         raise ValueError(f"canonical labeling supports order 1..CANON_MAX = {CANON_MAX}, got {n}")
     if n == 1:
         return bytes([1])
-    best: bytes | None = None
-
-    def search(cells: list[list[int]]) -> None:
-        nonlocal best
-        for idx, cell in enumerate(cells):
-            if len(cell) > 1:
-                break
-        else:
-            code = _pack(n, rows, [c[0] for c in cells])
-            if best is None or code < best:
-                best = code
-            return
-        for v in _branch_candidates(rows, cells[idx]):
-            rest = [u for u in cells[idx] if u != v]
-            search(_refine(rows, cells[:idx] + [[v], rest] + cells[idx + 1 :], [1 << v]))
-
-    search(_refine(rows, [list(range(n))], [(1 << n) - 1]))
-    assert best is not None
-    return bytes([n]) + best
+    return bytes([n]) + _search(n, rows, _refine(rows, [list(range(n))], [(1 << n) - 1]), None)

@@ -33,7 +33,7 @@ from .chains import (
     l_scc_of,
     sc_chain,
 )
-from .domination import singleton_partners
+from .domination import singleton_partners, singleton_scans
 from .families import (
     F1Witness,
     FamilySpec,
@@ -48,6 +48,7 @@ from .families import (
     recognize_h2,
 )
 from .graphs import (
+    DegreeStats,
     Graph,
     Graph6Lines,
     complete,
@@ -108,21 +109,30 @@ def _pmap(
     The packed pool (``canon.CodePool``, ``graphs.Graph6Lines``) is cut by
     its ``cut`` into _CHUNKS_PER_WORKER contiguous ranges per worker, or
     into more when that leaves a range above _CHUNK_MAX records (classes,
-    or lines of a file, by the pool's ``len``). The ranges hold no item:
-    each chunk reads its own. ``chunk_fn`` maps one chunk to a list of
-    results. When ``jobs`` <= 1 the chunks run in-process, chunk by chunk.
-    Otherwise chunk i runs in forked worker i % ``jobs``: workers inherit
-    the pool and ``chunk_fn``, so nothing is sent to them, and each writes
-    every chunk's pickled results, or the exception of its first failing
-    chunk, as one length-prefixed frame to its own pipe. The parent reads the frames in chunk order and raises that
-    exception where its chunk's results would have been. A worker that ends
+    or lines of a file, by the pool's ``len``). A file's ranges are shares
+    of its bytes, so where its lines differ in length a range may still
+    hold more; ``Graph6Lines.split`` cuts any such range into ranges of
+    _CHUNK_MAX lines (a ``CodePool``'s ranges are cut by count and never
+    do). Every range thus holds at most _CHUNK_MAX records. The ranges
+    hold no item: each chunk reads its own. ``chunk_fn`` maps one chunk to
+    a list of results. When ``jobs`` <= 1 the chunks run in-process, chunk
+    by chunk. Otherwise chunk i runs in forked worker i % ``jobs``: workers
+    inherit the pool and ``chunk_fn``, so nothing is sent to them, and
+    each writes every chunk's pickled results, or the exception of its
+    first failing chunk, as one length-prefixed frame to its own pipe. The
+    parent reads the frames in chunk order and raises that exception
+    where its chunk's results would have been. A worker that ends
     without sending its frames fails the run. Every worker is reaped when
     the generator ends, fails or is closed; one still running then is killed
     first. The caller must run no other thread, which a forked child would
     not have.
     """
     workers = max(jobs, 1)
-    chunks = pool.cut(max(_CHUNKS_PER_WORKER * workers, -(-len(pool) // _CHUNK_MAX)))
+    chunks = [
+        part
+        for chunk in pool.cut(max(_CHUNKS_PER_WORKER * workers, -(-len(pool) // _CHUNK_MAX)))
+        for part in (chunk.split(_CHUNK_MAX) if len(chunk) > _CHUNK_MAX else (chunk,))
+    ]
     if workers == 1 or len(chunks) <= 1:
         for chunk in chunks:
             yield from chunk_fn(chunk)
@@ -205,6 +215,21 @@ def _pool(items: Iterable) -> CodePool | Graph6Lines:
     return Graph6Lines("<graphs>", data, 0, len(data))
 
 
+def _chunk_scans(graphs: list[tuple[Graph, object]]) -> list:
+    """``singleton_scans`` of a chunk's graphs, in chunk order: one call per
+    order present, since a range of a pool or a file may span several."""
+    rows = [g.rows for g, _ in graphs]
+    orders = set(map(len, rows))
+    if len(orders) <= 1:
+        return singleton_scans(len(rows[0]), rows) if rows else []
+    out: list = [None] * len(rows)
+    for n in orders:
+        where = [i for i, r in enumerate(rows) if len(r) == n]
+        for i, facts in zip(where, singleton_scans(n, [rows[i] for i in where])):
+            out[i] = facts
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Facts, computed once per graph
 # ---------------------------------------------------------------------------
@@ -214,21 +239,35 @@ class _Facts:
     """One graph's facts, as the claim table, the checks and sweep records
     read them.
 
-    For minimum degree <= 2, the range every claim covers, one
-    ``singleton_partners`` scan is the singleton-partition verdict, the
-    image (its partner masks) and the chain's first arrow; above it the
-    verdict is False, and the scan is made only when a sweep record reads
-    it. The rest is computed on first read. A ``_Facts`` lives while its
-    chunk is checked, so nothing outlives a run.
+    For minimum degree <= 2, the range every claim covers, one partner
+    scan is the singleton-partition verdict, the image (its partner masks)
+    and the chain's first arrow; above it the verdict is False. A chunk
+    hands in the degree stats and scan of its graph's lane of
+    ``domination.singleton_scans``, which computed them for all its graphs
+    at once; a graph on its own gets them from ``degree_stats`` and
+    ``singleton_partners``, the scan above minimum degree 2 only when its
+    chain is read. The rest is computed on first read. A ``_Facts`` lives
+    while its chunk is checked, so nothing outlives a run.
     """
 
     __slots__ = ("g", "stats", "is_sp", "_scan", "_f1", "_chain")
 
-    def __init__(self, g: Graph):
+    def __init__(
+        self,
+        g: Graph,
+        stats: DegreeStats | None = None,
+        scan: tuple[int, list[int], int | None] | None = None,
+    ):
+        """The facts of ``g``, from its ``degree_stats`` and its
+        ``singleton_partners`` scan when the caller holds them."""
+        if stats is None:
+            stats = degree_stats(g)
+        if scan is None and stats.min_degree <= 2:
+            scan = singleton_partners(g)
         self.g = g
-        self.stats = stats = degree_stats(g)
-        self._scan = singleton_partners(g) if stats.min_degree <= 2 else None
-        self.is_sp = self._scan is not None and self._scan[2] is None
+        self.stats = stats
+        self._scan = scan
+        self.is_sp = stats.min_degree <= 2 and scan[2] is None
         self._f1: F1Witness | None | bool = False  # False until first read
         self._chain: ChainResult | None = None
 
@@ -736,8 +775,11 @@ def _run_chunk(
 
     ``claims`` holds the (claim index, row) entries of the claims that read
     the pool. The whole chunk is decoded first, so a malformed item raises
-    even when no claim reads the pool. Then each graph's facts are
-    computed once and put in the batch of its ``_Facts.key``. The claims
+    even when no claim reads the pool. Then the degree stats and partner
+    scans of all its graphs are computed at once, one ``singleton_scans``
+    call per order (``_chunk_scans``), and each graph of a minimum degree
+    some claim reads gets its ``_Facts`` from its lane, in the batch of its
+    ``_Facts.key``; no claim admits the key of any other graph. The claims
     of a key are looked up in ``due``, a table the run fills as keys first
     appear, and each runs over the key's whole batch before the next
     (``_Tally.add_batch``), so that one check's code and data stay warm.
@@ -748,12 +790,15 @@ def _run_chunk(
     """
     tallies = [_Tally() for _ in range(n_ids)]
     graphs = chunk.parse()
-    if not claims:
+    if not claims or not graphs:
         return [tallies]
+    top = max(claim.min_degree for _, claim in claims)
     batches: dict[tuple[int, int, bool, bool], list] = {}
-    for i, (g, _) in enumerate(graphs):
-        f = _Facts(g)
-        batches.setdefault(f.key(), []).append((i, g, f))
+    scans = _chunk_scans(graphs)
+    for i, ((g, _), (low, full, partners, blocking)) in enumerate(zip(graphs, scans)):
+        if low <= top:
+            f = _Facts(g, DegreeStats(low, full), (full, partners, blocking))
+            batches.setdefault(f.key(), []).append((i, g, f))
     failed: list[list] = [[] for _ in range(n_ids)]
     for key, batch in batches.items():
         if key not in due:
@@ -922,34 +967,43 @@ def chain_record(g: Graph, g6: str | None = None) -> dict:
     """
     if g6 is None:
         g6 = emit_graph6(g)
+    stats = degree_stats(g)
     if g.n > CANON_MAX:
-        stats = degree_stats(g)
+        return _record(g, g6, (stats.min_degree, stats.full_vertices, None, None))
+    return _record(g, g6, (stats.min_degree, *singleton_partners(g)))
+
+
+def _record(g: Graph, g6: str, facts: tuple[int, int, list[int] | None, int | None]) -> dict:
+    """``chain_record`` of ``g``, given its graph6 text and its facts as
+    ``singleton_scans`` gives them: minimum degree, full vertices, partner
+    masks and blocking vertex, the last two unread above ``CANON_MAX``."""
+    low, full, partners, blocking = facts
+    if g.n > CANON_MAX:
         return {
-            "full_vertices": stats.full_count,
+            "full_vertices": full.bit_count(),
             "graph6": g6,
-            "min_degree": stats.min_degree,
+            "min_degree": low,
             "order": g.n,
             "schema_version": SCHEMA_VERSION,
             "status": "order-above-chain-support",
             "template": None,
         }
-    f = _Facts(g)
-    stats = f.stats
-    blocking = f.scan()[2]
     if blocking is not None:
         return {
             "blocking_vertex": blocking,
             "chain": [g6],
-            "full_vertices": stats.full_count,
+            "full_vertices": full.bit_count(),
             "graph6": g6,
             "lscc": {"kind": "Finite", "start_not_sp": True, "value": 0},
-            "min_degree": stats.min_degree,
+            "min_degree": low,
             "order": g.n,
             "outcome": {"last_index": 0, "type": "terminated"},
             "schema_version": SCHEMA_VERSION,
             "status": "not-sp",
             "template": None,
         }
+    stats = DegreeStats(low, full)
+    f = _Facts(g, stats, (full, partners, None))
     chain = f.chain()
     out = chain.outcome
     rec = {
@@ -978,10 +1032,15 @@ def chain_record(g: Graph, g6: str | None = None) -> dict:
 
 def _sweep_chunk(render: Callable[[dict], object], chunk) -> list:
     """The rendered records of a chunk's graphs; a graph6 line becomes its
-    record's graph6 instead of encoding the graph again."""
-    # decoding the whole chunk before building any chain measured about 10%
-    # faster than interleaving the two graph by graph
-    return [render(chain_record(g, g6)) for g, g6 in chunk.parse()]
+    record's graph6 instead of encoding the graph again. The whole chunk is
+    decoded first, and the degree stats and partner scans of all its
+    graphs, every start whatever its minimum degree, come from one
+    ``singleton_scans`` call per order (``_chunk_scans``)."""
+    graphs = chunk.parse()
+    return [
+        render(_record(g, emit_graph6(g) if g6 is None else g6, facts))
+        for (g, g6), facts in zip(graphs, _chunk_scans(graphs))
+    ]
 
 
 def sweep_chains(

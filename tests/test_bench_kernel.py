@@ -1,6 +1,6 @@
 """Smoke runs of ``benchmarks/bench_kernel.py``, which reads private names of
 the package (``canon._extend_codes``, ``verify._Facts``, ``verify._run_chunk``,
-``cli._sweep_json_line``),
+``verify._chunk_scans``, ``cli._sweep_json_line``),
 so that a rename breaks a test rather than the script."""
 
 from __future__ import annotations
@@ -38,8 +38,10 @@ def test_layer_timings_run_over_a_file(tmp_path):
         calls[layer] = int(count)
     # all three are SP, and the cycles have minimum degree 2 and no full vertex
     assert calls["parse_graph6"] == calls["chain_record"] == calls["chain"] == 3
-    # the range decode and the verify chunk are timed per record of the file
-    assert calls["Graph6Lines.parse"] == calls["verify chunk"] == 3
+    # the range decode, the verify chunk and the chunk facts are timed per
+    # record of the file, and the facts of one graph per call
+    assert calls["Graph6Lines.parse"] == calls["verify chunk"] == calls["chunk facts"] == 3
+    assert calls["_Facts"] == 3
     # all three have minimum degree at most 2, so each chain is classified
     assert calls["classify_chain"] == 3
     assert calls["recognize_f2"] == calls["recognize_h2"] == 2

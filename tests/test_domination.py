@@ -17,11 +17,14 @@ from coalition_kit.domination import (
     is_dominating,
     SpVerdict,
     singleton_partition,
+    singleton_partners,
+    singleton_scans,
     sp_check,
 )
 from coalition_kit.canon import enumerate_graphs
 from coalition_kit.coalition_graph import NotSingletonPartitionGraph, sc_graph
 from coalition_kit.graphs import (
+    Graph,
     complete,
     cycle,
     degree_stats,
@@ -30,6 +33,7 @@ from coalition_kit.graphs import (
     path,
     union,
 )
+from coalition_kit.limits import ORDER_MAX
 
 
 def test_closed_neighborhood():
@@ -169,6 +173,83 @@ def test_sp_check_and_sc_graph_match_the_reference_loop():
             assert expected.is_sp
             least = {v: (r & -r).bit_length() - 1 for v, r in enumerate(image.rows) if r}
             assert least == expected.partner
+
+
+def assert_scans_match(n: int, batch: list[Graph]) -> None:
+    """The chunk scan of ``batch`` equals the per-graph functions, field by
+    field, graph by graph."""
+    got = singleton_scans(n, [g.rows for g in batch])
+    assert len(got) == len(batch)
+    for g, (min_degree, full, partners, blocking) in zip(batch, got):
+        stats, (want_full, want_partners, want_blocking) = degree_stats(g), singleton_partners(g)
+        assert min_degree == stats.min_degree, g
+        assert full == stats.full_vertices == want_full, g
+        assert type(partners) is list and partners == want_partners, g
+        assert blocking == want_blocking, g
+
+
+@pytest.mark.parametrize("relabel", [False, True], ids=["enumerated", "relabeled"])
+def test_chunk_scans_match_the_per_graph_scan_on_every_class(relabel):
+    rng = random.Random(3201)
+    for n in range(1, 9):
+        batch = list(enumerate_graphs(n))
+        if relabel:
+            batch = [g.relabel(rng.sample(range(n), n)) for g in batch]
+        assert_scans_match(n, batch)
+
+
+def _random_graph(rng: random.Random, n: int, density: float) -> Graph:
+    edges = [(u, v) for v in range(n) for u in range(v) if rng.random() < density]
+    return Graph.from_edges(n, edges)
+
+
+def _with_full_vertex(g: Graph, v: int) -> Graph:
+    return Graph.from_edges(g.n, [*g.edges(), *((u, v) for u in range(g.n) if u != v)])
+
+
+def _with_isolated_vertex(g: Graph, v: int) -> Graph:
+    return Graph.from_edges(g.n, [e for e in g.edges() if v not in e])
+
+
+@pytest.mark.parametrize("n", range(1, ORDER_MAX + 1))
+def test_chunk_scans_match_the_per_graph_scan_on_random_graphs(n):
+    # several densities, each graph as drawn, with a full vertex added and
+    # with a vertex isolated, in one batch per order
+    rng = random.Random(3200 + n)
+    batch = []
+    for density in (0.1, 0.3, 0.5, 0.7, 0.9, 0.97):
+        for _ in range(8):
+            g = _random_graph(rng, n, density)
+            v = rng.randrange(n)
+            batch += [g, _with_full_vertex(g, v), _with_isolated_vertex(g, v)]
+    if n >= 6:
+        # the complement of a cycle: SP with no full vertex, which random
+        # graphs of high order are seldom
+        non_cycle = [(u, v) for v in range(n) for u in range(v) if 1 < v - u < n - 1]
+        batch.append(Graph.from_edges(n, non_cycle))
+    rng.shuffle(batch)
+    assert_scans_match(n, batch)
+    # SP and non-SP graphs, with and without a full vertex, are all present
+    # from order 6 up
+    if n >= 6:
+        facts = {(bool(degree_stats(g).full_vertices), sp_check(g).is_sp) for g in batch}
+        assert facts == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_chunk_scans_of_the_smallest_graphs_and_batches():
+    assert singleton_scans(3, []) == []
+    assert singleton_scans(1, [(0,)]) == [(0, 1, [0], None)]
+    assert singleton_scans(2, [(2, 1), (0, 0)]) == [(1, 3, [0, 0], None), (0, 0, [2, 1], None)]
+    # each graph alone, as a batch of one
+    for g in [complete(1), complete(2), empty_graph(2), path(3), union(cycle(4), complete(1))]:
+        assert_scans_match(g.n, [g])
+    # a non-SP lane keeps the masks before its blocking vertex, 0 after it,
+    # next to an SP lane that has them all
+    star = Graph.from_edges(5, [(0, k) for k in range(1, 5)])
+    blocked = union(path(3), complete(2))
+    assert_scans_match(5, [star, blocked, cycle(5), star])
+    (_, _, partners, blocking), _ = singleton_scans(5, [blocked.rows, cycle(5).rows])
+    assert blocking is not None and not any(partners[blocking:])
 
 
 @settings(max_examples=200)

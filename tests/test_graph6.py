@@ -147,6 +147,21 @@ def test_cut_ranges_tile_a_file_on_line_ends(count):
         assert len(r) == len(_MIXED[r.start : r.stop].splitlines())
 
 
+@pytest.mark.parametrize("size", range(1, 16))
+def test_split_ranges_hold_size_lines_each(size):
+    # the lines of the mixed file in order, each range but the last holding
+    # exactly ``size`` of them, as splitlines counts them
+    whole = Graph6Lines("mixed.g6", _MIXED, 0, len(_MIXED))
+    ranges = whole.split(size)
+    assert ranges[0].start == 0 and ranges[-1].stop == len(_MIXED)
+    assert all(before.stop == after.start for before, after in zip(ranges, ranges[1:]))
+    assert [len(r) for r in ranges] == [size] * (14 // size) + [14 % size] * (14 % size > 0)
+    assert [pair for r in ranges for pair in r.parse()] == whole.parse()
+    # a range of the file splits into ranges of its own lines
+    middle = Graph6Lines("mixed.g6", _MIXED, 4, len(_MIXED) - 2)
+    assert b"".join(_MIXED[r.start : r.stop] for r in middle.split(size)) == _MIXED[4:-2]
+
+
 @pytest.mark.parametrize("count", range(1, 12))
 def test_a_range_numbers_the_lines_of_the_whole_file(count):
     data = _MIXED.replace(b"A_", b"A?~")  # line 9 as a text-mode read counts

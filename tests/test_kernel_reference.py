@@ -12,6 +12,7 @@ same references.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 from itertools import combinations
 from typing import Callable, Sequence
@@ -157,6 +158,21 @@ def test_compiled_codes_equal_the_reference_kernel(fastkernel, g):
 def test_order_eight_codes_keep_their_digest():
     digest = hashlib.sha256(b"".join(canon.class_pool(8, 8).codes())).hexdigest()
     assert digest == ORDER_EIGHT_SHA256
+
+
+def test_pure_kernel_calls_leave_nothing_to_collect():
+    # the search holds no closure over its best code, so a call's frames
+    # are freed by reference counting and the cyclic collector finds nothing
+    classes = list(canon.class_pool(1, 6).codes())
+    workload = [(g.n, g.rows) for g in map(graph_from_code, classes)]
+    gc.collect()
+    gc.disable()
+    try:
+        codes = [pure.canonical_code(n, rows) for n, rows in workload]
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert codes == classes
 
 
 def test_compiled_order_eight_codes_keep_their_digest(fastkernel):

@@ -32,6 +32,7 @@ from coalition_kit.coalition_graph import sc_graph
 from coalition_kit.families import FamilySpec, recognize_h2
 from coalition_kit.graphs import (
     DegreeStats,
+    Graph,
     Graph6Lines,
     complete,
     cycle,
@@ -183,24 +184,33 @@ def test_the_obs7_report_at_order_twelve_is_pinned():
     assert got == _passing_reports({"obs7": (10, [3, 12], None)})
 
 
-def _flipped_partner_scan():
-    """A partner scan that lies about the singleton-partition verdict."""
-    real = verify_mod.singleton_partners
+def _flipped(facts: tuple) -> tuple:
+    """A scan's fields, its blocking vertex last, with the verdict flipped."""
+    return *facts[:-1], (0 if facts[-1] is None else None)
 
-    def flipped(g):
-        full, partners, blocking = real(g)
-        return full, partners, (0 if blocking is None else None)
 
-    return flipped
+def _lie_about_sp(monkeypatch) -> None:
+    """Make every partner scan the pass reads lie about the
+    singleton-partition verdict: each ``singleton_partners`` call and each
+    lane of a chunk's ``singleton_scans``."""
+    real_scan, real_scans = verify_mod.singleton_partners, verify_mod.singleton_scans
+    monkeypatch.setattr(verify_mod, "singleton_partners", lambda g: _flipped(real_scan(g)))
+    monkeypatch.setattr(
+        verify_mod,
+        "singleton_scans",
+        lambda n, rows_list: list(map(_flipped, real_scans(n, rows_list))),
+    )
 
 
 def test_counterexamples_reproduce(monkeypatch):
     # force a failure by lying about singleton partitions, then re-run the
     # genuine check on the reported graph6 record
-    monkeypatch.setattr(verify_mod, "singleton_partners", _flipped_partner_scan())
+    _lie_about_sp(monkeypatch)
     report = verify_theorem("thm1", n_max=4)
     monkeypatch.undo()
     assert not report.passed
+    # the honest verdicts all pass, so under the lie every graph checked fails
+    assert len(report.counterexamples) == report.graphs_checked == 8
     for cex in report.counterexamples:
         g = parse_graph6(cex["graph6"])
         # the honest check passes
@@ -621,6 +631,21 @@ def test_a_large_file_is_cut_into_ranges_of_at_most_the_bound(end):
     ]
 
 
+def test_a_file_of_short_then_long_lines_is_cut_into_ranges_of_at_most_the_bound():
+    # the byte shares of the short K2 lines hold far more than the bound,
+    # so those ranges are split by lines
+    data = (emit_graph6(complete(2)) + "\n").encode() * 10_000
+    data += (emit_graph6(cycle(32)) + "\n").encode() * 10_000
+    pool = Graph6Lines("k2-c32.g6", data, 0, len(data))
+    assert max(map(len, pool.cut(-(-len(pool) // verify_mod._CHUNK_MAX)))) > 512
+    ranges = _ranges(pool, 1)
+    assert ranges[0][0] == 0 and ranges[-1][1] == len(data)
+    assert [start for start, _ in ranges[1:]] == [stop for _, stop in ranges[:-1]]
+    sizes = [len(Graph6Lines("k2-c32.g6", data, start, stop)) for start, stop in ranges]
+    assert max(sizes) <= 512 and sum(sizes) == 20_000
+    assert list(verify_mod._pmap(lambda chunk: [len(chunk)], pool, 2)) == sizes
+
+
 @pytest.fixture(scope="module")
 def relabeled_order_seven(tmp_path_factory):
     """The classes of orders 1..7, relabeled at random, as a graph6 file."""
@@ -665,6 +690,71 @@ def test_sweep_records_do_not_depend_on_the_chunk_bound(monkeypatch, jobs):
     expected = list(sweep_chains(class_pool(1, 7)))
     monkeypatch.setattr(verify_mod, "_CHUNK_MAX", 1)
     assert list(sweep_chains(class_pool(1, 7), jobs)) == expected
+
+
+def _per_graph_scans(graphs):
+    """The chunk scan's results from the per-graph functions."""
+    return [(degree_stats(g).min_degree, *domination.singleton_partners(g)) for g, _ in graphs]
+
+
+def _mixed_order_file(tmp_path, max_order: int):
+    """A file of the relabeled classes of orders 1..6 and seeded random
+    graphs of orders 7..``max_order``, shuffled."""
+    rng = random.Random(max_order)
+    graphs = _relabeled_classes(6, 31)
+    for n in range(7, max_order + 1):
+        for density in (0.2, 0.5, 0.8, 0.2, 0.5, 0.8):
+            edges = [(u, v) for v in range(n) for u in range(v) if rng.random() < density]
+            graphs.append(Graph.from_edges(n, edges))
+    rng.shuffle(graphs)
+    path = tmp_path / f"mixed{max_order}.g6"
+    path.write_text("".join(emit_graph6(g) + "\n" for g in graphs))
+    return Graph6Lines.read(str(path))
+
+
+def test_a_chunk_of_several_orders_scans_each_order_once(monkeypatch):
+    # a range of the capped pool that spans orders 6 and 7
+    pool = class_pool(6, 7, 2)
+    chunk = CodePool(pool.orders, pool.cap, 100, 300)
+    graphs = chunk.parse()
+    assert {g.n for g, _ in graphs} == {6, 7}
+    calls = []
+    real = verify_mod.singleton_scans
+    monkeypatch.setattr(
+        verify_mod, "singleton_scans", lambda n, rows: calls.append((n, len(rows))) or real(n, rows)
+    )
+    assert verify_mod._chunk_scans(graphs) == _per_graph_scans(graphs)
+    assert calls == [(6, sum(g.n == 6 for g, _ in graphs)), (7, sum(g.n == 7 for g, _ in graphs))]
+
+
+@pytest.mark.parametrize("chunk_max", [1, 50, verify_mod._CHUNK_MAX])
+def test_chunks_of_several_orders_give_the_per_graph_reports_and_records(
+    monkeypatch, tmp_path, chunk_max
+):
+    # a code pool whose ranges span orders, and a file of orders 1..16 in
+    # mixed order: the reports and sweep records equal those built from
+    # per-graph scans
+    monkeypatch.setitem(
+        verify_mod.THEOREMS, "thm4", verify_mod.THEOREMS["thm4"]._replace(check=_odd_edge_count)
+    )
+    pools = [class_pool(5, 7, 2), _mixed_order_file(tmp_path, 16)]
+    sweep_pools = [class_pool(5, 7), _mixed_order_file(tmp_path, 32)]
+
+    def results():
+        reports = [
+            [_without_elapsed(r) for r in verify_claims(all_theorem_ids(), 7, 1, pool)]
+            for pool in pools
+        ]
+        return reports, [list(sweep_chains(pool)) for pool in sweep_pools]
+
+    monkeypatch.setattr(verify_mod, "_CHUNK_MAX", chunk_max)
+    got = results()
+    monkeypatch.setattr(verify_mod, "_chunk_scans", _per_graph_scans)
+    assert got == results()
+    reports, records = got
+    assert not reports[1][all_theorem_ids().index("thm4")]["passed"]
+    assert [rec["graph6"] for rec in records[1]] == [text for _, text in sweep_pools[1].parse()]
+    assert {rec["status"] for rec in records[1]} >= {"order-above-chain-support", "not-sp"}
 
 
 def test_a_chunk_returns_the_failures_of_interleaved_keys_in_pool_order():
@@ -731,8 +821,9 @@ def test_elapsed_leaves_out_the_decoding_of_supplied_items(monkeypatch):
 
 
 def test_facts_do_not_outlive_a_run(monkeypatch):
-    monkeypatch.setattr(verify_mod, "singleton_partners", _flipped_partner_scan())
-    assert not verify_theorem("thm1", n_max=4).passed
+    _lie_about_sp(monkeypatch)
+    report = verify_theorem("thm1", n_max=4)
+    assert len(report.counterexamples) == report.graphs_checked == 8
     monkeypatch.undo()
     assert verify_theorem("thm1", n_max=4).passed
 
@@ -779,8 +870,9 @@ def _relabeled_classes(n_max, seed):
 
 @pytest.fixture
 def scans(monkeypatch) -> dict:
-    """Counts of partner scans and of ``sc_graph`` calls, through every
-    module that binds either name."""
+    """Counts of partner scans, each ``singleton_partners`` call and each
+    lane of a ``singleton_scans`` call counting one, and of ``sc_graph``
+    calls, through every module that binds any of the names."""
     counts = {"singleton_partners": 0, "sc_graph": 0}
     for module in (coalition_kit, domination, coalition_graph, chains, verify_mod):
         for name in counts:
@@ -792,12 +884,21 @@ def scans(monkeypatch) -> dict:
                     return real(g)
 
                 monkeypatch.setattr(module, name, counted)
+        real = getattr(module, "singleton_scans", None)
+        if real is not None:
+
+            def lanes(n, rows_list, real=real):
+                counts["singleton_partners"] += len(rows_list)
+                return real(n, rows_list)
+
+            monkeypatch.setattr(module, "singleton_scans", lanes)
     return counts
 
 
 def test_a_pass_scans_each_start_once_and_each_chain_member_once(scans, monkeypatch):
-    # every graph with minimum degree <= 2 is scanned once for its facts;
-    # a chain continues from that scan and scans each member it adds
+    # every pool graph is one lane of its chunk's scan, whatever its
+    # minimum degree; a chain continues from that scan and scans each
+    # member it adds
     built = []
     real_sc_chain = verify_mod.sc_chain
 
@@ -809,9 +910,9 @@ def test_a_pass_scans_each_start_once_and_each_chain_member_once(scans, monkeypa
     graphs = _relabeled_classes(6, 613)
     pool_ids = [t for t in all_theorem_ids() if t != "obs7"]
     assert all(report.passed for report in verify_claims(pool_ids, graphs=graphs))
-    starts = sum(1 for g in graphs if degree_stats(g).min_degree <= 2)
+    assert any(degree_stats(g).min_degree > 2 for g in graphs)
     assert built
-    assert scans["singleton_partners"] == starts + sum(len(c.sequence) - 1 for c in built)
+    assert scans["singleton_partners"] == len(graphs) + sum(len(c.sequence) - 1 for c in built)
     assert scans["sc_graph"] == 0
 
 
@@ -1072,7 +1173,7 @@ def test_seeded_thm13_members_that_are_not_sp_fail(monkeypatch):
     # the pool's thm13 graphs are SP by hypothesis, but a generated F2
     # member is checked whatever its verdict: a non-SP member is a failure,
     # as it is for thm6
-    monkeypatch.setattr(verify_mod, "singleton_partners", _flipped_partner_scan())
+    _lie_about_sp(monkeypatch)
     report = next(verify_claims(["thm13"], 4))
     assert not report.passed
     assert [cex["detail"] for cex in report.counterexamples] == [
