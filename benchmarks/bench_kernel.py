@@ -17,18 +17,18 @@ record: the text checks and the trusted rows, no row validation),
 canonical-code decoding (``graph_from_code`` on each graph's code),
 ``Graph`` validation (the row checks ``Graph(n, rows)`` runs on a caller's
 rows), ``degree_stats``,
-``sp_check``, ``_Facts`` (one graph's facts from its own degree stats and
-partner scan, its hypothesis key, and the degree-1 family witness of the
-graphs whose key thm6 admits, as under ``verify --all``), ``chunk facts``
-(the same, with the degree stats and scans of a range's graphs computed
-at once by ``verify._chunk_scans``, as the verify pass and the sweep
-compute them, over ranges of at most ``verify._CHUNK_MAX`` decoded
-records, in us per graph), ``recognize_f2`` (on
-the graphs with minimum degree 2 and no full vertex, the thm8
-hypothesis), ``recognize_h2`` (on the
+``sp_check``, ``_Facts`` (one graph's facts from its own lane,
+``verify._lane``: its degree stats and partner scan; its hypothesis key,
+and the degree-1 family witness of the graphs whose key thm6 admits, as
+under ``verify --all``), ``chunk facts`` (the same, with the degree
+stats and scans of a range's graphs computed at once by
+``verify._chunk_scans``, as the verify pass and the sweep compute them,
+over ranges of at most ``verify._CHUNK_MAX`` decoded records, in us per
+graph), ``recognize_f2`` (on the graphs with minimum degree 2 and no
+full vertex, the thm8 hypothesis), ``recognize_h2`` (on the
 singleton-coalition images of the singleton-partition ones, as thm13 calls
-it), ``chain`` (``_Facts(g).chain()``: the facts and the chain continued
-from their partner scan, on the singleton-partition graphs with minimum
+it), ``chain`` (``_Facts(g, _lane(g)).chain()``: the facts and the chain
+continued from their partner scan, on the singleton-partition graphs with minimum
 degree at most 2, the ones the chain claims read), ``classify_chain`` (on
 the same graphs, with their chains and degree stats computed beforehand;
 member codes are cached on a chain after the first pass) and
@@ -37,7 +37,7 @@ after the start of each singleton-partition graph, the ones a sweep record
 encodes) and ``json record`` (``cli._sweep_json_line`` of each graph's
 sweep record, the line ``sweep --json`` prints: a fixed format for a
 not-SP record, the JSON encoder for any other) and ``verify chunk``
-(``verify._run_chunk`` over the graphs cut into ranges of at most
+(``verify._run_chunk`` over the graphs split into ranges of
 ``verify._CHUNK_MAX`` records, with every claim of ``verify --all``: the
 decoding, the facts and each claim's checks over the batches of its
 hypothesis keys, in us per graph). The graphs are every class of order 7,
@@ -67,7 +67,6 @@ from coalition_kit.coalition_graph import sc_graph
 from coalition_kit.domination import sp_check
 from coalition_kit.families import recognize_f2, recognize_h2
 from coalition_kit.graphs import (
-    DegreeStats,
     Graph,
     Graph6Lines,
     degree_stats,
@@ -79,6 +78,7 @@ from coalition_kit.verify import (
     THEOREMS,
     _chunk_scans,
     _Facts,
+    _lane,
     _run_chunk,
     all_theorem_ids,
     chain_record,
@@ -194,18 +194,18 @@ def _per_record_us(fn, args: list, records: int) -> float:
     return 1e6 * best / max(records, 1)
 
 
-def _facts_and_key(g: Graph, stats=None, scan=None) -> None:
+def _facts_and_key(g: Graph, lane) -> None:
     """The per-graph work of the verify pass before its checks."""
-    f = _Facts(g, stats, scan)
+    f = _Facts(g, lane)
     if THEOREMS["thm6"].admits(f.key()):
         f.f1()
 
 
 def _chunk_facts_and_keys(graphs: list[tuple[Graph, object]]) -> None:
-    """``_facts_and_key`` of each of a range's graphs, from their degree
-    stats and scans computed at once."""
-    for (g, _), (low, full, partners, blocking) in zip(graphs, _chunk_scans(graphs)):
-        _facts_and_key(g, DegreeStats(low, full), (full, partners, blocking))
+    """``_facts_and_key`` of each of a range's graphs, from their lanes
+    computed at once."""
+    for (g, _), lane in zip(graphs, _chunk_scans(graphs)):
+        _facts_and_key(g, lane)
 
 
 def bench_layers(path: str | None) -> None:
@@ -221,16 +221,18 @@ def bench_layers(path: str | None) -> None:
     ]
     images = [sc_graph(g) for g in degree2 if sp_check(g).is_sp]
     sp_low = [g for g in graphs if degree_stats(g).min_degree <= 2 and sp_check(g).is_sp]
-    chained = [(g, _Facts(g).chain(), degree_stats(g)) for g in sp_low]
+    chained = [(g, _Facts(g, _lane(g)).chain(), degree_stats(g)) for g in sp_low]
     # the members a sweep record encodes: those after the start of each SP start's chain
-    members = [h for g in graphs if sp_check(g).is_sp for h in _Facts(g).chain().sequence[1:]]
+    members = [
+        h for g in graphs if sp_check(g).is_sp for h in _Facts(g, _lane(g)).chain().sequence[1:]
+    ]
     records = [chain_record(g) for g in graphs]
     # the claims of verify --all that read the pool, as verify_claims lists them
     claims = tuple(
         (k, THEOREMS[t]) for k, t in enumerate(all_theorem_ids())
         if THEOREMS[t].min_degree is not None
     )
-    chunks = lines.cut(-(-len(lines) // _CHUNK_MAX))
+    chunks = lines.split(_CHUNK_MAX)
     # one call of the range decode handles every record, and one call of
     # the verify chunk or the chunk facts a range of them; each other layer
     # handles one record per call
@@ -245,10 +247,10 @@ def bench_layers(path: str | None) -> None:
         ("Graph validation", lambda g: Graph(g.n, g.rows), graphs),
         ("degree_stats", degree_stats, graphs),
         ("sp_check", sp_check, graphs),
-        ("_Facts", _facts_and_key, graphs),
+        ("_Facts", lambda g: _facts_and_key(g, _lane(g)), graphs),
         ("recognize_f2", recognize_f2, degree2),
         ("recognize_h2", recognize_h2, images),
-        ("chain", lambda g: _Facts(g).chain(), sp_low),
+        ("chain", lambda g: _Facts(g, _lane(g)).chain(), sp_low),
         ("classify_chain", lambda args: classify_chain(*args), chained),
         ("chain_record", chain_record, graphs),
         ("emit_graph6", emit_graph6, members),

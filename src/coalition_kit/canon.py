@@ -185,10 +185,9 @@ class CodePool:
         """The number of classes in the range, those above ``cap`` included."""
         return self.stop - self.start
 
-    def cut(self, count: int) -> list["CodePool"]:
-        """Ranges of one size, about ``count`` of them, that cover this one
-        in order; the last may be shorter, and a range may span two orders."""
-        size = max(1, -(-(self.stop - self.start) // count))
+    def split(self, size: int) -> list["CodePool"]:
+        """Ranges of ``size`` classes each, the last of at most ``size``,
+        that cover this one in order; a range may span two orders."""
         return [
             CodePool(self.orders, self.cap, start, min(start + size, self.stop))
             for start in range(self.start, self.stop, size)

@@ -153,7 +153,8 @@ def singleton_partners(g: Graph) -> tuple[int, list[int], int | None]:
     ``verify._Facts`` keeps a graph's as its SP verdict, image and first
     arrow. The verify pass and the sweep take it, with the degree stats,
     from ``singleton_scans`` for a whole chunk at once; this per-graph scan
-    is that one's reference and serves every single graph.
+    is that one's reference and, with ``degree_stats``, gives the lane of
+    every graph met on its own (``verify._lane``).
     """
     vmask = (1 << g.n) - 1
     closed = []

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
-from itertools import accumulate
 from operator import getitem
 from typing import Iterable, Iterator, NamedTuple
 
@@ -376,7 +375,7 @@ class Graph6Lines:
 
     ``data`` is the whole file, so a chunk can number its lines. A line
     ends at \\n, \\r or \\r\\n, as in a text-mode read, and the ranges of
-    ``cut`` start and end on line ends.
+    ``split`` start and end on line ends.
     """
 
     __slots__ = ("path", "data", "start", "stop")
@@ -408,32 +407,18 @@ class Graph6Lines:
             - data.count(b"\r\n", start, stop)
         )
 
-    def cut(self, count: int) -> list["Graph6Lines"]:
-        """At most ``count`` nonempty ranges that cover this one in order,
-        each ending where the line holding the last byte of its share of
-        the bytes ends, so that lines of one length are shared out evenly."""
-        data, cuts = self.data, [self.start]
-        for k in range(1, count):
-            at = max(self.start + k * (self.stop - self.start) // count - 1, cuts[-1])
-            nl = data.find(b"\n", at, self.stop)
-            cr = data.find(b"\r", at, self.stop if nl < 0 else nl)
-            end = nl if cr < 0 else cr
-            if end < 0:
-                break  # the rest is one line
-            end += 2 if data[end : end + 2] == b"\r\n" else 1
-            if end < self.stop:
-                cuts.append(end)
-        cuts.append(self.stop)
-        return [Graph6Lines(self.path, data, a, b) for a, b in zip(cuts, cuts[1:]) if a < b]
-
     def split(self, size: int) -> list["Graph6Lines"]:
         """Ranges of ``size`` lines each, the last of at most ``size``, that
-        cover this one in order."""
-        lines = self.data[self.start : self.stop].splitlines(keepends=True)
-        ends = list(accumulate(map(len, lines), initial=self.start))
-        cuts = ends[::size]
-        if cuts[-1] != self.stop:
-            cuts.append(self.stop)
+        cover this one in order: every ``size``-th line end is found by one
+        scan, with no object per line.
+
+        The pattern matches ``size`` lines, each with its line end, \\r\\n
+        taken whole, or else the rest of the range. Every quantifier is
+        possessive, the count of lines too, so a scan tries each line once,
+        fails once, at the rest, and keeps no backtracking state per line.
+        """
+        lines = re.compile(rb"(?:[^\r\n]*+(?:\r\n?+|\n)){%d}+|(?s:.++)" % size)
+        cuts = [self.start, *(m.end() for m in lines.finditer(self.data, self.start, self.stop))]
         return [Graph6Lines(self.path, self.data, a, b) for a, b in zip(cuts, cuts[1:])]
 
     def _nonblank(self) -> Iterator[tuple[int, str]]:

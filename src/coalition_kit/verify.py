@@ -106,14 +106,13 @@ def _pmap(
     """The results of ``chunk_fn`` over the chunks of ``pool``, yielded in
     pool order.
 
-    The packed pool (``canon.CodePool``, ``graphs.Graph6Lines``) is cut by
-    its ``cut`` into _CHUNKS_PER_WORKER contiguous ranges per worker, or
-    into more when that leaves a range above _CHUNK_MAX records (classes,
-    or lines of a file, by the pool's ``len``). A file's ranges are shares
-    of its bytes, so where its lines differ in length a range may still
-    hold more; ``Graph6Lines.split`` cuts any such range into ranges of
-    _CHUNK_MAX lines (a ``CodePool``'s ranges are cut by count and never
-    do). Every range thus holds at most _CHUNK_MAX records. The ranges
+    The packed pool (``canon.CodePool``, ``graphs.Graph6Lines``) is split
+    by one call of its ``split`` into contiguous ranges of one size, in
+    records (classes, or lines of a file, by the pool's ``len``): the
+    records are shared out over _CHUNKS_PER_WORKER ranges per worker, or
+    over records / _CHUNK_MAX ranges, rounded up, when that is more, and
+    the size is rounded up. Every range thus holds at most _CHUNK_MAX
+    records, and only the last may hold fewer than the others. The ranges
     hold no item: each chunk reads its own. ``chunk_fn`` maps one chunk to
     a list of results. When ``jobs`` <= 1 the chunks run in-process, chunk
     by chunk. Otherwise chunk i runs in forked worker i % ``jobs``: workers
@@ -128,11 +127,8 @@ def _pmap(
     not have.
     """
     workers = max(jobs, 1)
-    chunks = [
-        part
-        for chunk in pool.cut(max(_CHUNKS_PER_WORKER * workers, -(-len(pool) // _CHUNK_MAX)))
-        for part in (chunk.split(_CHUNK_MAX) if len(chunk) > _CHUNK_MAX else (chunk,))
-    ]
+    count = max(_CHUNKS_PER_WORKER * workers, -(-len(pool) // _CHUNK_MAX))
+    chunks = pool.split(max(1, -(-len(pool) // count)))
     if workers == 1 or len(chunks) <= 1:
         for chunk in chunks:
             yield from chunk_fn(chunk)
@@ -235,39 +231,32 @@ def _chunk_scans(graphs: list[tuple[Graph, object]]) -> list:
 # ---------------------------------------------------------------------------
 
 
+def _lane(g: Graph) -> tuple[int, int, list[int], int | None]:
+    """``g``'s lane of ``singleton_scans``, from the per-graph reference functions."""
+    return (degree_stats(g).min_degree, *singleton_partners(g))
+
+
 class _Facts:
     """One graph's facts, as the claim table, the checks and sweep records
-    read them.
+    read them, from its lane ``(min_degree, full, partners, blocking)``:
+    a chunk's graph's lane of ``domination.singleton_scans``, which computed
+    them for all its graphs at once, or ``_lane`` of a graph on its own.
 
-    For minimum degree <= 2, the range every claim covers, one partner
-    scan is the singleton-partition verdict, the image (its partner masks)
-    and the chain's first arrow; above it the verdict is False. A chunk
-    hands in the degree stats and scan of its graph's lane of
-    ``domination.singleton_scans``, which computed them for all its graphs
-    at once; a graph on its own gets them from ``degree_stats`` and
-    ``singleton_partners``, the scan above minimum degree 2 only when its
-    chain is read. The rest is computed on first read. A ``_Facts`` lives
-    while its chunk is checked, so nothing outlives a run.
+    For minimum degree <= 2, the range every claim covers, the partner scan
+    is the singleton-partition verdict, the image (its partner masks) and
+    the chain's first arrow; above it the verdict is False. The rest is
+    computed on first read. A ``_Facts`` lives while its chunk is checked,
+    so nothing outlives a run.
     """
 
     __slots__ = ("g", "stats", "is_sp", "_scan", "_f1", "_chain")
 
-    def __init__(
-        self,
-        g: Graph,
-        stats: DegreeStats | None = None,
-        scan: tuple[int, list[int], int | None] | None = None,
-    ):
-        """The facts of ``g``, from its ``degree_stats`` and its
-        ``singleton_partners`` scan when the caller holds them."""
-        if stats is None:
-            stats = degree_stats(g)
-        if scan is None and stats.min_degree <= 2:
-            scan = singleton_partners(g)
+    def __init__(self, g: Graph, lane: tuple[int, int, list[int], int | None]):
+        low, full, partners, blocking = lane
         self.g = g
-        self.stats = stats
-        self._scan = scan
-        self.is_sp = stats.min_degree <= 2 and scan[2] is None
+        self.stats = DegreeStats(low, full)
+        self._scan = full, partners, blocking
+        self.is_sp = low <= 2 and blocking is None
         self._f1: F1Witness | None | bool = False  # False until first read
         self._chain: ChainResult | None = None
 
@@ -281,16 +270,10 @@ class _Facts:
         """The singleton-coalition image of an SP graph, trusted like sc_graph's."""
         return Graph._trusted(self.g.n, tuple(self._scan[1]))
 
-    def scan(self) -> tuple[int, list[int], int | None]:
-        """The graph's partner scan, made on first read above minimum degree 2."""
-        if self._scan is None:
-            self._scan = singleton_partners(self.g)
-        return self._scan
-
     def chain(self) -> ChainResult:
         """The chain, continued from the graph's scan."""
         if self._chain is None:
-            self._chain = sc_chain(self.g, scan=self.scan())
+            self._chain = sc_chain(self.g, scan=self._scan)
         return self._chain
 
     def template(self) -> ChainTemplate:
@@ -775,14 +758,17 @@ def _run_chunk(
 
     ``claims`` holds the (claim index, row) entries of the claims that read
     the pool. The whole chunk is decoded first, so a malformed item raises
-    even when no claim reads the pool. Then the degree stats and partner
-    scans of all its graphs are computed at once, one ``singleton_scans``
-    call per order (``_chunk_scans``), and each graph of a minimum degree
-    some claim reads gets its ``_Facts`` from its lane, in the batch of its
-    ``_Facts.key``; no claim admits the key of any other graph. The claims
-    of a key are looked up in ``due``, a table the run fills as keys first
-    appear, and each runs over the key's whole batch before the next
-    (``_Tally.add_batch``), so that one check's code and data stay warm.
+    even when no claim reads the pool. When one does, a graph above
+    ``CANON_MAX``, whose isomorphism tests the checks cannot run, raises a
+    ValueError that names its line, before any check. Then the degree
+    stats and partner scans of all its graphs are computed at once, one
+    ``singleton_scans`` call per order (``_chunk_scans``), and each graph
+    of a minimum degree some claim reads gets its ``_Facts`` from its lane,
+    in the batch of its ``_Facts.key``; no claim admits the key of any
+    other graph. The claims of a key are looked up in ``due``, a table the
+    run fills as keys first appear, and each runs over the key's whole
+    batch before the next (``_Tally.add_batch``), so that one check's code
+    and data stay warm.
     A claim's failures are sorted by their index in the chunk, so its
     counterexamples come in pool order. A claim that needs degree-1 family
     membership skips a non-member, so the family is recognized only for
@@ -792,12 +778,15 @@ def _run_chunk(
     graphs = chunk.parse()
     if not claims or not graphs:
         return [tallies]
+    for k, (g, _) in enumerate(graphs):
+        if g.n > CANON_MAX:
+            line = chunk.line_numbers()[k]
+            raise ValueError(f"{chunk.path}:{line}: order {g.n} above CANON_MAX = {CANON_MAX}")
     top = max(claim.min_degree for _, claim in claims)
     batches: dict[tuple[int, int, bool, bool], list] = {}
-    scans = _chunk_scans(graphs)
-    for i, ((g, _), (low, full, partners, blocking)) in enumerate(zip(graphs, scans)):
-        if low <= top:
-            f = _Facts(g, DegreeStats(low, full), (full, partners, blocking))
+    for i, ((g, _), lane) in enumerate(zip(graphs, _chunk_scans(graphs))):
+        if lane[0] <= top:
+            f = _Facts(g, lane)
             batches.setdefault(f.key(), []).append((i, g, f))
     failed: list[list] = [[] for _ in range(n_ids)]
     for key, batch in batches.items():
@@ -814,13 +803,14 @@ def _run_chunk(
 def _own_tally(claim: _TheoremDef, n_max: int, enumerated: bool) -> _Tally:
     """The tally of a claim's own graphs, each checked through its facts
     and timed by its check, like a pool graph; a graph that comes again
-    takes its first verdict."""
+    takes its first verdict. Each (a cycle or a family member, of minimum
+    degree at most 2) takes its lane from ``_lane``."""
     tally = _Tally()
     verdicts: dict[Graph, object] = {}
     for name, g in claim.own(n_max, enumerated):
         seconds = 0.0
         if g not in verdicts:
-            f = _Facts(g)
+            f = _Facts(g, _lane(g))
             start = time.perf_counter()
             verdicts[g] = claim.check(g, f)
             seconds = time.perf_counter() - start
@@ -842,7 +832,7 @@ def verify_claims(
     degree is at most the largest ``min_degree`` of the run's claims
     (``canon.class_pool``), enumerated once and only when a claim reads the
     pool; each claim takes the graphs of its hypothesis class, from its
-    least order up. The pool is cut into chunks of at most about
+    least order up. The pool is split into chunks of at most
     ``_CHUNK_MAX`` records (``_pmap``), and each chunk is decoded and
     checked in one worker under ``jobs`` > 1: every graph's facts are
     computed once, the graphs are batched by hypothesis key, each claim
@@ -853,12 +843,13 @@ def verify_claims(
     report is built once from its claim's tally, with its row's extras. A
     supplied pool is decoded even when no claim reads it, so a malformed
     item raises first: a malformed listed code as the pool is packed,
-    before any chunk runs. A report's ``elapsed`` is the time of its
-    claim's own checks, taken once per batch; the pool, its decoding and
-    the facts are charged to no claim. The ids are taken up to the first
-    unknown id or order below the least order of a claim that reads the
-    pool, whose error is raised after the reports of the claims before it;
-    an enumeration above ``ENUM_MAX`` raises before any report.
+    before any chunk runs. When a claim reads the pool, a graph above
+    ``CANON_MAX`` raises before any report. A report's ``elapsed`` is the
+    time of its claim's own checks, taken once per batch; the pool, its
+    decoding and the facts are charged to no claim. The ids are taken up
+    to the first unknown id or order below the least order of a claim that
+    reads the pool, whose error is raised after the reports of the claims
+    before it; an enumeration above ``ENUM_MAX`` raises before any report.
     """
     enumerated = graphs is None
     ids: list[str] = []
@@ -963,21 +954,17 @@ def chain_record(g: Graph, g6: str | None = None) -> dict:
     from its partner scan and no chain is built; ``_NOT_SP_JSON_LINE`` is its
     printed line, which a test holds equal to the encoded record. Records are
     built in the sorted key order they are printed in, an unclassified
-    one's ``detail`` aside.
+    one's ``detail`` aside. The record is ``_record``'s, from the graph's
+    ``_lane``.
     """
-    if g6 is None:
-        g6 = emit_graph6(g)
-    stats = degree_stats(g)
-    if g.n > CANON_MAX:
-        return _record(g, g6, (stats.min_degree, stats.full_vertices, None, None))
-    return _record(g, g6, (stats.min_degree, *singleton_partners(g)))
+    return _record(g, emit_graph6(g) if g6 is None else g6, _lane(g))
 
 
-def _record(g: Graph, g6: str, facts: tuple[int, int, list[int] | None, int | None]) -> dict:
-    """``chain_record`` of ``g``, given its graph6 text and its facts as
-    ``singleton_scans`` gives them: minimum degree, full vertices, partner
+def _record(g: Graph, g6: str, lane: tuple[int, int, list[int], int | None]) -> dict:
+    """``chain_record`` of ``g``, given its graph6 text and its lane as
+    ``singleton_scans`` gives it: minimum degree, full vertices, partner
     masks and blocking vertex, the last two unread above ``CANON_MAX``."""
-    low, full, partners, blocking = facts
+    low, full, partners, blocking = lane
     if g.n > CANON_MAX:
         return {
             "full_vertices": full.bit_count(),
@@ -1002,8 +989,8 @@ def _record(g: Graph, g6: str, facts: tuple[int, int, list[int] | None, int | No
             "status": "not-sp",
             "template": None,
         }
-    stats = DegreeStats(low, full)
-    f = _Facts(g, stats, (full, partners, None))
+    f = _Facts(g, lane)
+    stats = f.stats
     chain = f.chain()
     out = chain.outcome
     rec = {

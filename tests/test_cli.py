@@ -696,3 +696,25 @@ def test_a_bad_record_in_a_decorated_graph6_file_is_named_by_its_line(
     for run in runs:
         got = _cli_run(capsys, *command, "--file", str(f), "--json", *run)
         assert got == (2, "", f"error: {f}:{line}: {message}\n"), run
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_a_graph_above_canon_max_in_a_verify_file_is_named_by_its_line(tmp_path, capsys, jobs):
+    # an order-18 graph with an isolated vertex, which thm1 admits, on line
+    # 102 after a blank line: any claim that reads the pool stops before
+    # its first check, also thm4, which does not admit the graph
+    lines = _order_six_lines()
+    big = build_named(f"union(K(1),C({CANON_MAX + 1}))")
+    assert big.n == 18
+    data = "\n".join(lines[:100]) + "\n\n" + emit_graph6(big) + "\n" + "\n".join(lines[100:])
+    f = tmp_path / "big.g6"
+    f.write_text(data + "\n")
+    error = f"error: {f}:102: order 18 above CANON_MAX = {CANON_MAX}\n"
+    for claims in (["--all"], ["--theorem", "thm4"]):
+        got = _cli_run(capsys, "verify", *claims, "--file", str(f), "--json", "--jobs", jobs)
+        assert got == (2, "", error), claims
+    # obs7 reads no pool graph, so the file is decoded but no order is refused
+    code, out, err = _cli_run(
+        capsys, "verify", "--theorem", "obs7", "--file", str(f), "--jobs", jobs
+    )
+    assert (code, err) == (0, "") and out.startswith("obs7: PASS")

@@ -118,21 +118,17 @@ def test_class_codes_check_the_limit_before_enumerating(monkeypatch, lo, hi):
 
 @pytest.mark.parametrize("bounds", [(1, 6, 2), (4, 4)], ids=["orders-1-6-capped", "order-4"])
 def test_code_pool_cut_ranges_tile_the_pool(bounds):
+    # test_graph6's test_split_ranges_tile_the_pool holds the split contract
+    # for both pool types; here a range crosses from one order into the next
     pool = canon.class_pool(*bounds)
     # the index in the pool of each order's first class but the lowest's
     firsts = list(accumulate(len(deltas) for _, deltas in pool.orders))[:-1]
-    spanning = False
-    for count in range(1, pool.stop + 1):
-        ranges = pool.cut(count)
-        assert 1 <= len(ranges) <= count
-        assert ranges[0].start == 0 and ranges[-1].stop == pool.stop
-        for before, after in zip(ranges, ranges[1:]):
-            assert before.start < before.stop == after.start
-        want = list(canon.class_pool(*bounds).codes())
-        assert [code for r in ranges for code in r.codes()] == want
-        spanning |= any(r.start < first < r.stop for r in ranges for first in firsts)
-    # a range crosses from one order into the next wherever the pool has two
-    assert spanning == (len(pool.orders) > 1)
+    for size in range(1, len(pool) + 2):
+        ranges = pool.split(size)
+        spanning = any(r.start < first < r.stop for r in ranges for first in firsts)
+        # order 1 holds one class, so from size 2 on a range crosses into
+        # order 2 wherever the pool has two orders
+        assert spanning == (size > 1 and len(pool.orders) > 1)
 
 
 @pytest.mark.parametrize("compiled", [False, True], ids=["pure", "compiled"])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import time
+import tracemalloc
 
 import networkx as nx
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import graphs
+from coalition_kit import canon
 from coalition_kit.graphs import (
     Graph,
     Graph6Error,
@@ -128,18 +130,41 @@ def test_read_graph6_file_reports_non_ascii_bytes(tmp_path):
 _MIXED = b"C~\r\n\r\n>>graph6<<C?\rBw\n \x1c\r\r\nDQc\r\n\rA_\n\nC~\r\r \t\nBW"
 
 
-@pytest.mark.parametrize("count", range(1, len(_MIXED) + 2))
-def test_cut_ranges_tile_a_file_on_line_ends(count):
+# the pools ``split`` is checked on, of both types: a built-in pool whose
+# ranges cross from one order into the next, the mixed file, and a range in
+# the middle of it
+_SPLIT_POOLS = {
+    "codes-1-6-capped": lambda: canon.class_pool(1, 6, 2),
+    "mixed-file": lambda: Graph6Lines("mixed.g6", _MIXED, 0, len(_MIXED)),
+    "mixed-middle": lambda: Graph6Lines("mixed.g6", _MIXED, 4, len(_MIXED) - 2),
+}
+
+
+@pytest.mark.parametrize("name", _SPLIT_POOLS)
+def test_split_ranges_tile_the_pool(name):
+    # at every size up to past the pool's length, the ranges cover the pool
+    # in order, each but the last holds exactly ``size`` records (classes or
+    # lines, by the pool's len), and their records decode to the pool's
+    pool = _SPLIT_POOLS[name]()
+    count, records = len(pool), pool.parse()
+    for size in range(1, count + 2):
+        ranges = pool.split(size)
+        assert [len(r) for r in ranges] == [size] * (count // size) + [count % size] * (
+            count % size > 0
+        )
+        assert ranges[0].start == pool.start and ranges[-1].stop == pool.stop
+        assert all(before.stop == after.start for before, after in zip(ranges, ranges[1:]))
+        assert [pair for r in ranges for pair in r.parse()] == records
+
+
+@pytest.mark.parametrize("size", range(1, len(_MIXED) + 2))
+def test_cut_ranges_tile_a_file_on_line_ends(size):
     whole = Graph6Lines("mixed.g6", _MIXED, 0, len(_MIXED))
-    ranges = whole.cut(count)
-    assert 1 <= len(ranges) <= count
-    assert ranges[0].start == 0 and ranges[-1].stop == len(_MIXED)
+    ranges = whole.split(size)
     for before, after in zip(ranges, ranges[1:]):
-        assert before.stop == after.start
         # a range starts after a line end, and never inside a \r\n
         assert _MIXED[after.start - 1] in b"\r\n"
         assert _MIXED[after.start - 1 : after.start + 1] != b"\r\n"
-    assert [pair for r in ranges for pair in r.parse()] == whole.parse()
     assert [text for _, text in whole.parse()] == ["C~", "C?", "Bw", "DQc", "A_", "C~", "BW"]
     # a range's length is its line count, as splitlines counts lines
     assert len(whole) == 14
@@ -149,23 +174,41 @@ def test_cut_ranges_tile_a_file_on_line_ends(count):
 
 @pytest.mark.parametrize("size", range(1, 16))
 def test_split_ranges_hold_size_lines_each(size):
-    # the lines of the mixed file in order, each range but the last holding
-    # exactly ``size`` of them, as splitlines counts them
-    whole = Graph6Lines("mixed.g6", _MIXED, 0, len(_MIXED))
-    ranges = whole.split(size)
-    assert ranges[0].start == 0 and ranges[-1].stop == len(_MIXED)
-    assert all(before.stop == after.start for before, after in zip(ranges, ranges[1:]))
-    assert [len(r) for r in ranges] == [size] * (14 // size) + [14 % size] * (14 % size > 0)
-    assert [pair for r in ranges for pair in r.parse()] == whole.parse()
-    # a range of the file splits into ranges of its own lines
-    middle = Graph6Lines("mixed.g6", _MIXED, 4, len(_MIXED) - 2)
-    assert b"".join(_MIXED[r.start : r.stop] for r in middle.split(size)) == _MIXED[4:-2]
+    # the lines of each range as splitlines counts them, independently of
+    # len: ``size`` in each range but the last, of the file and of a range
+    # in its middle
+    for start, stop in [(0, len(_MIXED)), (4, len(_MIXED) - 2)]:
+        ranges = Graph6Lines("mixed.g6", _MIXED, start, stop).split(size)
+        counts = [len(_MIXED[r.start : r.stop].splitlines()) for r in ranges]
+        assert counts[:-1] == [size] * (len(counts) - 1) and 1 <= counts[-1] <= size
 
 
-@pytest.mark.parametrize("count", range(1, 12))
-def test_a_range_numbers_the_lines_of_the_whole_file(count):
+def test_split_takes_linear_time():
+    # 100,000 empty \r\n lines, then a long last line without a line end:
+    # a scan that retried each line end, or the rest at each of its bytes,
+    # would take quadratic time
+    data = b"\r\n" * 100_000 + b"?" * 100_000
+    lines = Graph6Lines("long.g6", data, 0, len(data))
+    start = time.perf_counter()
+    ranges = lines.split(512)
+    assert time.perf_counter() - start < 1
+    assert [len(r) for r in ranges] == [512] * 195 + [161]
+    # nor does it keep state per line: a scan that could backtrack into
+    # each of 100,000 lines would hold megabytes until it ends
+    lines.split(100_001)  # compiled once, in the re module's cache
+    tracemalloc.start()
+    try:
+        (whole,) = lines.split(100_001)
+        assert tracemalloc.get_traced_memory()[1] < 65536
+    finally:
+        tracemalloc.stop()
+    assert (whole.start, whole.stop) == (0, len(data))
+
+
+@pytest.mark.parametrize("size", range(1, 16))
+def test_a_range_numbers_the_lines_of_the_whole_file(size):
     data = _MIXED.replace(b"A_", b"A?~")  # line 9 as a text-mode read counts
-    ranges = Graph6Lines("mixed.g6", data, 0, len(data)).cut(count)
+    ranges = Graph6Lines("mixed.g6", data, 0, len(data)).split(size)
     errors = []
     for r in ranges:
         try:
@@ -286,10 +329,10 @@ def test_the_check_accepts_every_order():
     assert _lines_pattern().fullmatch(data) is not None
 
 
-@pytest.mark.parametrize("count", range(1, 12))
-def test_the_check_of_a_range_raises_its_parse_error(count):
+@pytest.mark.parametrize("size", range(1, 16))
+def test_the_check_of_a_range_raises_its_parse_error(size):
     data = _MIXED.replace(b"A_", b"A?~")
-    for r in Graph6Lines("mixed.g6", data, 0, len(data)).cut(count):
+    for r in Graph6Lines("mixed.g6", data, 0, len(data)).split(size):
         assert _outcome(r.check) == _outcome(r.parse)
 
 

@@ -190,11 +190,11 @@ def _flipped(facts: tuple) -> tuple:
 
 
 def _lie_about_sp(monkeypatch) -> None:
-    """Make every partner scan the pass reads lie about the
-    singleton-partition verdict: each ``singleton_partners`` call and each
-    lane of a chunk's ``singleton_scans``."""
-    real_scan, real_scans = verify_mod.singleton_partners, verify_mod.singleton_scans
-    monkeypatch.setattr(verify_mod, "singleton_partners", lambda g: _flipped(real_scan(g)))
+    """Make both sources of facts lie about the singleton-partition
+    verdict: each lane of a chunk's ``singleton_scans`` and each lane of a
+    graph on its own (``_lane``)."""
+    real_lane, real_scans = verify_mod._lane, verify_mod.singleton_scans
+    monkeypatch.setattr(verify_mod, "_lane", lambda g: _flipped(real_lane(g)))
     monkeypatch.setattr(
         verify_mod,
         "singleton_scans",
@@ -206,15 +206,17 @@ def test_counterexamples_reproduce(monkeypatch):
     # force a failure by lying about singleton partitions, then re-run the
     # genuine check on the reported graph6 record
     _lie_about_sp(monkeypatch)
-    report = verify_theorem("thm1", n_max=4)
+    # thm1 reads pool graphs, and obs7 its own cycles, graph by graph
+    report, cycles = verify_claims(["thm1", "obs7"], 4)
     monkeypatch.undo()
     assert not report.passed
     # the honest verdicts all pass, so under the lie every graph checked fails
     assert len(report.counterexamples) == report.graphs_checked == 8
+    assert len(cycles.counterexamples) == cycles.graphs_checked == 8
     for cex in report.counterexamples:
         g = parse_graph6(cex["graph6"])
         # the honest check passes
-        assert verify_mod._check_thm1(g, verify_mod._Facts(g)) is None
+        assert verify_mod._check_thm1(g, verify_mod._Facts(g, verify_mod._lane(g))) is None
     assert report.to_json()["counterexamples"] == report.counterexamples
 
 
@@ -302,7 +304,9 @@ def test_a_pool_no_claim_reads_is_decoded_but_not_checked(monkeypatch):
         graphs_mod, "_graph_from_body", lambda *args: decoded.append(real(*args)) or decoded[-1]
     )
     real_facts = verify_mod._Facts
-    monkeypatch.setattr(verify_mod, "_Facts", lambda g: faced.append(g) or real_facts(g))
+    monkeypatch.setattr(
+        verify_mod, "_Facts", lambda g, lane: faced.append(g) or real_facts(g, lane)
+    )
     graphs = _relabeled_classes(5, 616)
     (report,) = verify_claims(["obs7"], graphs=graphs)
     assert report.passed
@@ -592,7 +596,7 @@ def test_chunked_map_keeps_every_item_in_order(count, jobs):
 
 
 def _ranges(pool, jobs: int) -> list[tuple[int, int]]:
-    """The (start, stop) of each range ``_pmap`` cuts ``pool`` into."""
+    """The (start, stop) of each range ``_pmap`` splits ``pool`` into."""
     return list(verify_mod._pmap(lambda chunk: [(chunk.start, chunk.stop)], pool, jobs))
 
 
@@ -602,8 +606,8 @@ def test_a_large_code_pool_is_cut_into_ranges_of_at_most_the_bound():
     pool = CodePool(class_pool(7, 7).orders * 10, 7, 0, 10_000)
     assert len(pool) == 10_000
     ranges = _ranges(pool, 1)
-    assert len(ranges) == 20
-    assert all(0 < stop - start <= 512 for start, stop in ranges)
+    # 20 ranges, as 512 classes each need, share the classes out evenly
+    assert [stop - start for start, stop in ranges] == [500] * 20
     assert [start for start, _ in ranges[1:]] == [stop for _, stop in ranges[:-1]]
     assert ranges[0][0] == 0 and ranges[-1][1] == 10_000
 
@@ -616,8 +620,7 @@ def test_a_small_pool_is_cut_into_chunks_per_worker(jobs):
 
 @pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
 def test_a_large_file_is_cut_into_ranges_of_at_most_the_bound(end):
-    # 20 x 512 records of one length, with a line end after each: a range
-    # is a share of the bytes, so each holds exactly 512 records
+    # 20 x 512 records, with a line end after each: a range is 512 lines
     records = [emit_graph6(g).encode() for g in enumerate_graphs(7)] * 10
     data = b"".join(record + end for record in records[: 20 * 512])
     pool = Graph6Lines("order7.g6", data, 0, len(data))
@@ -632,12 +635,13 @@ def test_a_large_file_is_cut_into_ranges_of_at_most_the_bound(end):
 
 
 def test_a_file_of_short_then_long_lines_is_cut_into_ranges_of_at_most_the_bound():
-    # the byte shares of the short K2 lines hold far more than the bound,
-    # so those ranges are split by lines
+    # 10,000 short K2 lines, then 10,000 long C32 lines: ranges are counted
+    # in lines, so a range of short lines holds no more records than one of
+    # long lines
     data = (emit_graph6(complete(2)) + "\n").encode() * 10_000
     data += (emit_graph6(cycle(32)) + "\n").encode() * 10_000
     pool = Graph6Lines("k2-c32.g6", data, 0, len(data))
-    assert max(map(len, pool.cut(-(-len(pool) // verify_mod._CHUNK_MAX)))) > 512
+    assert len(pool) == 20_000
     ranges = _ranges(pool, 1)
     assert ranges[0][0] == 0 and ranges[-1][1] == len(data)
     assert [start for start, _ in ranges[1:]] == [stop for _, stop in ranges[:-1]]
@@ -764,7 +768,7 @@ def test_a_chunk_returns_the_failures_of_interleaved_keys_in_pool_order():
     thm4 = verify_mod.THEOREMS["thm4"]._replace(check=_odd_edge_count)
     graphs = _relabeled_classes(6, 5)
     random.Random(5).shuffle(graphs)
-    keys = [verify_mod._Facts(g).key() for g in graphs]
+    keys = [verify_mod._Facts(g, verify_mod._lane(g)).key() for g in graphs]
     (tallies,) = verify_mod._run_chunk(((0, thm4),), {}, 1, verify_mod._pool(graphs))
     failing = [(g, key) for g, key in zip(graphs, keys) if thm4.admits(key) and g.edge_count() % 2]
     assert tallies[0].counterexamples == [
@@ -837,14 +841,20 @@ def _reference_degree_stats(g):
 
 @pytest.mark.parametrize("relabel", [False, True], ids=["enumerated", "relabeled"])
 def test_facts_match_degree_stats_and_sp_check(relabel):
+    # the facts built from a chunk's lanes, against the per-graph references
     rng = random.Random(1207)
     for n in range(1, 8):
+        graphs = []
         for g in enumerate_graphs(n):
             if relabel:
                 perm = list(range(n))
                 rng.shuffle(perm)
                 g = g.relabel(perm)
-            f = verify_mod._Facts(g)
+            graphs.append(g)
+        lanes = domination.singleton_scans(n, [g.rows for g in graphs])
+        for g, lane in zip(graphs, lanes):
+            assert lane == verify_mod._lane(g)
+            f = verify_mod._Facts(g, lane)
             assert f.stats == degree_stats(g) == _reference_degree_stats(g)
             assert f.is_sp == (f.stats.min_degree <= 2 and domination.sp_check(g).is_sp)
             chain, reference = f.chain(), sc_chain(g)
@@ -1019,7 +1029,7 @@ def test_claim_table_admits_what_the_filters_did(relabel):
             graphs.append(g.relabel(perm) if relabel else g)
     expected = []
     for g in graphs:
-        f = verify_mod._Facts(g)
+        f = verify_mod._Facts(g, verify_mod._lane(g))
         admitted = {t for t in ids if _REFERENCE_FILTERS[t](f)}
         # the least orders cut nothing the filters admit, so runs over
         # supplied graphs, which applied the filters alone, agree as well
