@@ -49,7 +49,6 @@ from .graphs import (
     parse_graph6,
 )
 from .verify import (
-    _NOT_SP_JSON_LINE,
     SCHEMA_VERSION,
     all_theorem_ids,
     chain_record,
@@ -166,7 +165,7 @@ _RECOGNIZE = {
 def _witness_json(wit) -> dict:
     out = {}
     for key, value in wit._asdict().items():
-        if key.endswith("_set") or key in {"l1", "r1", "r2", "l2", "p_set", "q_set"}:
+        if key.endswith("_set") or key in {"l1", "r1", "r2", "l2"}:
             out[key] = _mask_list(value)
         else:
             out[key] = value
@@ -285,6 +284,16 @@ def _chain_summary(rec: dict, arrows: bool = False) -> str:
     shown = lscc["kind"] if "value" not in lscc else f"{lscc['kind']}({lscc['value']})"
     chain = " -> ".join(rec["chain"]) + " | " if arrows else ""
     return f"{rec['graph6']}: {chain}length {shown} | {rec.get('template') or rec.get('status')}"
+
+
+# The not-SP record of ``verify.chain_record`` as ``_json_line`` prints it,
+# keys sorted, with its line end; only the %-fields vary.
+_NOT_SP_JSON_LINE = (
+    '{"blocking_vertex": %d, "chain": [%s], "full_vertices": %d, "graph6": %s, '
+    '"lscc": {"kind": "Finite", "start_not_sp": true, "value": 0}, "min_degree": %d, '
+    '"order": %d, "outcome": {"last_index": 0, "type": "terminated"}, '
+    f'"schema_version": {SCHEMA_VERSION}, "status": "not-sp", "template": null}}\n'
+)
 
 
 def _sweep_json_line(rec: dict) -> str:

@@ -31,7 +31,7 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 from operator import getitem
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, NoReturn
 
 from .limits import ORDER_MAX
 
@@ -421,17 +421,6 @@ class Graph6Lines:
         cuts = [self.start, *(m.end() for m in lines.finditer(self.data, self.start, self.stop))]
         return [Graph6Lines(self.path, self.data, a, b) for a, b in zip(cuts, cuts[1:])]
 
-    def _nonblank(self) -> Iterator[tuple[int, str]]:
-        """Each nonblank line's index in the range, from 0, and its text
-        without the surrounding whitespace. Bytes outside ASCII are kept as
-        lone surrogates, so ``parse_graph6`` reports them as a malformed
-        record."""
-        for k, line in enumerate(self.data[self.start : self.stop].splitlines()):
-            # as text, so that str.strip removes what a text-mode read's would
-            text = line.decode("ascii", "surrogateescape").strip()
-            if text:
-                yield k, text
-
     def _first_line(self) -> int:
         """The file's number of the range's first line."""
         return self._line_ends(0, self.start) + 1
@@ -444,14 +433,12 @@ class Graph6Lines:
 
         Each line is decoded once, as bytes: its order byte gives its
         length and tables, and the tables check its body (a byte outside
-        63..126 or a set padding bit has no entry). At the first line they
-        reject, the range goes to ``_parse_each``, so a malformed record
-        raises ``parse_graph6``'s ``Graph6Error``, prefixed with the path
-        and line number.
+        63..126 or a set padding bit has no entry). The first line they
+        reject raises ``parse_graph6``'s ``Graph6Error`` (``_reject``).
         """
         layouts: dict[int, tuple[int, int, tuple]] = {}  # order byte: n, length, tables
         out = []
-        for line in self.data[self.start : self.stop].splitlines():
+        for k, line in enumerate(self.data[self.start : self.stop].splitlines()):
             record = line.strip(_LINE_SPACE)
             if not record:
                 continue
@@ -461,26 +448,26 @@ class Graph6Lines:
             except (IndexError, KeyError):  # a header alone, or an order byte first seen
                 n = record[0] - 63 if record else 0
                 if not 1 <= n <= ORDER_MAX:
-                    return self._parse_each()
+                    self._reject(k, line)
                 length = 1 + (n * (n - 1) // 2 + 5) // 6
                 tables = _byte_tables(n, 6, 63, True)
                 layouts[record[0]] = n, length, tables
             g = _graph_from_body(n, tables, record[1:]) if len(record) == length else None
             if g is None:
-                return self._parse_each()
+                self._reject(k, line)
             out.append((g, record.decode("ascii")))
         return out
 
-    def _parse_each(self) -> list[tuple[Graph, str]]:
-        """``parse`` by ``parse_graph6``, one line's text at a time, which
-        names what is wrong with a malformed record."""
-        out = []
-        for k, text in self._nonblank():
-            try:
-                out.append((parse_graph6(text), text.removeprefix(">>graph6<<")))
-            except Graph6Error as exc:
-                raise Graph6Error(f"{self.path}:{self._first_line() + k}: {exc}") from exc
-        return out
+    def _reject(self, k: int, line: bytes) -> NoReturn:
+        """Raise ``parse_graph6``'s error for line ``k`` of the range, which
+        the tables reject, prefixed with the path and the line's number in
+        the file. Bytes outside ASCII decode to lone surrogates, so that
+        ``parse_graph6`` reports them as a malformed record."""
+        try:
+            parse_graph6(line.decode("ascii", "surrogateescape"))
+        except Graph6Error as exc:
+            raise Graph6Error(f"{self.path}:{self._first_line() + k}: {exc}") from exc
+        raise AssertionError(f"parse_graph6 accepts a line the tables reject: {line!r}")
 
     def check(self) -> None:
         """Raise what ``parse`` raises, if it raises, without building a
@@ -492,7 +479,8 @@ class Graph6Lines:
     def line_numbers(self) -> list[int]:
         """The file's line number of each record ``parse`` returns."""
         first = self._first_line()
-        return [first + k for k, _ in self._nonblank()]
+        lines = self.data[self.start : self.stop].splitlines()
+        return [first + k for k, line in enumerate(lines) if line.strip(_LINE_SPACE)]
 
 
 @lru_cache(maxsize=None)
@@ -590,104 +578,62 @@ def corona_k3_k1() -> Graph:
 # ---------------------------------------------------------------------------
 # Named-graph expressions
 # ---------------------------------------------------------------------------
-#
-# Grammar: K(n), Kbar(n), C(n) with n>=3, P(n), Kbip(a,b), union(s,t),
-# join(s,t), corona_k3_k1.
 
 
 class NamedGraphError(ValueError):
     """Raised for unparsable or invalid named-graph expressions."""
 
 
-def _tokenize(expr: str) -> list[str]:
-    tokens: list[str] = []
-    i = 0
-    while i < len(expr):
-        c = expr[i]
-        if c.isspace():
-            i += 1
-        elif c in "(),":
-            tokens.append(c)
-            i += 1
-        elif c.isalnum() or c == "_":
-            j = i
-            while j < len(expr) and (expr[j].isalnum() or expr[j] == "_"):
-                j += 1
-            tokens.append(expr[i:j])
-            i = j
-        else:
-            raise NamedGraphError(f"unexpected character {c!r} in expression")
-    return tokens
-
-
-class _NamedParser:
-    def __init__(self, tokens: list[str]):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self) -> str | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self, expected: str | None = None) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise NamedGraphError("unexpected end of expression")
-        if expected is not None and tok != expected:
-            raise NamedGraphError(f"expected {expected!r}, got {tok!r}")
-        self.pos += 1
-        return tok
-
-    def parse_int(self) -> int:
-        tok = self.take()
-        if not tok.isdigit():
-            raise NamedGraphError(f"expected an integer, got {tok!r}")
-        return int(tok)
-
-    def parse_graph(self) -> Graph:
-        name = self.take()
-        if name == "corona_k3_k1":
-            return corona_k3_k1()
-        self.take("(")
-        if name == "K":
-            g = complete(self._positive_int("K"))
-        elif name == "Kbar":
-            g = empty_graph(self._positive_int("Kbar"))
-        elif name == "C":
-            k = self._positive_int("C")
-            if k < 3:
-                raise NamedGraphError("C(n) needs n >= 3")
-            g = cycle(k)
-        elif name == "P":
-            g = path(self._positive_int("P"))
-        elif name == "Kbip":
-            a = self._positive_int("Kbip")
-            self.take(",")
-            b = self._positive_int("Kbip")
-            g = complete_bipartite(a, b)
-        elif name == "union":
-            left = self.parse_graph()
-            self.take(",")
-            g = union(left, self.parse_graph())
-        elif name == "join":
-            left = self.parse_graph()
-            self.take(",")
-            g = join(left, self.parse_graph())
-        else:
-            raise NamedGraphError(f"unknown graph name {name!r}")
-        self.take(")")
-        return g
-
-    def _positive_int(self, name: str) -> int:
-        k = self.parse_int()
-        if k < 1:
-            raise NamedGraphError(f"{name} needs a positive order")
-        return k
+# Each name's constructor and the arguments it takes in parentheses, in
+# order: n an integer, g an expression; a name without arguments takes no
+# parentheses. The constructors check the values (an order out of range).
+_NAMED = {
+    "K": (complete, "n"),
+    "Kbar": (empty_graph, "n"),
+    "C": (cycle, "n"),
+    "P": (path, "n"),
+    "Kbip": (complete_bipartite, "nn"),
+    "union": (union, "gg"),
+    "join": (join, "gg"),
+    "corona_k3_k1": (corona_k3_k1, ""),
+}
 
 
 def build_named(expr: str) -> Graph:
-    """Build a stock graph from an expression like ``join(Kbar(2), K(3))``."""
-    parser = _NamedParser(_tokenize(expr))
-    g = parser.parse_graph()
-    if parser.peek() is not None:
-        raise NamedGraphError(f"trailing tokens after expression: {parser.peek()!r}")
+    """Build a stock graph from an expression like ``join(Kbar(2), K(3))``,
+    by the grammar of ``_NAMED``."""
+    tokens = re.findall(r"\w+|\S", expr)[::-1]  # the next token last
+
+    def take(expected: str | None = None) -> str:
+        if not tokens:
+            raise NamedGraphError("unexpected end of expression")
+        tok = tokens.pop()
+        if expected is not None and tok != expected:
+            raise NamedGraphError(f"expected {expected!r}, got {tok!r}")
+        return tok
+
+    def graph() -> Graph:
+        name = take()
+        if name not in _NAMED:
+            raise NamedGraphError(f"unknown graph name {name!r}")
+        build, kinds = _NAMED[name]
+        args: list = []
+        for k, kind in enumerate(kinds):
+            take("," if k else "(")
+            if kind == "g":
+                args.append(graph())
+            elif (tok := take()).isdecimal():
+                args.append(int(tok))
+            else:
+                raise NamedGraphError(f"expected an integer, got {tok!r}")
+        if kinds:
+            take(")")
+        try:
+            return build(*args)
+        except ValueError as exc:
+            raise NamedGraphError(f"{name}: {exc}") from exc
+
+    g = graph()
+    if tokens:
+        raise NamedGraphError(f"trailing tokens after expression: {tokens[-1]!r}")
     return g

@@ -699,11 +699,9 @@ class _Tally:
             self.hi = n
         self.count += count
 
-    def add(self, g: Graph, result: object, seconds: float, name: object = None) -> None:
-        """Count one check of ``g``; a failure's detail follows ``name``, if any."""
-        if isinstance(result, tuple):
-            result, key = result
-            self.histogram[key] = self.histogram.get(key, 0) + 1
+    def add(self, g: Graph, result: str | None, seconds: float, name: object = None) -> None:
+        """Count one check of ``g``, whose ``result`` is a failure's detail
+        or None; the detail follows ``name``, if any."""
         self._span(g.n, 1)
         self.seconds += seconds
         if result:
@@ -923,8 +921,6 @@ def _lscc_json(lv: LsccValue) -> dict:
         out["value"] = lv.value
     if lv.cap is not None:
         out["cap"] = lv.cap
-    if lv.start_not_sp:
-        out["start_not_sp"] = True
     if lv.late_entry_cycle:
         out["late_entry_cycle"] = True
     return out
@@ -934,28 +930,17 @@ def _lscc_json(lv: LsccValue) -> dict:
 _OUTCOME_TYPES = {TerminatedNonSp: "terminated", CycleOutcome: "cycle", StepCap: "step-cap"}
 
 
-# The not-SP record of ``chain_record`` as ``cli._json_line`` prints it, keys
-# sorted, with its line end; only the %-fields vary (``cli._sweep_json_line``
-# fills them).
-_NOT_SP_JSON_LINE = (
-    '{"blocking_vertex": %d, "chain": [%s], "full_vertices": %d, "graph6": %s, '
-    '"lscc": {"kind": "Finite", "start_not_sp": true, "value": 0}, "min_degree": %d, '
-    '"order": %d, "outcome": {"last_index": 0, "type": "terminated"}, '
-    f'"schema_version": {SCHEMA_VERSION}, "status": "not-sp", "template": null}}\n'
-)
-
-
 def chain_record(g: Graph, g6: str | None = None) -> dict:
     """One sweep record: chain, length, and template label (or a status).
 
     ``g6`` is the graph6 text of ``g`` when the caller holds it; it becomes
     the record's ``graph6`` and first chain member, encoded afresh otherwise.
     A start that is not SP is its own one-member chain, so its record comes
-    from its partner scan and no chain is built; ``_NOT_SP_JSON_LINE`` is its
-    printed line, which a test holds equal to the encoded record. Records are
-    built in the sorted key order they are printed in, an unclassified
-    one's ``detail`` aside. The record is ``_record``'s, from the graph's
-    ``_lane``.
+    from its partner scan and no chain is built; ``cli._NOT_SP_JSON_LINE``
+    is its printed line, which a test holds equal to the encoded record.
+    Records are built in the sorted key order they are printed in, an
+    unclassified one's ``detail`` aside. The record is ``_record``'s, from
+    the graph's ``_lane``.
     """
     return _record(g, emit_graph6(g) if g6 is None else g6, _lane(g))
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import graphs
 from coalition_kit import canon
+from coalition_kit import graphs as graphs_mod
 from coalition_kit.graphs import (
     Graph,
     Graph6Error,
@@ -290,34 +291,59 @@ def _file_examples(test):
     return test
 
 
-@settings(max_examples=600)
-@given(_graph6_files())
-@_file_examples
-def test_the_check_accepts_exactly_what_parse_accepts(data):
-    lines = Graph6Lines("pieces.g6", data, 0, len(data))
-    error = _outcome(lines.parse)
-    assert (_lines_pattern().fullmatch(data) is not None) == (error is None)
-    assert _outcome(lines.check) == error
+def _parse_each(lines: Graph6Lines) -> list[tuple[int, Graph, str]]:
+    """The reference for ``Graph6Lines.parse``: ``parse_graph6`` on each
+    nonblank line's text, decoded with its bytes outside ASCII as lone
+    surrogates and stripped by ``str.strip``, as a text-mode read strips
+    it. Each record comes with its line's number in the file, and a
+    malformed record raises ``parse_graph6``'s error prefixed with the path
+    and that number."""
+    first = len(lines.data[: lines.start].splitlines()) + 1
+    out = []
+    for k, line in enumerate(lines.data[lines.start : lines.stop].splitlines()):
+        text = line.decode("ascii", "surrogateescape").strip()
+        if not text:
+            continue
+        try:
+            out.append((first + k, parse_graph6(text), text.removeprefix(">>graph6<<")))
+        except Graph6Error as exc:
+            raise Graph6Error(f"{lines.path}:{first + k}: {exc}") from exc
+    return out
 
 
 @settings(max_examples=600)
 @given(_graph6_files())
 @_file_examples
 def test_the_range_decode_matches_a_record_at_a_time(data):
-    # _parse_each runs parse_graph6 on each nonblank line's text
+    # parse, check and the check's pattern accept what the reference
+    # accepts, and parse and check raise its error
     lines = Graph6Lines("pieces.g6", data, 0, len(data))
-    error = _outcome(lines._parse_each)
+    error = _outcome(lambda: _parse_each(lines))
     assert _outcome(lines.parse) == error
+    assert _outcome(lines.check) == error
+    assert (_lines_pattern().fullmatch(data) is not None) == (error is None)
     if error is None:
-        # and a range that parses is decoded once, never handed on
-        assert _DecodedOnce("pieces.g6", data, 0, len(data)).parse() == lines._parse_each()
+        records = _parse_each(lines)
+        assert lines.parse() == [(g, text) for _, g, text in records]
+        assert lines.line_numbers() == [number for number, _, _ in records]
 
 
-class _DecodedOnce(Graph6Lines):
-    __slots__ = ()
+def test_a_range_calls_parse_graph6_only_for_its_bad_line(monkeypatch):
+    # the tables decode every line; parse_graph6 is asked once, for the
+    # message of the first line they reject
+    calls = []
 
-    def _parse_each(self):
-        raise AssertionError("a range that parses was handed to _parse_each")
+    def counted(text):
+        calls.append(text)
+        return parse_graph6(text)
+
+    monkeypatch.setattr(graphs_mod, "parse_graph6", counted)
+    assert len(Graph6Lines("mixed.g6", _MIXED, 0, len(_MIXED)).parse()) == 7
+    assert calls == []
+    data = _MIXED.replace(b"A_", b" A?~\t")
+    with pytest.raises(Graph6Error, match=r"^mixed\.g6:9: trailing garbage after 1 body bytes$"):
+        Graph6Lines("mixed.g6", data, 0, len(data)).parse()
+    assert calls == [" A?~\t"]
 
 
 def test_the_check_accepts_every_order():
